@@ -19,12 +19,23 @@ from .formatinfo import (
     word_bits,
 )
 from .grid import overlap_partition
-from .masks import mask_matrix
 from .verify import DecodeError, MirrorMismatch, decode_grid, read_format_words
 
 MODE_CHOICES = ("auto", "alnum", "byte", "numeric")
 MODE_NAMES = {"alnum": "alphanumeric", "byte": "byte", "numeric": "numeric",
               "auto": "auto"}
+
+
+def _at_least(minimum):
+    """argparse type: an integer no smaller than minimum."""
+
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+
+    return count
 
 
 def _fail(args, stage, message):
@@ -137,14 +148,7 @@ def _cmd_inspect(args):
         except DecodeError as exc:
             print(f"  decode failed at {exc.stage}: {exc}")
             continue
-        mask = mask_matrix(report.mask_id)
-        from .grid import data_placement_order
-
-        bits = "".join(
-            str(int(g.cells[cell]) ^ int(mask[cell]))
-            for cell in data_placement_order()
-        )
-        words = codec.bits_to_bytes(bits)
+        words = verify.read_codewords(g, report.mask_id)
         print(f"  text: {report.text!r} ({report.mode})")
         print(f"  codewords: {' '.join(f'{b:02x}' for b in words)}")
         print(f"  corrected bytes: {sorted(report.corrected_bytes)}")
@@ -177,8 +181,8 @@ def build_parser():
     enc.add_argument("--mode", choices=MODE_CHOICES, default="auto")
     enc.add_argument("--mask", type=int, default=0, choices=range(8))
     enc.add_argument("-o", "--output", required=True)
-    enc.add_argument("--scale", type=int, default=1)
-    enc.add_argument("--quiet", type=int, default=4)
+    enc.add_argument("--scale", type=_at_least(1), default=1)
+    enc.add_argument("--quiet", type=_at_least(0), default=4)
     enc.set_defaults(func=_cmd_encode, json=False)
 
     mir = sub.add_parser("mirror", help="double-sided code for two messages")
@@ -190,8 +194,8 @@ def build_parser():
     mir.add_argument("--seed", type=int, default=0)
     mir.add_argument("--report")
     mir.add_argument("-o", "--output", required=True)
-    mir.add_argument("--scale", type=int, default=1)
-    mir.add_argument("--quiet", type=int, default=4)
+    mir.add_argument("--scale", type=_at_least(1), default=1)
+    mir.add_argument("--quiet", type=_at_least(0), default=4)
     mir.set_defaults(func=_cmd_mirror, json=False)
 
     fg = sub.add_parser("flipgraph", help="export the control-code flip graph")

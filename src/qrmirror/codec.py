@@ -7,6 +7,8 @@ to a byte boundary, then the alternating pad bytes 11101100 / 00010001.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import DATA_BITS
 
 ALPHANUMERIC = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ $%*+-./:"
@@ -66,6 +68,11 @@ def bits_to_bytes(bits):
     if len(bits) % 8:
         raise CodecError(f"bit count {len(bits)} not a multiple of 8")
     return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def bits_to_array(bits):
+    """A '0'/'1' string as a uint8 array of 0s and 1s."""
+    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
 def bytes_to_bits(data):

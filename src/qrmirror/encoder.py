@@ -1,16 +1,10 @@
 """Materialize grids: write data bits and format words onto the template,
 and build ordinary single-sided Version 1-L codes."""
 
-import numpy as np
-
 from . import codec, rscode
 from .formatinfo import FormatWord, word_bits
-from .grid import (
-    data_placement_order,
-    format_positions,
-    function_pattern_grid,
-)
-from .masks import mask_matrix
+from .grid import TOTAL_BITS, format_positions, function_pattern_grid, placement_cells
+from .masks import data_mask
 
 
 def write_format(grid, on_grid_word):
@@ -23,10 +17,9 @@ def write_format(grid, on_grid_word):
 
 def write_data_cells(grid, physical_bits):
     """Write the 208 physical (already masked) data-region values."""
-    if len(physical_bits) != len(data_placement_order()):
+    if len(physical_bits) != TOTAL_BITS:
         raise ValueError(f"need 208 physical bits, got {len(physical_bits)}")
-    for cell, bit in zip(data_placement_order(), physical_bits):
-        grid.cells[cell] = int(bit)
+    grid.cells[placement_cells()] = physical_bits
 
 
 def materialize(physical_bits, on_grid_word):
@@ -47,11 +40,7 @@ def codeword_bits(payload):
 
 def physical_bits(logical_bits, mask_id):
     """Apply a mask to a 208-bit logical stream, yielding cell values."""
-    mask = mask_matrix(mask_id)
-    return np.array(
-        [int(b) ^ mask[cell] for b, cell in zip(logical_bits, data_placement_order())],
-        dtype=np.uint8,
-    )
+    return codec.bits_to_array(logical_bits) ^ data_mask(mask_id)
 
 
 def encode_single(text, mode="auto", mask_id=0):

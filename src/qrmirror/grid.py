@@ -143,6 +143,18 @@ def data_placement_order():
 
 
 @lru_cache(maxsize=1)
+def placement_cells():
+    """data_placement_order() as read-only (rows, cols) index arrays.
+
+    Indexing a 21x21 array with the pair reads or writes all 208 data
+    cells at once, in placement order.
+    """
+    index = np.array(data_placement_order(), dtype=np.intp).T
+    index.setflags(write=False)
+    return tuple(index)
+
+
+@lru_cache(maxsize=1)
 def placement_index():
     """Inverse of data_placement_order: coordinate -> bit index."""
     return {cell: i for i, cell in enumerate(data_placement_order())}

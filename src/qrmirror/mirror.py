@@ -7,6 +7,9 @@ the error allocation contributes no rows for its side, and the damage this
 leaves on the grid is later absorbed by the decoder's 3-byte correction
 budget. Allocated data bytes get eight auxiliary variables holding the
 intended (post-correction) byte so the parity rows can still refer to it.
+_aux_bytes fixes their order for both the system and the free-value
+preference. That preference, which picks the solution among many, starts
+from both messages' ordinary encodings, computed once per message pair.
 
 A randomized fallback mirrors the construction the analytic method
 replaces: randomize the free fill, compute the straight side's parity
@@ -24,12 +27,12 @@ from . import codec, encoder, rscode
 from .formatinfo import select_mirror_format
 from .grid import (
     DATA_BITS,
+    ECC_BITS,
     TOTAL_BITS,
-    data_placement_order,
     overlap_partition,
     transpose_permutation,
 )
-from .masks import mask_bit, symmetric_masks
+from .masks import data_mask, symmetric_masks
 from .verify import decode_grid
 
 
@@ -161,14 +164,14 @@ def solve_gf2(system, free_values=None, rng=None):
     return Solution(x, free_cols, r)
 
 
-def _mask_offsets(mask_id):
-    return np.array(
-        [mask_bit(mask_id, cell) for cell in data_placement_order()], dtype=np.uint8
-    )
+_CELL_NAMES = tuple(f"cell{i}" for i in range(TOTAL_BITS))
 
 
-def _payload_bits(payload):
-    return np.frombuffer(payload.bits.encode(), dtype=np.uint8) - ord("0")
+def _aux_bytes(alloc):
+    """(side, byte) of every allocated data byte, in aux-variable order."""
+    return [(name, byte)
+            for name, bytes_ in (("A", alloc.side_a_bytes), ("B", alloc.side_b_bytes))
+            for byte in sorted(bytes_) if byte < rscode.DATA_BYTES]
 
 
 def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None):
@@ -192,67 +195,54 @@ def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None)
     straight = np.arange(TOTAL_BITS, dtype=np.intp)
     parity = rscode.parity_matrix()
 
-    sides = (
-        ("A", _payload_bits(payload_a), straight, _mask_offsets(fmt.mask_id),
-         sorted(alloc.side_a_bytes)),
-        ("B", _payload_bits(payload_b), sigma, _mask_offsets(mirrored_fmt.mask_id),
-         sorted(alloc.side_b_bytes)),
-    )
-
     # auxiliary variables: 8 per allocated data byte, holding the intended
     # codeword byte that the decoder will restore
-    n_vars = TOTAL_BITS
-    aux_base = {}
-    for name, _, _, _, alloc_bytes in sides:
-        for byte in alloc_bytes:
-            if byte < rscode.DATA_BYTES:
-                aux_base[(name, byte)] = n_vars
-                n_vars += 8
+    aux = _aux_bytes(alloc)
+    n_vars = TOTAL_BITS + 8 * len(aux)
+    var_names = _CELL_NAMES + tuple(f"{name}.byte{byte:02d}.bit{j}"
+                                    for name, byte in aux for j in range(8))
 
-    var_names = [f"cell{i}" for i in range(TOTAL_BITS)]
-    for (name, byte), base in sorted(aux_base.items(), key=lambda kv: kv[1]):
-        var_names.extend(f"{name}.byte{byte:02d}.bit{j}" for j in range(8))
-
-    rows = []
+    matrices = []
     rhs = []
     provenance = []
-    for name, declared, bitvar, mu, alloc_bytes in sides:
-        allocated = set(alloc_bytes)
+    for name, payload, bitvar, word, alloc_bytes in (
+        ("A", payload_a, straight, fmt, alloc.side_a_bytes),
+        ("B", payload_b, sigma, mirrored_fmt, alloc.side_b_bytes),
+    ):
+        mu = data_mask(word.mask_id)
         # where each intended data bit lives: a grid cell or an aux bit
         data_var = bitvar[:DATA_BITS].copy()
         data_mu = mu[:DATA_BITS].copy()
-        for byte in alloc_bytes:
-            if byte < rscode.DATA_BYTES:
-                base = aux_base[(name, byte)]
-                data_var[byte * 8 : byte * 8 + 8] = np.arange(base, base + 8)
+        for k, (side, byte) in enumerate(aux):
+            if side == name:
+                data_var[byte * 8 : byte * 8 + 8] = np.arange(8) + TOTAL_BITS + 8 * k
                 data_mu[byte * 8 : byte * 8 + 8] = 0
 
-        for i, bit in enumerate(declared):
-            row = np.zeros(n_vars, dtype=np.uint8)
-            row[data_var[i]] = 1
-            rows.append(row)
-            rhs.append(int(bit) ^ int(data_mu[i]))
-            provenance.append((name, "message", i))
+        declared = codec.bits_to_array(payload.bits)
+        message = np.zeros((declared.size, n_vars), dtype=np.uint8)
+        message[np.arange(declared.size), data_var[: declared.size]] = 1
+        matrices.append(message)
+        rhs.append(declared ^ data_mu[: declared.size])
+        provenance.extend(zip(itertools.repeat(name), itertools.repeat("message"),
+                              range(declared.size)))
 
-        for pbyte in range(rscode.PARITY_BYTES):
-            if rscode.DATA_BYTES + pbyte in allocated:
-                continue
-            for j in range(8):
-                r = pbyte * 8 + j
-                row = np.zeros(n_vars, dtype=np.uint8)
-                nz = np.nonzero(parity[r])[0]
-                row[data_var[nz]] = 1
-                pv = bitvar[DATA_BITS + r]
-                row[pv] ^= 1
-                rows.append(row)
-                rhs.append(int(data_mu[nz].sum() + mu[DATA_BITS + r]) % 2)
-                provenance.append((name, "parity", rscode.DATA_BYTES + pbyte))
+        # parity bit rows of the bytes outside the allocation
+        dropped = [b - rscode.DATA_BYTES for b in alloc_bytes if b >= rscode.DATA_BYTES]
+        rows = np.delete(np.arange(ECC_BITS).reshape(-1, 8), dropped, axis=0).ravel()
+        checks = np.zeros((rows.size, n_vars), dtype=np.uint8)
+        checks[:, data_var] = parity[rows]
+        checks[np.arange(rows.size), bitvar[DATA_BITS + rows]] ^= 1
+        matrices.append(checks)
+        rhs.append(((parity[rows] @ data_mu.astype(np.intp) + mu[DATA_BITS + rows]) % 2)
+                   .astype(np.uint8))
+        provenance.extend(zip(itertools.repeat(name), itertools.repeat("parity"),
+                              (rscode.DATA_BYTES + rows // 8).tolist()))
 
     return LinearSystem(
-        np.array(rows, dtype=np.uint8),
-        np.array(rhs, dtype=np.uint8),
+        np.concatenate(matrices),
+        np.concatenate(rhs),
         tuple(provenance),
-        tuple(var_names),
+        var_names,
     )
 
 
@@ -292,15 +282,12 @@ def _with_terminator(payload):
 
 def _pin_conflict_cells(payload_a, payload_b):
     """Cells both sides pin to different values: (cell index, a byte, b byte)."""
-    sigma = transpose_permutation()
-    a = payload_a.bits
-    b = payload_b.bits
-    out = []
-    for j in range(len(b)):
-        k = sigma[j]
-        if k < len(a) and a[k] != b[j]:
-            out.append((k, k // 8, j // 8))
-    return out
+    a = codec.bits_to_array(payload_a.bits)
+    b = codec.bits_to_array(payload_b.bits)
+    k = np.array(transpose_permutation()[: b.size], dtype=np.intp)
+    j = np.flatnonzero(k < a.size)
+    j = j[a[k[j]] != b[j]]
+    return list(zip(k[j].tolist(), (k[j] // 8).tolist(), (j // 8).tolist()))
 
 
 def _allocation_resolves_pins(conflicts, alloc):
@@ -357,11 +344,11 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed, batch=1024):
     Reproducible for a given seed and budget.
     """
     sigma = np.array(transpose_permutation(), dtype=np.intp)
-    mu_a = _mask_offsets(fmt.straight.mask_id)
-    mu_b = _mask_offsets(fmt.mirrored.mask_id)
+    mu_a = data_mask(fmt.straight.mask_id)
+    mu_b = data_mask(fmt.mirrored.mask_id)
     delta = mu_a[sigma] ^ mu_b
-    a_bits = _payload_bits(payload_a)
-    b_bits = _payload_bits(payload_b)
+    a_bits = codec.bits_to_array(payload_a.bits)
+    b_bits = codec.bits_to_array(payload_b.bits)
     la, lb = len(a_bits), len(b_bits)
     parity = rscode.parity_matrix().astype(np.int32)
 
@@ -369,11 +356,10 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed, batch=1024):
     pinned = np.zeros(DATA_BITS, dtype=bool)
     base[:la] = a_bits
     pinned[:la] = True
-    for j in range(lb):
-        k = int(sigma[j])
-        if k < DATA_BITS and not pinned[k]:
-            base[k] = b_bits[j]
-            pinned[k] = True
+    k = sigma[:lb]
+    b_only = (k >= la) & (k < DATA_BITS)  # data cells the straight side leaves free
+    base[k[b_only]] = b_bits[b_only]
+    pinned[k[b_only]] = True
     free_idx = np.nonzero(~pinned)[0]
 
     rng = np.random.default_rng(seed)
@@ -408,33 +394,24 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed, batch=1024):
     return BruteForceResult(None, done, -1, best)
 
 
-def _free_value_preference(msg_a, mode_a, msg_b, mode_b, straight_fmt, n_vars,
-                           aux_layout):
-    """Free cells default to the straight side's ordinary encoding; aux
-    bytes default to their side's ordinary codeword."""
-    prefs = np.zeros(n_vars, dtype=np.uint8)
-    prefs[:TOTAL_BITS] = encoder.standard_physical_bits(msg_a, mode_a,
-                                                        straight_fmt.mask_id)
-    words = {}
-    for (name, byte), basevar in aux_layout.items():
-        if name not in words:
-            msg, mode = (msg_a, mode_a) if name == "A" else (msg_b, mode_b)
-            payload = codec.assemble_payload(codec.make_segment(msg, mode), pad=True)
-            data = codec.bits_to_bytes(payload.bits)
-            words[name] = data + rscode.rs_encode(data)
-        value = words[name][byte]
-        for j in range(8):
-            prefs[basevar + j] = (value >> (7 - j)) & 1
-    return prefs
+def _free_value_preference(msg_a, mode_a, msg_b, mode_b, straight_fmt):
+    """Preferred free values, as a function of the allocation.
 
+    Free cells default to the straight side's ordinary encoding; aux bytes
+    default to their side's ordinary codeword. The ordinary encodings are
+    computed once per message pair.
+    """
+    cells = encoder.standard_physical_bits(msg_a, mode_a, straight_fmt.mask_id)
+    data = {}
+    for name, msg, mode in (("A", msg_a, mode_a), ("B", msg_b, mode_b)):
+        payload = codec.assemble_payload(codec.make_segment(msg, mode), pad=True)
+        data[name] = codec.bits_to_array(payload.bits)
 
-def _aux_layout(system):
-    layout = {}
-    for idx in range(TOTAL_BITS, len(system.var_names), 8):
-        name = system.var_names[idx]
-        side, byte, _ = name.split(".")
-        layout[(side, int(byte[4:]))] = idx
-    return layout
+    def preference(alloc):
+        aux = [data[name][byte * 8 : byte * 8 + 8] for name, byte in _aux_bytes(alloc)]
+        return np.concatenate([cells, *aux])
+
+    return preference
 
 
 def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="auto",
@@ -457,9 +434,12 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
     fmt = select_mirror_format()
     straight, mirrored = fmt.straight, fmt.mirrored
 
+    grid = None
+    free_vars = trials_run = 0
     if method in ("auto", "analytic"):
         partition = overlap_partition(len(payload_a.bits), len(payload_b.bits))
         conflicts = _pin_conflict_cells(payload_a, payload_b)
+        preference = _free_value_preference(msg_a, mode_a, msg_b, mode_b, straight)
         attempted = 0
         for alloc in enumerate_error_allocations(partition, max_per_side):
             if not _allocation_resolves_pins(conflicts, alloc):
@@ -467,62 +447,46 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
             system = build_constraint_system(payload_a, payload_b, straight, alloc,
                                              mirrored_fmt=mirrored)
             attempted += 1
-            prefs = _free_value_preference(msg_a, mode_a, msg_b, mode_b, straight,
-                                           system.matrix.shape[1],
-                                           _aux_layout(system))
-            solution = solve_gf2(system, free_values=prefs)
-            if solution is None:
-                continue
-            grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
-            rep_a = decode_grid(grid, "straight")
-            rep_b = decode_grid(grid, "transposed")
-            if rep_a.text != msg_a or rep_b.text != msg_b:
+            solution = solve_gf2(system, free_values=preference(alloc))
+            if solution is not None:
+                grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
+                method, free_vars = "analytic", solution.free_variable_count
+                break
+        else:
+            if method == "analytic":
                 raise ConstructionError(
-                    "decode mismatch",
-                    f"solved grid reads {rep_a.text!r}/{rep_b.text!r}",
+                    "system infeasible",
+                    f"no solvable system among {attempted} viable allocations",
                 )
-            report = ConstructionReport(
-                "analytic",
-                fmt.witness_bits,
-                straight.mask_id,
-                {"side_a": sorted(alloc.side_a_bytes),
-                 "side_b": sorted(alloc.side_b_bytes)},
-                solution.free_variable_count,
-                len(rep_a.corrected_bytes),
-                len(rep_b.corrected_bytes),
-                0,
-            )
-            return grid, report
-        if method == "analytic":
-            raise ConstructionError(
-                "system infeasible",
-                f"no solvable system among {attempted} viable allocations",
-            )
 
-    result = brute_force_search(payload_a, payload_b, fmt, trials, seed)
-    if result.grid is None:
-        raise ConstructionError(
-            "RS budget",
-            f"brute force exhausted {result.trials_run} trials; best damage "
-            f"{result.best_damage[0]}+{result.best_damage[1]} bytes",
-        )
-    rep_a = decode_grid(result.grid, "straight")
-    rep_b = decode_grid(result.grid, "transposed")
+    if grid is None:
+        result = brute_force_search(payload_a, payload_b, fmt, trials, seed)
+        if result.grid is None:
+            raise ConstructionError(
+                "RS budget",
+                f"brute force exhausted {result.trials_run} trials; best damage "
+                f"{result.best_damage[0]}+{result.best_damage[1]} bytes",
+            )
+        grid, method, trials_run = result.grid, "brute", result.found_at
+
+    rep_a = decode_grid(grid, "straight")
+    rep_b = decode_grid(grid, "transposed")
     if rep_a.text != msg_a or rep_b.text != msg_b:
         raise ConstructionError(
             "decode mismatch",
-            f"brute-force grid reads {rep_a.text!r}/{rep_b.text!r}",
+            f"{'solved' if method == 'analytic' else 'brute-force'} grid reads "
+            f"{rep_a.text!r}/{rep_b.text!r}",
         )
-    damaged_a = sorted(rep_a.corrected_bytes)
-    damaged_b = sorted(rep_b.corrected_bytes)
+    if method == "brute":  # the allocation is whatever the decoders corrected
+        alloc = ErrorAllocation(rep_a.corrected_bytes, rep_b.corrected_bytes)
     report = ConstructionReport(
-        "brute",
+        method,
         fmt.witness_bits,
         straight.mask_id,
-        {"side_a": damaged_a, "side_b": damaged_b},
-        0,
-        len(damaged_a),
-        len(damaged_b),
-        result.found_at,
+        {"side_a": sorted(alloc.side_a_bytes), "side_b": sorted(alloc.side_b_bytes)},
+        free_vars,
+        len(rep_a.corrected_bytes),
+        len(rep_b.corrected_bytes),
+        trials_run,
     )
-    return result.grid, report
+    return grid, report

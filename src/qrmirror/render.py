@@ -74,14 +74,19 @@ def parse_pbm(data):
         raise RenderError("malformed PBM header")
     if width != height:
         raise RenderError(f"image is {width}x{height}, not square")
+    if width < SIZE:
+        raise RenderError(f"image is {width}x{height}, smaller than {SIZE}x{SIZE}")
     digits = "".join(tokens[3:])
     if len(digits) != width * height or set(digits) - {"0", "1"}:
         raise RenderError("pixel data does not match the declared dimensions")
     img = np.frombuffer(digits.encode(), dtype=np.uint8).reshape(height, width) - ord("0")
 
     if "scale" in meta and "quiet" in meta:
-        scale, quiet = int(meta["scale"]), int(meta["quiet"])
-        if (SIZE + 2 * quiet) * scale != width:
+        try:
+            scale, quiet = int(meta["scale"]), int(meta["quiet"])
+        except ValueError:
+            raise RenderError("metadata scale or quiet is not an integer")
+        if scale < 1 or quiet < 0 or (SIZE + 2 * quiet) * scale != width:
             raise RenderError("metadata disagrees with the image dimensions")
     else:
         scale, quiet = _infer_geometry(img)

@@ -4,10 +4,12 @@ orientation and check double-sided constructions end to end."""
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import codec, rscode
 from .formatinfo import EC_NAME, apply_format_mask, bch_decode
-from .grid import data_placement_order, format_positions, function_pattern_grid
-from .masks import mask_matrix
+from .grid import format_positions, function_pattern_grid, placement_cells
+from .masks import data_mask
 
 
 class DecodeError(ValueError):
@@ -76,6 +78,11 @@ def read_format_words(grid):
     return words
 
 
+def read_codewords(grid, mask_id):
+    """The 26 codeword bytes a reader takes off the grid under one mask."""
+    return np.packbits(grid.cells[placement_cells()] ^ data_mask(mask_id)).tobytes()
+
+
 def _reconcile_format(grid):
     decodes = []
     for w in read_format_words(grid):
@@ -104,12 +111,8 @@ def decode_grid(grid, orientation="straight"):
     ec_level = EC_NAME[info >> 3]
     mask_id = info & 7
 
-    mask = mask_matrix(mask_id)
-    bits = "".join(
-        str(int(g.cells[cell]) ^ int(mask[cell])) for cell in data_placement_order()
-    )
     try:
-        data, corrected = rscode.rs_decode(codec.bits_to_bytes(bits))
+        data, corrected = rscode.rs_decode(read_codewords(g, mask_id))
     except rscode.RsDecodeError as exc:
         raise DecodeError("rs", str(exc))
     try:

@@ -77,6 +77,12 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "unknown-command")
     assert code == 2
+    for command in (("encode", "HELLO"), ("mirror", "HARRY", "BOVIK")):
+        for option, value in (("--scale", "0"), ("--quiet", "-1")):
+            code, _, err = run(capsys, *command, option, value,
+                               "-o", str(tmp_path / "x.pbm"))
+            assert code == 2
+            assert option in err
 
 
 def test_flipgraph_dot_output(tmp_path, capsys):
@@ -117,3 +123,13 @@ def test_missing_input_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.pbm"))
     assert code == 1
     assert "input" in err or "No such file" in err
+
+
+def test_malformed_pbm_fails_at_input_stage(tmp_path, capsys):
+    for i, data in enumerate((b"P1\n21 21\n# qrmirror scale=x quiet=0\n" + b"0" * 441,
+                              b"P1\n0 0\n# qrmirror scale=0 quiet=0\n")):
+        path = tmp_path / f"bad{i}.pbm"
+        path.write_bytes(data)
+        code, _, err = run(capsys, "verify", str(path), "--json")
+        assert code == 1
+        assert json.loads(err)["error"] == "input"

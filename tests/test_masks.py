@@ -35,6 +35,8 @@ def test_symmetry_definition_over_all_cells():
         )
         assert is_symmetric == (m in masks.symmetric_masks())
         assert np.array_equal(matrix, matrix.T) == is_symmetric
+        assert all(matrix[r, c] == masks.mask_bit(m, (r, c))
+                   for r in range(21) for c in range(21))
 
 
 def test_asymmetric_masks_differ_somewhere():

@@ -6,6 +6,7 @@ import pytest
 from qrmirror import codec, mirror, verify
 from qrmirror.formatinfo import FormatWord, select_mirror_format
 from qrmirror.grid import overlap_partition, transpose_permutation
+from qrmirror.masks import symmetric_masks
 
 
 def payload(text, mode="alphanumeric"):
@@ -254,3 +255,95 @@ def test_construct_brute_method_raises_with_diagnostics():
                                       trials=200, seed=0)
     assert excinfo.value.stage == "RS budget"
     assert "200 trials" in str(excinfo.value)
+
+
+def reference_build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None):
+    """The per-row loop construction the vectorized builder replaced."""
+    from qrmirror import rscode
+    from qrmirror.grid import DATA_BITS, TOTAL_BITS, data_placement_order
+    from qrmirror.masks import mask_bit
+
+    def mask_offsets(mask_id):
+        return np.array([mask_bit(mask_id, cell) for cell in data_placement_order()],
+                        dtype=np.uint8)
+
+    def payload_bits(p):
+        return np.array([int(ch) for ch in p.bits], dtype=np.uint8)
+
+    mirrored_fmt = mirrored_fmt or fmt
+    sigma = np.array(transpose_permutation(), dtype=np.intp)
+    straight = np.arange(TOTAL_BITS, dtype=np.intp)
+    parity = rscode.parity_matrix()
+    sides = (
+        ("A", payload_bits(payload_a), straight, mask_offsets(fmt.mask_id),
+         sorted(alloc.side_a_bytes)),
+        ("B", payload_bits(payload_b), sigma, mask_offsets(mirrored_fmt.mask_id),
+         sorted(alloc.side_b_bytes)),
+    )
+    n_vars = TOTAL_BITS
+    aux_base = {}
+    for name, _, _, _, alloc_bytes in sides:
+        for byte in alloc_bytes:
+            if byte < rscode.DATA_BYTES:
+                aux_base[(name, byte)] = n_vars
+                n_vars += 8
+    var_names = [f"cell{i}" for i in range(TOTAL_BITS)]
+    for (name, byte), base in sorted(aux_base.items(), key=lambda kv: kv[1]):
+        var_names.extend(f"{name}.byte{byte:02d}.bit{j}" for j in range(8))
+
+    rows, rhs, provenance = [], [], []
+    for name, declared, bitvar, mu, alloc_bytes in sides:
+        allocated = set(alloc_bytes)
+        data_var = bitvar[:DATA_BITS].copy()
+        data_mu = mu[:DATA_BITS].copy()
+        for byte in alloc_bytes:
+            if byte < rscode.DATA_BYTES:
+                base = aux_base[(name, byte)]
+                data_var[byte * 8 : byte * 8 + 8] = np.arange(base, base + 8)
+                data_mu[byte * 8 : byte * 8 + 8] = 0
+        for i, bit in enumerate(declared):
+            row = np.zeros(n_vars, dtype=np.uint8)
+            row[data_var[i]] = 1
+            rows.append(row)
+            rhs.append(int(bit) ^ int(data_mu[i]))
+            provenance.append((name, "message", i))
+        for pbyte in range(rscode.PARITY_BYTES):
+            if rscode.DATA_BYTES + pbyte in allocated:
+                continue
+            for j in range(8):
+                r = pbyte * 8 + j
+                row = np.zeros(n_vars, dtype=np.uint8)
+                nz = np.nonzero(parity[r])[0]
+                row[data_var[nz]] = 1
+                row[bitvar[DATA_BITS + r]] ^= 1
+                rows.append(row)
+                rhs.append(int(data_mu[nz].sum() + mu[DATA_BITS + r]) % 2)
+                provenance.append((name, "parity", rscode.DATA_BYTES + pbyte))
+    return mirror.LinearSystem(np.array(rows, dtype=np.uint8),
+                               np.array(rhs, dtype=np.uint8),
+                               tuple(provenance), tuple(var_names))
+
+
+def test_constraint_system_matches_per_row_reference():
+    import random
+
+    rng = random.Random(31)
+    symmetric = sorted(symmetric_masks())
+    texts = [("", "alphanumeric"), ("HELLO", "alphanumeric"), ("0123456789", "numeric"),
+             ("h i!", "byte"), ("ABCDEFGHIJKLM", "alphanumeric"), ("7", "numeric")]
+    for trial in range(60):
+        pa = payload(*rng.choice(texts))
+        pb = payload(*rng.choice(texts))
+        # data and parity bytes on both sides, 0 to 3 each
+        alloc = mirror.ErrorAllocation(frozenset(rng.sample(range(26), rng.randint(0, 3))),
+                                       frozenset(rng.sample(range(26), rng.randint(0, 3))))
+        fmt = FormatWord("L", rng.choice(symmetric))
+        kwargs = {"mirrored_fmt": FormatWord("L", rng.choice(symmetric))} if trial % 2 else {}
+        got = mirror.build_constraint_system(pa, pb, fmt, alloc, **kwargs)
+        want = reference_build_constraint_system(pa, pb, fmt, alloc, **kwargs)
+        assert got.matrix.dtype == want.matrix.dtype == np.uint8
+        assert got.rhs.dtype == want.rhs.dtype == np.uint8
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.rhs, want.rhs)
+        assert got.provenance == want.provenance
+        assert got.var_names == want.var_names

@@ -84,6 +84,14 @@ def test_pbm_rejects_bad_inputs():
         render.parse_pbm(b"P1\n22 22\n" + b"0" * 483 + b"1")
     with pytest.raises(render.RenderError):
         render.parse_pbm(b"P1\n4 4\nnope")
+    for bad in (
+        b"P1\n21 21\n# qrmirror scale=x quiet=0\n" + b"0" * 441,
+        b"P1\n21 21\n# qrmirror scale=-1 quiet=-21\n" + b"0" * 441,
+        b"P1\n0 0\n",
+        b"P1\n0 0\n# qrmirror scale=0 quiet=0\n",
+    ):
+        with pytest.raises(render.RenderError):
+            render.parse_pbm(bad)
 
 
 def test_pbm_scale_validation():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from qrmirror import codec, encoder, mirror, verify
@@ -155,3 +156,28 @@ def test_report_json():
     assert data["text"] == "HI"
     assert data["orientation"] == "straight"
     assert data["corrected_bytes"] == []
+
+
+def test_placement_arrays_match_per_cell_loop():
+    # writing, masking and reading the data region through the placement
+    # arrays agrees with walking data_placement_order() cell by cell
+    from qrmirror.masks import mask_bit
+
+    rng = random.Random(9)
+    order = data_placement_order()
+    for mask_id in range(8):
+        logical = "".join(rng.choice("01") for _ in range(208))
+        want_physical = [int(b) ^ mask_bit(mask_id, cell) for b, cell in zip(logical, order)]
+        physical = encoder.physical_bits(logical, mask_id)
+        assert physical.dtype == np.uint8
+        assert physical.tolist() == want_physical
+
+        grid = function_pattern_grid()
+        encoder.write_data_cells(grid, physical)
+        want_grid = function_pattern_grid()
+        for cell, bit in zip(order, want_physical):
+            want_grid.cells[cell] = bit
+        assert grid == want_grid
+
+        bits = "".join(str(int(grid.cells[cell]) ^ mask_bit(mask_id, cell)) for cell in order)
+        assert verify.read_codewords(grid, mask_id) == codec.bits_to_bytes(bits)
