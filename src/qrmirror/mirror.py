@@ -9,7 +9,9 @@ budget. Allocated data bytes get eight auxiliary variables holding the
 intended (post-correction) byte so the parity rows can still refer to it.
 _aux_bytes fixes their order for both the system and the free-value
 preference. That preference, which picks the solution among many, starts
-from both messages' ordinary encodings, computed once per message pair.
+from both messages' ordinary encodings, computed once per message pair
+when the first allocation is tried. Only allocations that release every
+cell the two sides pin to different values are tried at all.
 
 A randomized fallback mirrors the construction the analytic method
 replaces: randomize the free fill, compute the straight side's parity
@@ -246,27 +248,60 @@ def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None)
     )
 
 
-def enumerate_error_allocations(partition, max_per_side=3):
-    """Allocations over conflict-zone bytes, smallest total first.
+def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
+    """Allocations over conflict-zone bytes that cover every pin conflict.
 
     Only bytes whose cells sit in zones a, c, e or i can ever need
     sacrificing, so the stream is restricted to those, deduplicated and
-    exhausted up to max_per_side bytes on each side.
+    exhausted up to max_per_side bytes on each side. conflicts holds
+    (cell, straight byte, mirrored byte) triples of cells the two sides pin
+    to different values; an allocation must sacrifice one byte of each
+    pair, so it is a vertex cover of the bipartite conflict graph.
+
+    Order: smallest total first, then fewest straight bytes, then
+    lexicographic straight subsets, then lexicographic mirrored subsets.
+    Each straight subset leaves a set of mirrored bytes that must be
+    allocated; the mirrored subsets are that set plus every lexicographic
+    choice of the remaining candidates, which keeps the order of the
+    unfiltered stream.
     """
     cand_a = partition.conflict_bytes_a()
     cand_b = partition.conflict_bytes_b()
-    subs_a = [list(itertools.combinations(cand_a, k))
-              for k in range(min(max_per_side, len(cand_a)) + 1)]
-    subs_b = [list(itertools.combinations(cand_b, k))
-              for k in range(min(max_per_side, len(cand_b)) + 1)]
-    for total in range(len(subs_a) + len(subs_b) - 1):
-        for ka in range(min(total, len(subs_a) - 1) + 1):
-            kb = total - ka
-            if kb >= len(subs_b):
+    max_a = min(max_per_side, len(cand_a))
+    max_b = min(max_per_side, len(cand_b))
+    # mirrored-byte bitmasks: bit j is cand_b[j]; a byte outside cand_b
+    # sets the top bit, which no allocation can cover
+    bit_b = {bb: 1 << j for j, bb in enumerate(cand_b)}
+    outside = 1 << len(cand_b)
+    needs = {}  # straight byte -> mirrored bytes needed when it is not allocated
+    for _, ba, bb in conflicts:
+        needs[ba] = needs.get(ba, 0) | bit_b.get(bb, outside)
+
+    # per straight subset: the mirrored bytes it requires and those left free
+    covers = []
+    for ka in range(max_a + 1):
+        viable = []
+        for sa in itertools.combinations(cand_a, ka):
+            req = 0
+            for ba, mask in needs.items():
+                if ba not in sa:
+                    req |= mask
+            if req & outside or req.bit_count() > max_b:
                 continue
-            for sa in subs_a[ka]:
-                for sb in subs_b[kb]:
-                    yield ErrorAllocation(frozenset(sa), frozenset(sb))
+            viable.append((frozenset(sa), [bb for bb in cand_b if req & bit_b[bb]],
+                           [bb for bb in cand_b if not req & bit_b[bb]]))
+        covers.append(viable)
+
+    for total in range(max_a + max_b + 1):
+        for ka in range(min(total, max_a) + 1):
+            kb = total - ka
+            if kb > max_b:
+                continue
+            for sa, req, rest in covers[ka]:
+                if len(req) > kb:
+                    continue
+                for extra in itertools.combinations(rest, kb - len(req)):
+                    yield ErrorAllocation(sa, frozenset((*req, *extra)))
 
 
 def _with_terminator(payload):
@@ -290,11 +325,13 @@ def _pin_conflict_cells(payload_a, payload_b):
     return list(zip(k[j].tolist(), (k[j] // 8).tolist(), (j // 8).tolist()))
 
 
-def _allocation_resolves_pins(conflicts, alloc):
-    return all(
-        ba in alloc.side_a_bytes or bb in alloc.side_b_bytes
-        for _, ba, bb in conflicts
-    )
+def _infeasible_reason(conflicts, attempted, max_per_side):
+    """Why the analytic search came back empty-handed."""
+    if attempted:
+        return f"no solvable system among {attempted} viable allocations"
+    pairs = ", ".join(f"({ba}, {bb})" for ba, bb in sorted({c[1:] for c in conflicts}))
+    return (f"pin conflicts between (straight byte, mirrored byte) pairs {pairs}: "
+            f"no allocation of at most {max_per_side} bytes per side covers them")
 
 
 @dataclass(frozen=True)
@@ -439,14 +476,15 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
     if method in ("auto", "analytic"):
         partition = overlap_partition(len(payload_a.bits), len(payload_b.bits))
         conflicts = _pin_conflict_cells(payload_a, payload_b)
-        preference = _free_value_preference(msg_a, mode_a, msg_b, mode_b, straight)
+        preference = None
         attempted = 0
-        for alloc in enumerate_error_allocations(partition, max_per_side):
-            if not _allocation_resolves_pins(conflicts, alloc):
-                continue
+        for alloc in enumerate_error_allocations(partition, max_per_side, conflicts):
             system = build_constraint_system(payload_a, payload_b, straight, alloc,
                                              mirrored_fmt=mirrored)
             attempted += 1
+            if preference is None:
+                preference = _free_value_preference(msg_a, mode_a, msg_b, mode_b,
+                                                    straight)
             solution = solve_gf2(system, free_values=preference(alloc))
             if solution is not None:
                 grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
@@ -454,10 +492,9 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
                 break
         else:
             if method == "analytic":
-                raise ConstructionError(
-                    "system infeasible",
-                    f"no solvable system among {attempted} viable allocations",
-                )
+                raise ConstructionError("system infeasible",
+                                        _infeasible_reason(conflicts, attempted,
+                                                           max_per_side))
 
     if grid is None:
         result = brute_force_search(payload_a, payload_b, fmt, trials, seed)

@@ -1,5 +1,8 @@
 """The double-sided constraint system, allocations, and construction."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -347,3 +350,76 @@ def test_constraint_system_matches_per_row_reference():
         assert np.array_equal(got.rhs, want.rhs)
         assert got.provenance == want.provenance
         assert got.var_names == want.var_names
+
+
+def reference_enumerate_error_allocations(partition, max_per_side=3):
+    """Every allocation over conflict-zone bytes, before pin filtering."""
+    cand_a = partition.conflict_bytes_a()
+    cand_b = partition.conflict_bytes_b()
+    subs_a = [list(itertools.combinations(cand_a, k))
+              for k in range(min(max_per_side, len(cand_a)) + 1)]
+    subs_b = [list(itertools.combinations(cand_b, k))
+              for k in range(min(max_per_side, len(cand_b)) + 1)]
+    for total in range(len(subs_a) + len(subs_b) - 1):
+        for ka in range(min(total, len(subs_a) - 1) + 1):
+            kb = total - ka
+            if kb >= len(subs_b):
+                continue
+            for sa in subs_a[ka]:
+                for sb in subs_b[kb]:
+                    yield mirror.ErrorAllocation(frozenset(sa), frozenset(sb))
+
+
+def reference_allocation_resolves_pins(conflicts, alloc):
+    return all(
+        ba in alloc.side_a_bytes or bb in alloc.side_b_bytes
+        for _, ba, bb in conflicts
+    )
+
+
+def construction_inputs(msg_a, msg_b):
+    """The partition and pin conflicts construct_double_sided searches over."""
+    pa, pb = (mirror._with_terminator(codec.assemble_payload(codec.make_segment(m, "auto"),
+                                                             pad=False))
+              for m in (msg_a, msg_b))
+    return (overlap_partition(len(pa.bits), len(pb.bits)),
+            mirror._pin_conflict_cells(pa, pb))
+
+
+def seeded_alnum_pair(rng, len_a, len_b):
+    return ("".join(rng.choice(codec.ALPHANUMERIC) for _ in range(len_a)),
+            "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(len_b)))
+
+
+def test_cover_stream_matches_filtered_reference():
+    def check(partition, conflicts, label):
+        for max_per_side in range(4):
+            want = [alloc
+                    for alloc in reference_enumerate_error_allocations(partition, max_per_side)
+                    if reference_allocation_resolves_pins(conflicts, alloc)]
+            got = list(mirror.enumerate_error_allocations(partition, max_per_side, conflicts))
+            assert got == want, (label, max_per_side)
+
+    rng = random.Random(47)
+    pairs = [("HELLO", "HELLO"), ("", ""), ("12345", "abc"), ("h i", "HELLO")]
+    pairs += [seeded_alnum_pair(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(3)]
+    pairs += [seeded_alnum_pair(rng, la, lb)
+              for la, lb in ((8, 11), (9, 12), (12, 12), (13, 13), (5, 14), (14, 5))]
+    for pair in pairs:
+        check(*construction_inputs(*pair), pair)
+    # conflicts naming bytes outside the partition's candidates
+    check(construction_inputs("AB", "CD")[0], construction_inputs(*pairs[-3])[1], "mixed")
+
+
+def test_uncoverable_conflicts_are_named():
+    msg_a, msg_b = seeded_alnum_pair(random.Random(0), 13, 13)
+    partition, conflicts = construction_inputs(msg_a, msg_b)
+    assert not list(mirror.enumerate_error_allocations(partition, 3, conflicts))
+    with pytest.raises(mirror.ConstructionError) as excinfo:
+        mirror.construct_double_sided(msg_a, msg_b, method="analytic")
+    assert excinfo.value.stage == "system infeasible"
+    message = str(excinfo.value)
+    assert "at most 3 bytes per side" in message
+    assert "viable allocations" not in message
+    for _, ba, bb in conflicts:
+        assert f"({ba}, {bb})" in message
