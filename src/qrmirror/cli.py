@@ -59,7 +59,10 @@ def _cmd_encode(args):
         grid = encode_single(args.text, MODE_NAMES[args.mode], args.mask)
     except codec.CodecError as exc:
         return _fail(args, "encode", str(exc))
-    _write_output(args.output, render.to_pbm(grid, args.scale, args.quiet))
+    try:
+        _write_output(args.output, render.to_pbm(grid, args.scale, args.quiet))
+    except OSError as exc:
+        return _fail(args, "output", str(exc))
     return 0
 
 
@@ -75,10 +78,13 @@ def _cmd_mirror(args):
     except (mirror.ConstructionError, codec.CodecError) as exc:
         stage = getattr(exc, "stage", "encode")
         return _fail(args, stage, str(exc))
-    _write_output(args.output, render.to_pbm(grid, args.scale, args.quiet))
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report.to_json() + "\n")
+    try:
+        _write_output(args.output, render.to_pbm(grid, args.scale, args.quiet))
+        if args.report:
+            with open(args.report, "w") as fh:
+                fh.write(report.to_json() + "\n")
+    except OSError as exc:
+        return _fail(args, "output", str(exc))
     return 0
 
 
@@ -87,9 +93,12 @@ def _cmd_flipgraph(args):
     dot = flip_graph_dot(graph)
     if args.dot == "-":
         sys.stdout.write(dot)
-    else:
+        return 0
+    try:
         with open(args.dot, "w") as fh:
             fh.write(dot)
+    except OSError as exc:
+        return _fail(args, "output", str(exc))
     return 0
 
 
@@ -158,10 +167,11 @@ def _cmd_inspect(args):
     except DecodeError:
         print("zones: skipped (one side does not decode)")
         return 0
-    seg_a = codec.make_segment(la.text, la.mode)
-    seg_b = codec.make_segment(lb.text, lb.mode)
-    part = overlap_partition(len(codec.encode_segment(seg_a)),
-                             len(codec.encode_segment(seg_b)))
+    # a side that reads the terminator first declares no bits
+    declared = [0 if rep.mode == "terminator"
+                else len(codec.encode_segment(codec.make_segment(rep.text, rep.mode)))
+                for rep in (la, lb)]
+    part = overlap_partition(*declared)
     sizes = {label: len(cells) for label, cells in sorted(part.zones.items())}
     print(f"zones: {sizes}")
     print(f"conflict bytes straight: {list(part.conflict_bytes_a())}")
@@ -190,8 +200,8 @@ def build_parser():
     mir.add_argument("text_b")
     mir.add_argument("--method", choices=("analytic", "brute", "auto"),
                      default="auto")
-    mir.add_argument("--trials", type=int, default=200_000)
-    mir.add_argument("--seed", type=int, default=0)
+    mir.add_argument("--trials", type=_at_least(1), default=200_000)
+    mir.add_argument("--seed", type=_at_least(0), default=0)
     mir.add_argument("--report")
     mir.add_argument("-o", "--output", required=True)
     mir.add_argument("--scale", type=_at_least(1), default=1)

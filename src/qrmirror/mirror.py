@@ -13,15 +13,17 @@ from both messages' ordinary encodings, computed once per message pair
 when the first allocation is tried. Only allocations that release every
 cell the two sides pin to different values are tried at all.
 
-A randomized fallback mirrors the construction the analytic method
-replaces: randomize the free fill, compute the straight side's parity
-honestly, and measure how many bytes the mirrored side would need
-corrected.
+The randomized baseline (method "brute") is the construction the analytic
+method replaces: randomize the free fill, compute the straight side's
+parity honestly, and measure how many bytes the mirrored side would need
+corrected. It is kept for comparison, not as a fallback: in 200,000
+trials it has not been seen to fit the correction budget, even for
+one-character pairs.
 """
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,30 +116,30 @@ class Solution:
 
 
 def gf2_row_reduce(matrix, rhs):
-    """In-place-style full RREF over GF(2); returns (A, b, pivot_cols)."""
-    a = matrix.astype(np.uint8).copy()
-    b = rhs.astype(np.uint8).copy()
-    rows, cols = a.shape
+    """Full RREF over GF(2) of the augmented array [A | b], eliminating the
+    right-hand side along with the matrix; returns (A, b, pivot_cols)."""
+    rows, cols = matrix.shape
+    ab = np.empty((rows, cols + 1), dtype=np.uint8)
+    ab[:, :cols] = matrix
+    ab[:, cols] = rhs
     pivot_cols = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        hits = np.nonzero(a[r:, c])[0]
+        hits = np.flatnonzero(ab[r:, c])
         if hits.size == 0:
             continue
         p = r + int(hits[0])
         if p != r:
-            a[[r, p]] = a[[p, r]]
-            b[[r, p]] = b[[p, r]]
-        sel = a[:, c].astype(bool)
+            ab[[r, p]] = ab[[p, r]]
+        sel = ab[:, c].astype(bool)
         sel[r] = False
         if sel.any():
-            a[sel] ^= a[r]
-            b[sel] ^= b[r]
+            ab[sel] ^= ab[r]
         pivot_cols.append(c)
         r += 1
-    return a, b, pivot_cols
+    return ab[:, :cols], ab[:, cols], pivot_cols
 
 
 def solve_gf2(system, free_values=None, rng=None):
@@ -346,19 +348,7 @@ class ConstructionReport:
     trials: int
 
     def to_json(self):
-        return json.dumps(
-            {
-                "method": self.method,
-                "format_witness": self.format_witness,
-                "mask_id": self.mask_id,
-                "allocation": self.allocation,
-                "free_vars": self.free_vars,
-                "side_a_corrections": self.side_a_corrections,
-                "side_b_corrections": self.side_b_corrections,
-                "trials": self.trials,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -370,7 +360,7 @@ class BruteForceResult:
 
 
 def brute_force_search(payload_a, payload_b, fmt, trials, seed, batch=1024):
-    """Randomized fallback: try free fills until the mirrored side's damage
+    """Randomized baseline: try free fills until the mirrored side's damage
     fits the correction budget.
 
     fmt is a MirrorFormat; its witness goes onto any found grid. Each trial
@@ -455,10 +445,11 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
                            trials=200_000, seed=0, max_per_side=3):
     """Build a grid reading msg_a straight and msg_b mirrored.
 
-    The analytic path walks error allocations in increasing size, building
-    and solving the constraint system for each; the first solvable one is
-    materialized and self-verified. method "auto" falls back to the
-    randomized search when every allocation is infeasible.
+    method "analytic" (also spelled "auto", the default) walks error
+    allocations in increasing size, building and solving the constraint
+    system for each; the first solvable one is materialized. method
+    "brute" runs the randomized baseline for trials fills from seed.
+    Either grid is self-verified before it is returned.
     """
     if method not in ("auto", "analytic", "brute"):
         raise ValueError(f"unknown method {method!r}")
@@ -471,9 +462,16 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
     fmt = select_mirror_format()
     straight, mirrored = fmt.straight, fmt.mirrored
 
-    grid = None
-    free_vars = trials_run = 0
-    if method in ("auto", "analytic"):
+    if method == "brute":
+        result = brute_force_search(payload_a, payload_b, fmt, trials, seed)
+        if result.grid is None:
+            raise ConstructionError(
+                "RS budget",
+                f"brute force exhausted {result.trials_run} trials; best damage "
+                f"{result.best_damage[0]}+{result.best_damage[1]} bytes",
+            )
+        grid, free_vars, trials_run = result.grid, 0, result.found_at
+    else:
         partition = overlap_partition(len(payload_a.bits), len(payload_b.bits))
         conflicts = _pin_conflict_cells(payload_a, payload_b)
         preference = None
@@ -487,24 +485,12 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
                                                     straight)
             solution = solve_gf2(system, free_values=preference(alloc))
             if solution is not None:
-                grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
-                method, free_vars = "analytic", solution.free_variable_count
                 break
         else:
-            if method == "analytic":
-                raise ConstructionError("system infeasible",
-                                        _infeasible_reason(conflicts, attempted,
-                                                           max_per_side))
-
-    if grid is None:
-        result = brute_force_search(payload_a, payload_b, fmt, trials, seed)
-        if result.grid is None:
-            raise ConstructionError(
-                "RS budget",
-                f"brute force exhausted {result.trials_run} trials; best damage "
-                f"{result.best_damage[0]}+{result.best_damage[1]} bytes",
-            )
-        grid, method, trials_run = result.grid, "brute", result.found_at
+            raise ConstructionError("system infeasible",
+                                    _infeasible_reason(conflicts, attempted, max_per_side))
+        grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
+        method, free_vars, trials_run = "analytic", solution.free_variable_count, 0
 
     rep_a = decode_grid(grid, "straight")
     rep_b = decode_grid(grid, "transposed")

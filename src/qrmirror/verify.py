@@ -2,7 +2,7 @@
 orientation and check double-sided constructions end to end."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,18 +40,9 @@ class DecodeReport:
     orientation: str
 
     def to_json(self):
-        return json.dumps(
-            {
-                "text": self.text,
-                "mode": self.mode,
-                "mask_id": self.mask_id,
-                "ec_level": self.ec_level,
-                "format_distance": self.format_distance,
-                "corrected_bytes": sorted(self.corrected_bytes),
-                "orientation": self.orientation,
-            },
-            sort_keys=True,
-        )
+        fields = asdict(self)
+        fields["corrected_bytes"] = sorted(self.corrected_bytes)
+        return json.dumps(fields, sort_keys=True)
 
 
 def _check_function_patterns(grid):

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from qrmirror import encoder, render
 from qrmirror.cli import main
+from qrmirror.formatinfo import select_mirror_format
+from qrmirror.masks import data_mask
 
 
 def run(capsys, *argv):
@@ -59,10 +62,11 @@ def test_verify_mismatch_exits_1_with_stage(tmp_path, capsys):
 
 
 def test_mirror_infeasible_exits_1_with_diagnostic(tmp_path, capsys):
-    code, _, err = run(capsys, "mirror", "ABCDEFGHIJKL", "MNOPQRSTUVWX",
-                       "--method", "analytic", "-o", str(tmp_path / "x.pbm"))
-    assert code == 1
-    assert "system infeasible" in err
+    for method in (("--method", "analytic"), ()):
+        code, _, err = run(capsys, "mirror", "ABCDEFGHIJKL", "MNOPQRSTUVWX",
+                           *method, "-o", str(tmp_path / "x.pbm"))
+        assert code == 1
+        assert "system infeasible" in err
 
 
 def test_mirror_brute_budget_exhausted(tmp_path, capsys):
@@ -83,6 +87,11 @@ def test_usage_error_exits_2(tmp_path, capsys):
                                "-o", str(tmp_path / "x.pbm"))
             assert code == 2
             assert option in err
+    for option, value in (("--seed", "-1"), ("--trials", "0"), ("--trials", "-5")):
+        code, _, err = run(capsys, "mirror", "A", "B", "--method", "brute",
+                           option, value, "-o", str(tmp_path / "x.pbm"))
+        assert code == 2
+        assert option in err
 
 
 def test_flipgraph_dot_output(tmp_path, capsys):
@@ -97,11 +106,16 @@ def test_flipgraph_dot_output(tmp_path, capsys):
 def test_inspect_output(tmp_path, capsys):
     out = tmp_path / "hb.pbm"
     run(capsys, "mirror", "HARRY", "BOVIK", "-o", str(out))
-    code, stdout, _ = run(capsys, "inspect", str(out))
-    assert code == 0
-    assert "[straight]" in stdout and "[mirrored]" in stdout
-    assert "level L, mask 3" in stdout
-    assert "zones:" in stdout
+    # data cells equal to the mask: both sides read the terminator first
+    blank = tmp_path / "blank.pbm"
+    blank.write_bytes(render.to_pbm(
+        encoder.materialize(data_mask(3).copy(), select_mirror_format().witness), 1, 4))
+    for path in (out, blank):
+        code, stdout, _ = run(capsys, "inspect", str(path))
+        assert code == 0
+        assert "[straight]" in stdout and "[mirrored]" in stdout
+        assert "level L, mask 3" in stdout
+        assert "zones: {" in stdout
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):
@@ -117,6 +131,18 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
         reports.append(rep.read_text())
     assert outputs[0] == outputs[1]
     assert reports[0] == reports[1]
+
+
+def test_unwritable_output_fails_at_output_stage(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv in (("encode", "A", "-o", str(missing / "x.pbm")),
+                 ("mirror", "A", "B", "-o", str(missing / "x.pbm")),
+                 ("mirror", "A", "B", "-o", str(tmp_path / "x.pbm"),
+                  "--report", str(missing / "r.json")),
+                 ("flipgraph", "--dot", str(missing / "g.dot"))):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error (output): "), argv
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -5,10 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from qrmirror import codec, mirror, verify
+from qrmirror import codec, encoder, mirror, verify
 from qrmirror.formatinfo import FormatWord, select_mirror_format
-from qrmirror.grid import overlap_partition, transpose_permutation
+from qrmirror.grid import TOTAL_BITS, overlap_partition, transpose_permutation
 from qrmirror.masks import symmetric_masks
 
 
@@ -178,10 +180,11 @@ def test_construct_eight_by_eleven():
 
 
 def test_construct_reports_infeasible_when_oversized():
-    with pytest.raises(mirror.ConstructionError) as excinfo:
-        mirror.construct_double_sided("ABCDEFGHIJKL", "MNOPQRSTUVWX",
-                                      method="analytic")
-    assert excinfo.value.stage == "system infeasible"
+    for method in ("analytic", "auto"):
+        with pytest.raises(mirror.ConstructionError) as excinfo:
+            mirror.construct_double_sided("ABCDEFGHIJKL", "MNOPQRSTUVWX",
+                                          method=method)
+        assert excinfo.value.stage == "system infeasible"
 
 
 def test_construct_rejects_overlong_messages():
@@ -377,11 +380,16 @@ def reference_allocation_resolves_pins(conflicts, alloc):
     )
 
 
+def construction_payloads(msg_a, msg_b):
+    """The declared payloads construct_double_sided pins on each side."""
+    return tuple(mirror._with_terminator(codec.assemble_payload(codec.make_segment(m, "auto"),
+                                                                pad=False))
+                 for m in (msg_a, msg_b))
+
+
 def construction_inputs(msg_a, msg_b):
     """The partition and pin conflicts construct_double_sided searches over."""
-    pa, pb = (mirror._with_terminator(codec.assemble_payload(codec.make_segment(m, "auto"),
-                                                             pad=False))
-              for m in (msg_a, msg_b))
+    pa, pb = construction_payloads(msg_a, msg_b)
     return (overlap_partition(len(pa.bits), len(pb.bits)),
             mirror._pin_conflict_cells(pa, pb))
 
@@ -423,3 +431,33 @@ def test_uncoverable_conflicts_are_named():
     assert "viable allocations" not in message
     for _, ba, bb in conflicts:
         assert f"({ba}, {bb})" in message
+
+
+MESSAGES = st.one_of(
+    st.text("0123456789", max_size=9),
+    st.text(codec.ALPHANUMERIC, max_size=6),
+    st.text(st.characters(max_codepoint=255), max_size=6),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(MESSAGES, MESSAGES, st.booleans(), st.integers(0, 2**32 - 1))
+@example("", "", False, 0)
+@example("HELLO", "", True, 0)
+def test_every_point_of_the_solution_space_decodes(msg_a, msg_b, identical, seed):
+    if identical:
+        msg_b = msg_a
+    grid, report = mirror.construct_double_sided(msg_a, msg_b)
+    verify.verify_double_sided(grid, msg_a, msg_b)
+    # random free fills of the reported allocation's system
+    alloc = mirror.ErrorAllocation(frozenset(report.allocation["side_a"]),
+                                   frozenset(report.allocation["side_b"]))
+    fmt = select_mirror_format()
+    system = mirror.build_constraint_system(*construction_payloads(msg_a, msg_b),
+                                            fmt.straight, alloc, mirrored_fmt=fmt.mirrored)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        solution = mirror.solve_gf2(system, rng=rng)
+        assert solution.free_variable_count == report.free_vars
+        filled = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
+        verify.verify_double_sided(filled, msg_a, msg_b)

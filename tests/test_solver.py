@@ -1,8 +1,14 @@
 """The GF(2) solver against an exhaustive-enumeration oracle."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
+from qrmirror import codec, mirror
+from qrmirror.formatinfo import select_mirror_format
+from qrmirror.grid import overlap_partition
 from qrmirror.mirror import LinearSystem, Solution, gf2_row_reduce, solve_gf2
 
 
@@ -100,3 +106,70 @@ def test_random_fill_policy_still_satisfies():
     for seed in range(5):
         sol = solve_gf2(sys_, rng=np.random.default_rng(seed))
         assert sol is not None and sol.satisfies(sys_)
+
+
+def reference_gf2_row_reduce(matrix, rhs):
+    """The two-array elimination the augmented one replaced."""
+    a = matrix.astype(np.uint8).copy()
+    b = rhs.astype(np.uint8).copy()
+    rows, cols = a.shape
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+            b[[r, p]] = b[[p, r]]
+        sel = a[:, c].astype(bool)
+        sel[r] = False
+        if sel.any():
+            a[sel] ^= a[r]
+            b[sel] ^= b[r]
+        pivot_cols.append(c)
+        r += 1
+    return a, b, pivot_cols
+
+
+def seeded_constraint_systems(count, seed=9):
+    """Systems of seeded 9+12 alphanumeric pairs under their first covers."""
+    rng = random.Random(seed)
+    fmt = select_mirror_format()
+    systems = []
+    while len(systems) < count:
+        pa, pb = (mirror._with_terminator(codec.assemble_payload(codec.make_segment(
+                      "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n))), pad=False))
+                  for n in (9, 12))
+        covers = mirror.enumerate_error_allocations(
+            overlap_partition(len(pa.bits), len(pb.bits)), 3, mirror._pin_conflict_cells(pa, pb))
+        for alloc in itertools.islice(covers, 3):
+            system = mirror.build_constraint_system(pa, pb, fmt.straight, alloc,
+                                                    mirrored_fmt=fmt.mirrored)
+            systems.append((system.matrix, system.rhs))
+    return systems
+
+
+def test_row_reduce_matches_two_array_reference():
+    rng = np.random.default_rng(31)
+    systems = []
+    for _ in range(300):
+        rows, cols = (int(n) for n in rng.integers(1, 40, 2))
+        density = rng.uniform(0.05, 0.95)
+        systems.append(((rng.random((rows, cols)) < density).astype(np.uint8),
+                        rng.integers(0, 2, rows, dtype=np.uint8)))
+    systems += seeded_constraint_systems(24)
+    feasible = 0
+    for matrix, rhs in systems:
+        before = matrix.copy(), rhs.copy()
+        a, b, pivots = gf2_row_reduce(matrix, rhs)
+        ra, rb, rpivots = reference_gf2_row_reduce(matrix, rhs)
+        assert pivots == rpivots
+        assert a.dtype == b.dtype == np.uint8
+        assert np.array_equal(a, ra) and np.array_equal(b, rb)
+        assert np.array_equal(matrix, before[0]) and np.array_equal(rhs, before[1])
+        feasible += not rb[len(rpivots):].any()
+    assert 0 < feasible < len(systems)
