@@ -109,7 +109,7 @@ def test_inspect_output(tmp_path, capsys):
     # data cells equal to the mask: both sides read the terminator first
     blank = tmp_path / "blank.pbm"
     blank.write_bytes(render.to_pbm(
-        encoder.materialize(data_mask(3).copy(), select_mirror_format().witness), 1, 4))
+        encoder.materialize(data_mask(3), select_mirror_format().witness), 1, 4))
     for path in (out, blank):
         code, stdout, _ = run(capsys, "inspect", str(path))
         assert code == 0
