@@ -6,6 +6,7 @@ errors. With --json, failure diagnostics go to stderr as one JSON object.
 
 import argparse
 import json
+import os
 import sys
 
 from . import codec, mirror, render, verify
@@ -81,8 +82,13 @@ def _cmd_mirror(args):
     try:
         _write_output(args.output, render.to_pbm(grid, args.scale, args.quiet))
         if args.report:
-            with open(args.report, "w") as fh:
-                fh.write(report.to_json() + "\n")
+            try:
+                with open(args.report, "w") as fh:
+                    fh.write(report.to_json() + "\n")
+            except OSError:
+                if args.output != "-":  # a failed run leaves no file behind
+                    os.remove(args.output)
+                raise
     except OSError as exc:
         return _fail(args, "output", str(exc))
     return 0

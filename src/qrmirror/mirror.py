@@ -11,7 +11,9 @@ _aux_bytes fixes their order for both the system and the free-value
 preference. That preference, which picks the solution among many, starts
 from both messages' ordinary encodings, computed once per message pair
 when the first allocation is tried. Only allocations that release every
-cell the two sides pin to different values are tried at all.
+cell the two sides pin to different values are tried at all. Each system
+is solved by substituting the message pins into the parity rows and
+eliminating those on bit-packed rows.
 
 The randomized baseline (method "brute") is the construction the analytic
 method replaces: randomize the free fill, compute the straight side's
@@ -86,13 +88,10 @@ class LinearSystem:
         """
         seen = {}
         conflicts = {}
-        weights = self.matrix.sum(axis=1)
-        for row in np.nonzero(weights == 1)[0]:
-            var = int(np.nonzero(self.matrix[row])[0][0])
-            value = int(self.rhs[row])
+        for row, var, value in zip(*(a.tolist() for a in _pins(self.matrix, self.rhs))):
             prev = seen.setdefault(var, (value, row))
             if prev[0] != value:
-                conflicts.setdefault(var, {int(prev[1])}).add(int(row))
+                conflicts.setdefault(var, {prev[1]}).add(row)
         return {v: sorted(rows) for v, rows in conflicts.items()}
 
 
@@ -115,46 +114,46 @@ class Solution:
         return bool(np.array_equal(lhs.astype(np.uint8), system.rhs))
 
 
-def gf2_row_reduce(matrix, rhs):
-    """Full RREF over GF(2) of the augmented array [A | b], eliminating the
-    right-hand side along with the matrix; returns (A, b, pivot_cols)."""
-    rows, cols = matrix.shape
-    ab = np.empty((rows, cols + 1), dtype=np.uint8)
-    ab[:, :cols] = matrix
-    ab[:, cols] = rhs
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.flatnonzero(ab[r:, c])
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            ab[[r, p]] = ab[[p, r]]
-        sel = ab[:, c].astype(bool)
-        sel[r] = False
-        if sel.any():
-            ab[sel] ^= ab[r]
-        pivot_cols.append(c)
-        r += 1
-    return ab[:, :cols], ab[:, cols], pivot_cols
+def _pins(matrix, rhs):
+    """Single-coefficient rows: (row indices, their columns, their values)."""
+    rows = np.flatnonzero(np.count_nonzero(matrix, axis=1) == 1)
+    return rows, matrix[rows].argmax(axis=1), rhs[rows]
 
 
 def solve_gf2(system, free_values=None, rng=None):
-    """Solve the system, or return None when a row reduces to 0 = 1.
+    """Solve the system, or return None when it has no solution.
 
     Free variables default to zero; free_values supplies preferred values
     (indexed like the system's variables) and rng randomizes them instead.
+    Rows are ints, column c at bit c and the right-hand side at bit cols.
+    The pinned columns and the lowest bits of the substituted rows'
+    echelon are the pivots of the unique RREF, so the free columns and
+    the assignment are those of full row reduction.
     """
-    a, b, pivot_cols = gf2_row_reduce(system.matrix, system.rhs)
-    r = len(pivot_cols)
-    if b[r:].any():
-        return None
-    cols = a.shape[1]
-    pivot_set = set(pivot_cols)
-    free_cols = tuple(c for c in range(cols) if c not in pivot_set)
+    matrix, rhs = system.matrix, system.rhs
+    cols = matrix.shape[1]
+    top = 1 << cols
+    pin_rows, pin_cols, pin_vals = _pins(matrix, rhs)
+    pinned = {}
+    for c, v in zip(pin_cols.tolist(), pin_vals.tolist()):
+        if pinned.setdefault(c, v) != v:
+            return None
+    pin_mask = sum(1 << c for c in pinned)
+    x_pinned = sum(1 << c for c, v in pinned.items() if v)
+    width = (cols + 7) // 8
+    packed = np.packbits(matrix, axis=1, bitorder="little").tobytes()
+    pivots = {}  # lowest bit -> row
+    for i in np.delete(np.arange(rhs.size), pin_rows).tolist():
+        row = int.from_bytes(packed[i * width : (i + 1) * width], "little")
+        row = (row & ~pin_mask) | ((int(rhs[i]) + (row & x_pinned).bit_count()) & 1) << cols
+        while row:
+            low = row & -row
+            if low == top:
+                return None
+            row ^= pivots.setdefault(low, row)  # a new pivot leaves 0
+
+    pivot_mask = pin_mask | sum(pivots)
+    free_cols = tuple(c for c in range(cols) if not pivot_mask >> c & 1)
     x = np.zeros(cols, dtype=np.uint8)
     free_idx = np.array(free_cols, dtype=np.intp)
     if free_idx.size:
@@ -162,10 +161,13 @@ def solve_gf2(system, free_values=None, rng=None):
             x[free_idx] = rng.integers(0, 2, free_idx.size, dtype=np.uint8)
         elif free_values is not None:
             x[free_idx] = np.asarray(free_values, dtype=np.uint8)[free_idx]
-    if r:
-        vals = (b[:r].astype(np.int32) + a[:r].astype(np.int32) @ x.astype(np.int32)) % 2
-        x[np.array(pivot_cols, dtype=np.intp)] = vals.astype(np.uint8)
-    return Solution(x, free_cols, r)
+    xs = int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little") | x_pinned | top
+    for low in sorted(pivots, reverse=True):  # every higher column is known
+        if (pivots[low] & xs).bit_count() & 1:
+            xs |= low
+    x = np.unpackbits(np.frombuffer(xs.to_bytes(width + 1, "little"), dtype=np.uint8),
+                      count=cols, bitorder="little")
+    return Solution(x, free_cols, len(pinned) + len(pivots))
 
 
 _CELL_NAMES = tuple(f"cell{i}" for i in range(TOTAL_BITS))
@@ -370,6 +372,10 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed, batch=1024):
     reading differs from the codeword it is supposed to correct to.
     Reproducible for a given seed and budget.
     """
+    if trials < 1:
+        raise ValueError(f"brute force needs at least one trial, not {trials}")
+    if seed < 0:
+        raise ValueError(f"brute force seed must be non-negative, not {seed}")
     sigma = np.array(transpose_permutation(), dtype=np.intp)
     mu_a = data_mask(fmt.straight.mask_id)
     mu_b = data_mask(fmt.mirrored.mask_id)
@@ -390,7 +396,7 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed, batch=1024):
     free_idx = np.nonzero(~pinned)[0]
 
     rng = np.random.default_rng(seed)
-    best = (TOTAL_BITS, TOTAL_BITS)
+    best = (0, rscode.BLOCK_BYTES)
     done = 0
     while done < trials:
         n = min(batch, trials - done)

@@ -143,6 +143,7 @@ def test_unwritable_output_fails_at_output_stage(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error (output): "), argv
+    assert not (tmp_path / "x.pbm").exists()
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -263,6 +263,15 @@ def test_construct_brute_method_raises_with_diagnostics():
     assert "200 trials" in str(excinfo.value)
 
 
+def test_brute_force_rejects_empty_budget_and_negative_seed():
+    for kwargs, name in (({"trials": 0}, "trial"), ({"seed": -1}, "seed")):
+        with pytest.raises(ValueError, match=name):
+            mirror.construct_double_sided("A", "B", method="brute", **kwargs)
+        with pytest.raises(ValueError, match=name):
+            mirror.brute_force_search(payload("A"), payload("B"), select_mirror_format(),
+                                      **{"trials": 10, "seed": 0, **kwargs})
+
+
 def reference_build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None):
     """The per-row loop construction the vectorized builder replaced."""
     from qrmirror import rscode
@@ -431,6 +440,31 @@ def test_uncoverable_conflicts_are_named():
     assert "viable allocations" not in message
     for _, ba, bb in conflicts:
         assert f"({ba}, {bb})" in message
+
+
+def test_cover_stream_verdict_matches_exhaustive_search():
+    # restricting allocations to conflict-zone bytes and pin-conflict
+    # covers loses no solvable system: for one byte per side, every one of
+    # the 27 x 27 allocations over all 26 bytes gives the same verdict
+    fmt = select_mirror_format()
+    singles = [frozenset()] + [frozenset({b}) for b in range(26)]
+
+    def solvable(pa, pb, allocs):
+        return any(mirror.solve_gf2(mirror.build_constraint_system(
+                       pa, pb, fmt.straight, alloc, mirrored_fmt=fmt.mirrored)) is not None
+                   for alloc in allocs)
+
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(16):
+        pair = seeded_alnum_pair(rng, rng.randint(2, 6), rng.randint(3, 6))
+        pa, pb = construction_payloads(*pair)
+        partition, conflicts = construction_inputs(*pair)
+        covers = mirror.enumerate_error_allocations(partition, 1, conflicts)
+        every = (mirror.ErrorAllocation(a, b) for a in singles for b in singles)
+        verdicts.append(solvable(pa, pb, covers))
+        assert verdicts[-1] == solvable(pa, pb, every), pair
+    assert set(verdicts) == {True, False}
 
 
 MESSAGES = st.one_of(

@@ -9,7 +9,57 @@ import pytest
 from qrmirror import codec, mirror
 from qrmirror.formatinfo import select_mirror_format
 from qrmirror.grid import overlap_partition
-from qrmirror.mirror import LinearSystem, Solution, gf2_row_reduce, solve_gf2
+from qrmirror.mirror import LinearSystem, Solution, solve_gf2
+
+
+def gf2_row_reduce(matrix, rhs):
+    """Full RREF over GF(2) of the augmented array [A | b], eliminating the
+    right-hand side along with the matrix; returns (A, b, pivot_cols)."""
+    rows, cols = matrix.shape
+    ab = np.empty((rows, cols + 1), dtype=np.uint8)
+    ab[:, :cols] = matrix
+    ab[:, cols] = rhs
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.flatnonzero(ab[r:, c])
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            ab[[r, p]] = ab[[p, r]]
+        sel = ab[:, c].astype(bool)
+        sel[r] = False
+        if sel.any():
+            ab[sel] ^= ab[r]
+        pivot_cols.append(c)
+        r += 1
+    return ab[:, :cols], ab[:, cols], pivot_cols
+
+
+def reference_solve_gf2(system, free_values=None, rng=None):
+    """The dense solver the bit-packed one replaced: full RREF, then the
+    pivots from the free values."""
+    a, b, pivot_cols = gf2_row_reduce(system.matrix, system.rhs)
+    r = len(pivot_cols)
+    if b[r:].any():
+        return None
+    cols = a.shape[1]
+    pivot_set = set(pivot_cols)
+    free_cols = tuple(c for c in range(cols) if c not in pivot_set)
+    x = np.zeros(cols, dtype=np.uint8)
+    free_idx = np.array(free_cols, dtype=np.intp)
+    if free_idx.size:
+        if rng is not None:
+            x[free_idx] = rng.integers(0, 2, free_idx.size, dtype=np.uint8)
+        elif free_values is not None:
+            x[free_idx] = np.asarray(free_values, dtype=np.uint8)[free_idx]
+    if r:
+        vals = (b[:r].astype(np.int32) + a[:r].astype(np.int32) @ x.astype(np.int32)) % 2
+        x[np.array(pivot_cols, dtype=np.intp)] = vals.astype(np.uint8)
+    return Solution(x, free_cols, r)
 
 
 def make_system(matrix, rhs):
@@ -135,15 +185,15 @@ def reference_gf2_row_reduce(matrix, rhs):
     return a, b, pivot_cols
 
 
-def seeded_constraint_systems(count, seed=9):
-    """Systems of seeded 9+12 alphanumeric pairs under their first covers."""
+def seeded_constraint_systems(count, seed=9, lengths=(9, 12)):
+    """Systems of seeded alphanumeric pairs under their first covers."""
     rng = random.Random(seed)
     fmt = select_mirror_format()
     systems = []
     while len(systems) < count:
         pa, pb = (mirror._with_terminator(codec.assemble_payload(codec.make_segment(
                       "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n))), pad=False))
-                  for n in (9, 12))
+                  for n in lengths)
         covers = mirror.enumerate_error_allocations(
             overlap_partition(len(pa.bits), len(pb.bits)), 3, mirror._pin_conflict_cells(pa, pb))
         for alloc in itertools.islice(covers, 3):
@@ -172,4 +222,50 @@ def test_row_reduce_matches_two_array_reference():
         assert np.array_equal(a, ra) and np.array_equal(b, rb)
         assert np.array_equal(matrix, before[0]) and np.array_equal(rhs, before[1])
         feasible += not rb[len(rpivots):].any()
+    assert 0 < feasible < len(systems)
+
+
+def test_solver_matches_dense_reference():
+    rng = np.random.default_rng(37)
+    systems = []
+    for _ in range(360):
+        rows, cols = (int(n) for n in rng.integers(1, 48, 2))
+        matrix = (rng.random((rows, cols)) < rng.uniform(0.02, 0.95)).astype(np.uint8)
+        rhs = rng.integers(0, 2, rows, dtype=np.uint8)
+        # unit rows, consistent duplicate pins, conflicting pins, 0 = 1 rows
+        for _ in range(int(rng.integers(0, cols + 1))):
+            matrix[int(rng.integers(rows))] = np.eye(cols, dtype=np.uint8)[rng.integers(cols)]
+        if rng.random() < 0.3:
+            pins = np.flatnonzero(matrix.sum(axis=1) == 1)
+            if pins.size:
+                i = int(rng.choice(pins))
+                flip = int(rng.random() < 0.5)
+                matrix = np.vstack([matrix, matrix[i]])
+                rhs = np.append(rhs, rhs[i] ^ flip)
+        if rng.random() < 0.1:
+            matrix = np.vstack([matrix, np.zeros(cols, dtype=np.uint8)])
+            rhs = np.append(rhs, np.uint8(1))
+        systems.append((matrix, rhs))
+    systems += seeded_constraint_systems(24)
+    systems += seeded_constraint_systems(12, seed=3, lengths=(3, 5))
+    systems += seeded_constraint_systems(12, seed=4, lengths=(6, 2))
+    feasible = 0
+    for matrix, rhs in systems:
+        system = make_system(matrix, rhs)
+        s = int(rng.integers(2**32))
+        fills = rng.integers(0, 2, matrix.shape[1], dtype=np.uint8)
+        for kwargs, ref_kwargs in (({}, {}),
+                                   ({"free_values": fills}, {"free_values": fills}),
+                                   ({"rng": np.random.default_rng(s)},
+                                    {"rng": np.random.default_rng(s)})):
+            got = solve_gf2(system, **kwargs)
+            want = reference_solve_gf2(system, **ref_kwargs)
+            assert (got is None) == (want is None)
+            if want is None:
+                continue
+            assert got.assignment.dtype == np.uint8
+            assert np.array_equal(got.assignment, want.assignment)
+            assert got.free_columns == want.free_columns
+            assert got.rank == want.rank
+        feasible += want is not None
     assert 0 < feasible < len(systems)
