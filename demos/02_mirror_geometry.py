@@ -17,7 +17,7 @@ from qrmirror.grid import (
 # grid, so mirrored bit j lives in the cell of straight bit sigma[j].
 sigma = transpose_permutation()
 print("first placement cells:", data_placement_order()[:4])
-print("sigma on the first bits:", sigma[:4])
+print("sigma on the first bits:", sigma[:4].tolist())
 print("=> the two middle bits of the mode indicator swap cells,")
 print("   which is why 0010 reads as 0100 through the mirror.")
 

@@ -64,13 +64,16 @@ def apply_format_mask(word):
     return word ^ FORMAT_XOR
 
 
+_BYTE_REVERSED = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def reverse_word(word):
-    """The 15 bits in reversed order, as read after transposition."""
-    out = 0
-    for _ in range(15):
-        out = (out << 1) | (word & 1)
-        word >>= 1
-    return out
+    """The 15 bits in reversed order, as read after transposition.
+
+    Reversing the two bytes gives the 16-bit reversal, whose lowest bit is
+    the always-clear bit 15.
+    """
+    return _BYTE_REVERSED[word & 0xFF] << 7 | _BYTE_REVERSED[word >> 8] >> 1
 
 
 def word_bits(word):
@@ -97,10 +100,6 @@ class FormatWord:
         return bch_encode(self.info)
 
     @property
-    def bch_parity(self):
-        return self.word & 0x3FF
-
-    @property
     def on_grid(self):
         return apply_format_mask(self.word)
 
@@ -124,16 +123,12 @@ class FlipGraph:
     candidate_shell_size: int
     candidate_unique_size: int
 
-    def neighbors(self, info):
-        return sorted(b for (a, b) in self.edges if a == info)
-
 
 def _domain_word(info, domain):
     word = bch_encode(info)
     return apply_format_mask(word) if domain == "grid" else word
 
 
-@lru_cache(maxsize=4)
 def _radius3_ball_index(domain):
     """string -> (info, distance) over all strings within 3 of any code.
 
@@ -154,6 +149,16 @@ def _radius3_ball_index(domain):
     return index
 
 
+def _mirror_readings(index):
+    """(witness, a, da, b, db) for each ball string whose reversal is in
+    the ball too: it decodes as a at distance da straight and as b at
+    distance db after bit reversal."""
+    for witness, (a, da) in index.items():
+        hit = index.get(reverse_word(witness))
+        if hit is not None:
+            yield (witness, a, da, *hit)
+
+
 def build_flip_graph(domain="grid"):
     """Enumerate radius-3 balls around all 32 codes and connect the codes
     whose balls meet under bit reversal."""
@@ -161,17 +166,11 @@ def build_flip_graph(domain="grid"):
         raise ValueError(f"unknown domain {domain!r}")
     index = _radius3_ball_index(domain)
     edges = {}
-    for witness, (a, da) in index.items():
-        hit = index.get(reverse_word(witness))
-        if hit is None:
-            continue
-        b, db = hit
-        candidate = FlipEdge(witness, da, db)
+    for witness, a, da, b, db in _mirror_readings(index):
         best = edges.get((a, b))
-        if best is None or (candidate.distance_straight + candidate.distance_mirrored,
-                            candidate.witness) < (best.distance_straight + best.distance_mirrored,
-                                                  best.witness):
-            edges[(a, b)] = candidate
+        if best is None or (da + db, witness) < (best.distance_straight
+                                                 + best.distance_mirrored, best.witness):
+            edges[(a, b)] = FlipEdge(witness, da, db)
     shell = 32 * 455  # the C(15,3) shell around every code, 14560 strings
     unique = sum(1 for _, d in index.values() if d == 3)
     return FlipGraph(domain, tuple(range(32)), edges, shell, unique)
@@ -203,38 +202,21 @@ def select_mirror_format(domain="grid", ec_level="L"):
     Ties prefer smaller combined distance, then self-loops, then the lower
     mask id.
     """
-    index = _radius3_ball_index(domain)
     sym = symmetric_masks()
     want_ec = EC_BITS[ec_level]
-    best = None
-    best_key = None
-    for witness, (a, da) in index.items():
-        if not witness & MIDDLE_BIT:
-            continue
-        hit = index.get(reverse_word(witness))
-        if hit is None:
-            continue
-        b, db = hit
-        if (a >> 3) != want_ec or (b >> 3) != want_ec:
-            continue
-        if (a & 7) not in sym or (b & 7) not in sym:
-            continue
-        key = (da + db, 0 if a == b else 1, a & 7, witness)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = MirrorFormat(
-                witness,
-                domain,
-                FormatWord.from_info(a),
-                FormatWord.from_info(b),
-                da,
-                db,
-            )
-    if best is None:
+    candidates = [
+        (da + db, 0 if a == b else 1, a & 7, witness, a, da, b, db)
+        for witness, a, da, b, db in _mirror_readings(_radius3_ball_index(domain))
+        if witness & MIDDLE_BIT and a >> 3 == b >> 3 == want_ec
+        and (a & 7) in sym and (b & 7) in sym
+    ]
+    if not candidates:
         raise FormatSelectionError(
             f"no {ec_level}-level symmetric-mask witness in domain {domain!r}"
         )
-    return best
+    *_, witness, a, da, b, db = min(candidates)  # the key ends in the unique witness
+    return MirrorFormat(witness, domain, FormatWord.from_info(a), FormatWord.from_info(b),
+                        da, db)
 
 
 def flip_graph_dot(graph):

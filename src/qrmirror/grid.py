@@ -164,11 +164,15 @@ def placement_index():
 def transpose_permutation():
     """sigma with sigma[i] = placement index of the transposed cell i.
 
-    An involution on 0..207: the bit read at position i of the mirrored
-    code lives in the physical cell holding straight-side bit sigma[i].
+    An involution on 0..207, as a read-only intp array: the bit read at
+    position i of the mirrored code lives in the physical cell holding
+    straight-side bit sigma[i].
     """
-    index = placement_index()
-    return tuple(index[transpose_map(c)] for c in data_placement_order())
+    index = np.zeros((SIZE, SIZE), dtype=np.intp)
+    index[placement_cells()] = np.arange(TOTAL_BITS)
+    sigma = index.T[placement_cells()]
+    sigma.setflags(write=False)
+    return sigma
 
 
 ZONE_LABELS = {
@@ -200,6 +204,7 @@ class OverlapPartition:
     len_a: int
     len_b: int
     zones: dict
+    _conflict_bytes: tuple  # (straight bytes, mirrored bytes)
 
     @property
     def conflict_cells(self):
@@ -208,29 +213,19 @@ class OverlapPartition:
             out |= self.zones[label]
         return out
 
-    def side_a_bit(self, cell):
-        """Straight-side bit index carried by a data cell."""
-        return placement_index()[cell]
-
-    def side_b_bit(self, cell):
-        """Mirrored-side bit index carried by a data cell."""
-        return transpose_permutation()[placement_index()[cell]]
-
     def conflict_bytes_a(self):
         """Straight-side codeword bytes touching any conflict zone."""
-        return tuple(sorted({self.side_a_bit(c) // 8 for c in self.conflict_cells}))
+        return self._conflict_bytes[0]
 
     def conflict_bytes_b(self):
         """Mirrored-side codeword bytes touching any conflict zone."""
-        return tuple(sorted({self.side_b_bit(c) // 8 for c in self.conflict_cells}))
+        return self._conflict_bytes[1]
 
 
-def _role(i, declared):
-    if i < declared:
-        return "payload"
-    if i >= DATA_BITS:
-        return "ecc"
-    return "free"
+_ROLES = ("payload", "free", "ecc")
+# zone label and conflict flag of the role pair (a, b), at index 3 * a + b
+_ZONE_BY_ROLES = tuple(ZONE_LABELS[(a, b)] for a in _ROLES for b in _ROLES)
+_CONFLICT_BY_ROLES = np.array([label in CONFLICT_ZONES for label in _ZONE_BY_ROLES])
 
 
 def overlap_partition(len_a_bits, len_b_bits):
@@ -242,9 +237,15 @@ def overlap_partition(len_a_bits, len_b_bits):
     for n in (len_a_bits, len_b_bits):
         if not 0 <= n <= DATA_BITS:
             raise ValueError(f"payload length {n} outside 0..{DATA_BITS}")
-    sigma = transpose_permutation()
+    # each cell's bit index on both sides, then its role there: the number
+    # of the bounds (declared length, DATA_BITS) the index reaches
+    bits = (np.arange(TOTAL_BITS), transpose_permutation())
+    role_a, role_b = (np.searchsorted((n, DATA_BITS), b, side="right")
+                      for n, b in zip((len_a_bits, len_b_bits), bits))
+    pair = 3 * role_a + role_b
     zones = {label: set() for label in ZONE_LABELS.values()}
-    for i, cell in enumerate(data_placement_order()):
-        label = ZONE_LABELS[(_role(i, len_a_bits), _role(sigma[i], len_b_bits))]
-        zones[label].add(cell)
-    return OverlapPartition(len_a_bits, len_b_bits, zones)
+    for cell, k in zip(data_placement_order(), pair.tolist()):
+        zones[_ZONE_BY_ROLES[k]].add(cell)
+    conflict = _CONFLICT_BY_ROLES[pair]
+    conflict_bytes = tuple(tuple(sorted(set((b[conflict] // 8).tolist()))) for b in bits)
+    return OverlapPartition(len_a_bits, len_b_bits, zones, conflict_bytes)

@@ -197,7 +197,7 @@ def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None)
         if len(payload.bits) > DATA_BITS:
             raise ValueError("payload exceeds the 152-bit data capacity")
 
-    sigma = np.array(transpose_permutation(), dtype=np.intp)
+    sigma = transpose_permutation()
     straight = np.arange(TOTAL_BITS, dtype=np.intp)
     parity = rscode.parity_matrix()
 
@@ -323,19 +323,19 @@ def _pin_conflict_cells(payload_a, payload_b):
     """Cells both sides pin to different values: (cell index, a byte, b byte)."""
     a = codec.bits_to_array(payload_a.bits)
     b = codec.bits_to_array(payload_b.bits)
-    k = np.array(transpose_permutation()[: b.size], dtype=np.intp)
+    k = transpose_permutation()[: b.size]
     j = np.flatnonzero(k < a.size)
     j = j[a[k[j]] != b[j]]
     return list(zip(k[j].tolist(), (k[j] // 8).tolist(), (j // 8).tolist()))
 
 
-def _infeasible_reason(conflicts, attempted, max_per_side):
+def _infeasible_reason(conflicts, attempted):
     """Why the analytic search came back empty-handed."""
     if attempted:
         return f"no solvable system among {attempted} viable allocations"
     pairs = ", ".join(f"({ba}, {bb})" for ba, bb in sorted({c[1:] for c in conflicts}))
     return (f"pin conflicts between (straight byte, mirrored byte) pairs {pairs}: "
-            f"no allocation of at most {max_per_side} bytes per side covers them")
+            "no allocation of at most 3 bytes per side covers them")
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,10 @@ class BruteForceResult:
     best_damage: tuple
 
 
-def brute_force_search(payload_a, payload_b, fmt, trials, seed, batch=1024):
+_BRUTE_BATCH = 1024  # random fills drawn and scored per numpy call
+
+
+def brute_force_search(payload_a, payload_b, fmt, trials, seed):
     """Randomized baseline: try free fills until the mirrored side's damage
     fits the correction budget.
 
@@ -376,7 +379,7 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed, batch=1024):
         raise ValueError(f"brute force needs at least one trial, not {trials}")
     if seed < 0:
         raise ValueError(f"brute force seed must be non-negative, not {seed}")
-    sigma = np.array(transpose_permutation(), dtype=np.intp)
+    sigma = transpose_permutation()
     mu_a = data_mask(fmt.straight.mask_id)
     mu_b = data_mask(fmt.mirrored.mask_id)
     delta = mu_a[sigma] ^ mu_b
@@ -399,7 +402,7 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed, batch=1024):
     best = (0, rscode.BLOCK_BYTES)
     done = 0
     while done < trials:
-        n = min(batch, trials - done)
+        n = min(_BRUTE_BATCH, trials - done)
         fills = rng.integers(0, 2, size=(n, free_idx.size), dtype=np.uint8)
         data = np.broadcast_to(base, (n, DATA_BITS)).copy()
         data[:, free_idx] = fills
@@ -448,7 +451,7 @@ def _free_value_preference(msg_a, mode_a, msg_b, mode_b, straight_fmt):
 
 
 def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="auto",
-                           trials=200_000, seed=0, max_per_side=3):
+                           trials=200_000, seed=0):
     """Build a grid reading msg_a straight and msg_b mirrored.
 
     method "analytic" (also spelled "auto", the default) walks error
@@ -482,7 +485,7 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
         conflicts = _pin_conflict_cells(payload_a, payload_b)
         preference = None
         attempted = 0
-        for alloc in enumerate_error_allocations(partition, max_per_side, conflicts):
+        for alloc in enumerate_error_allocations(partition, conflicts=conflicts):
             system = build_constraint_system(payload_a, payload_b, straight, alloc,
                                              mirrored_fmt=mirrored)
             attempted += 1
@@ -494,7 +497,7 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
                 break
         else:
             raise ConstructionError("system infeasible",
-                                    _infeasible_reason(conflicts, attempted, max_per_side))
+                                    _infeasible_reason(conflicts, attempted))
         grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
         method, free_vars, trials_run = "analytic", solution.free_variable_count, 0
 

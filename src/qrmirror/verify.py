@@ -47,15 +47,12 @@ class DecodeReport:
 
 def _check_function_patterns(grid):
     template = function_pattern_grid()
-    fmt_cells = set(format_positions()[0]) | set(format_positions()[1])
-    for r in range(grid.cells.shape[0]):
-        for c in range(grid.cells.shape[1]):
-            if template.fixed[r, c] and (r, c) not in fmt_cells:
-                if grid.cells[r, c] != template.cells[r, c]:
-                    raise DecodeError(
-                        "function-pattern",
-                        f"cell ({r}, {c}) does not match the template",
-                    )
+    checked = template.fixed
+    checked[tuple(np.transpose(format_positions()[0] + format_positions()[1]))] = False
+    wrong = np.argwhere(checked & (grid.cells != template.cells))
+    if wrong.size:  # argwhere is row-major, so this is the first cell a scan meets
+        r, c = wrong[0].tolist()
+        raise DecodeError("function-pattern", f"cell ({r}, {c}) does not match the template")
 
 
 def read_format_words(grid):

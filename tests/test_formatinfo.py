@@ -1,6 +1,10 @@
 """BCH(15,5) format words and the flip graph."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,12 +107,12 @@ def test_flip_graph_nodes_and_candidates(domain):
 @pytest.mark.parametrize("domain", ["raw", "grid"])
 def test_flip_graph_symmetric(domain):
     graph = fi.build_flip_graph(domain)
+    index = fi._radius3_ball_index(domain)
     for (a, b), edge in graph.edges.items():
         twin = graph.edges[(b, a)]
         assert twin.distance_straight <= 3 and edge.distance_straight <= 3
         # the reversed witness realizes the reversed edge
         rev = fi.reverse_word(edge.witness)
-        index = fi._radius3_ball_index(domain)
         ia, da = index[rev]
         ib, db = index[fi.reverse_word(rev)]
         assert (ia, ib) == (b, a)
@@ -167,3 +171,102 @@ def test_dot_export():
     assert dot.rstrip().endswith("}")
     assert '[label="00000"]' in dot
     assert dot.count("--") == sum(1 for (a, b) in graph.edges if a <= b)
+
+
+def reference_reverse_word(word):
+    """The bit-by-bit reversal loop the byte table replaced."""
+    out = 0
+    for _ in range(15):
+        out = (out << 1) | (word & 1)
+        word >>= 1
+    return out
+
+
+def reference_build_flip_graph(domain="grid"):
+    """The parent's separate walk over the ball for the flip graph."""
+    index = fi._radius3_ball_index(domain)
+    edges = {}
+    for witness, (a, da) in index.items():
+        hit = index.get(reference_reverse_word(witness))
+        if hit is None:
+            continue
+        b, db = hit
+        candidate = fi.FlipEdge(witness, da, db)
+        best = edges.get((a, b))
+        if best is None or (candidate.distance_straight + candidate.distance_mirrored,
+                            candidate.witness) < (best.distance_straight + best.distance_mirrored,
+                                                  best.witness):
+            edges[(a, b)] = candidate
+    shell = 32 * 455  # the C(15,3) shell around every code, 14560 strings
+    unique = sum(1 for _, d in index.values() if d == 3)
+    return fi.FlipGraph(domain, tuple(range(32)), edges, shell, unique)
+
+
+def reference_select_mirror_format(domain="grid", ec_level="L"):
+    """The parent's separate walk over the ball for witness selection."""
+    index = fi._radius3_ball_index(domain)
+    sym = fi.symmetric_masks()
+    want_ec = fi.EC_BITS[ec_level]
+    best = None
+    best_key = None
+    for witness, (a, da) in index.items():
+        if not witness & fi.MIDDLE_BIT:
+            continue
+        hit = index.get(reference_reverse_word(witness))
+        if hit is None:
+            continue
+        b, db = hit
+        if (a >> 3) != want_ec or (b >> 3) != want_ec:
+            continue
+        if (a & 7) not in sym or (b & 7) not in sym:
+            continue
+        key = (da + db, 0 if a == b else 1, a & 7, witness)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = fi.MirrorFormat(
+                witness,
+                domain,
+                fi.FormatWord.from_info(a),
+                fi.FormatWord.from_info(b),
+                da,
+                db,
+            )
+    if best is None:
+        raise fi.FormatSelectionError(
+            f"no {ec_level}-level symmetric-mask witness in domain {domain!r}"
+        )
+    return best
+
+
+def test_reverse_word_matches_loop_reference_on_every_word():
+    assert [fi.reverse_word(w) for w in range(1 << 15)] == [
+        reference_reverse_word(w) for w in range(1 << 15)]
+
+
+@pytest.mark.parametrize("domain", ["raw", "grid"])
+def test_shared_walk_matches_separate_walks(domain):
+    graph, want = fi.build_flip_graph(domain), reference_build_flip_graph(domain)
+    assert graph == want
+    assert list(graph.edges) == list(want.edges)
+    for ec_level in fi.EC_BITS:  # every level has a witness in both domains
+        assert (fi.select_mirror_format.__wrapped__(domain, ec_level)
+                == reference_select_mirror_format(domain, ec_level))
+
+
+def test_selection_keeps_no_ball_alive():
+    # the radius-3 ball (18,432 entries) is built per call, not cached:
+    # after selection only its small result stays resident
+    script = (
+        "import gc, tracemalloc\n"
+        "import qrmirror.formatinfo as fi\n"
+        "tracemalloc.start()\n"
+        "fi.select_mirror_format()\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    src = str(Path(fi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert int(done.stdout) < 1 << 20

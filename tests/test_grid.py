@@ -201,3 +201,54 @@ def test_module_grid_transposed():
     t = g.transposed()
     assert t.cells[17, 3] == 1
     assert t.transposed() == g
+
+
+def reference_transpose_permutation():
+    """The coordinate-dict construction the index-array sigma replaced."""
+    index = grid.placement_index()
+    return tuple(index[grid.transpose_map(c)] for c in grid.data_placement_order())
+
+
+def _reference_role(i, declared):
+    if i < declared:
+        return "payload"
+    if i >= grid.DATA_BITS:
+        return "ecc"
+    return "free"
+
+
+def reference_overlap_partition(len_a_bits, len_b_bits):
+    """The per-cell partition loop and per-cell conflict-byte lookups the
+    role arrays replaced: (zones, conflict cells, straight bytes, mirrored
+    bytes)."""
+    sigma = reference_transpose_permutation()
+    zones = {label: set() for label in grid.ZONE_LABELS.values()}
+    for i, cell in enumerate(grid.data_placement_order()):
+        label = grid.ZONE_LABELS[(_reference_role(i, len_a_bits),
+                                  _reference_role(sigma[i], len_b_bits))]
+        zones[label].add(cell)
+    conflict_cells = set()
+    for label in grid.CONFLICT_ZONES:
+        conflict_cells |= zones[label]
+    index = grid.placement_index()
+    bytes_a = tuple(sorted({index[c] // 8 for c in conflict_cells}))
+    bytes_b = tuple(sorted({sigma[index[c]] // 8 for c in conflict_cells}))
+    return zones, conflict_cells, bytes_a, bytes_b
+
+
+def test_partition_matches_per_cell_reference():
+    sigma = grid.transpose_permutation()
+    assert sigma.dtype == np.intp and not sigma.flags.writeable
+    assert sigma.tolist() == list(reference_transpose_permutation())
+    lattice = (0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 41, 57, 76, 100, 127, 150, 151, 152)
+    for la in lattice:
+        for lb in lattice:
+            part = grid.overlap_partition(la, lb)
+            zones, conflict_cells, bytes_a, bytes_b = reference_overlap_partition(la, lb)
+            assert list(part.zones) == list(zones), (la, lb)
+            assert part.zones == zones, (la, lb)
+            assert part.conflict_cells == conflict_cells, (la, lb)
+            assert part.conflict_bytes_a() == bytes_a, (la, lb)
+            assert part.conflict_bytes_b() == bytes_b, (la, lb)
+            # plain ints, as `qrmirror inspect` prints them in a list
+            assert {type(b) for b in part.conflict_bytes_a() + part.conflict_bytes_b()} <= {int}

@@ -181,3 +181,45 @@ def test_placement_arrays_match_per_cell_loop():
 
         bits = "".join(str(int(grid.cells[cell]) ^ mask_bit(mask_id, cell)) for cell in order)
         assert verify.read_codewords(grid, mask_id) == codec.bits_to_bytes(bits)
+
+
+def reference_check_function_patterns(grid):
+    """The cell-by-cell template walk the masked comparison replaced."""
+    from qrmirror.grid import format_positions
+
+    template = function_pattern_grid()
+    fmt_cells = set(format_positions()[0]) | set(format_positions()[1])
+    for r in range(grid.cells.shape[0]):
+        for c in range(grid.cells.shape[1]):
+            if template.fixed[r, c] and (r, c) not in fmt_cells:
+                if grid.cells[r, c] != template.cells[r, c]:
+                    raise verify.DecodeError(
+                        "function-pattern",
+                        f"cell ({r}, {c}) does not match the template",
+                    )
+
+
+def _pattern_verdict(check, grid):
+    try:
+        check(grid)
+    except verify.DecodeError as exc:
+        return exc.stage, str(exc)
+    return None
+
+
+def test_function_pattern_check_matches_cell_loop_reference():
+    # 0-3 flipped fixed cells, format cells included (both checks skip them)
+    built, _ = mirror.construct_double_sided("HARRY", "BOVIK")
+    bases = (built, built.transposed(), encoder.encode_single("HELLO"),
+             function_pattern_grid())
+    fixed_cells = np.argwhere(function_pattern_grid().fixed)
+    rng = np.random.default_rng(6)
+    verdicts = set()
+    for trial in range(240):
+        grid = bases[trial % len(bases)].copy()
+        for r, c in fixed_cells[rng.choice(len(fixed_cells), trial % 4, replace=False)]:
+            grid.cells[r, c] ^= 1
+        want = _pattern_verdict(reference_check_function_patterns, grid)
+        assert _pattern_verdict(verify._check_function_patterns, grid) == want, trial
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
