@@ -147,6 +147,7 @@ def _cmd_inspect(args):
         grid = _read_grid(args)
     except (OSError, render.RenderError) as exc:
         return _fail(args, "input", str(exc))
+    reports = []
     for label, g in (("straight", grid), ("mirrored", grid.transposed())):
         print(f"[{label}]")
         for copy, word in enumerate(read_format_words(g), start=1):
@@ -163,20 +164,18 @@ def _cmd_inspect(args):
         except DecodeError as exc:
             print(f"  decode failed at {exc.stage}: {exc}")
             continue
+        reports.append(report)
         words = verify.read_codewords(g, report.mask_id)
         print(f"  text: {report.text!r} ({report.mode})")
         print(f"  codewords: {' '.join(f'{b:02x}' for b in words)}")
         print(f"  corrected bytes: {sorted(report.corrected_bytes)}")
-    try:
-        la = decode_grid(grid, "straight")
-        lb = decode_grid(grid, "transposed")
-    except DecodeError:
+    if len(reports) < 2:
         print("zones: skipped (one side does not decode)")
         return 0
     # a side that reads the terminator first declares no bits
     declared = [0 if rep.mode == "terminator"
                 else len(codec.encode_segment(codec.make_segment(rep.text, rep.mode)))
-                for rep in (la, lb)]
+                for rep in reports]
     part = overlap_partition(*declared)
     sizes = {label: len(cells) for label, cells in sorted(part.zones.items())}
     print(f"zones: {sizes}")

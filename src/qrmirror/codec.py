@@ -6,6 +6,7 @@ to a byte boundary, then the alternating pad bytes 11101100 / 00010001.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -13,10 +14,29 @@ from .grid import DATA_BITS
 
 ALPHANUMERIC = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ $%*+-./:"
 
-MODE_INDICATOR = {"numeric": "0001", "alphanumeric": "0010", "byte": "0100"}
-MODE_OF_INDICATOR = {v: k for k, v in MODE_INDICATOR.items()}
-# character-count field width at version 1
-LENGTH_FIELD = {"numeric": 10, "alphanumeric": 9, "byte": 8}
+# mode -> (indicator, character-count field width at version 1, alphabet,
+# bit widths of a group of 1, 2, ... characters). A group of k characters
+# is a k-digit number in base len(alphabet), most significant first
+# (ISO/IEC 18004:2015 section 7.4). A segment is full groups, then one
+# shorter group for any characters left over.
+MODES = {
+    "numeric": ("0001", 10, "0123456789", (4, 7, 10)),
+    "alphanumeric": ("0010", 9, ALPHANUMERIC, (6, 11)),
+    "byte": ("0100", 8, "".join(map(chr, range(256))), (8,)),
+}
+MODE_OF_INDICATOR = {row[0]: mode for mode, row in MODES.items()}
+
+# per mode: every group of 1..len(widths) characters -> its bits, and
+# bits -> group; a mode's group widths differ, so one dict each way holds
+# every group size
+GROUP_BITS = {
+    mode: {"".join(chars): format(value, f"0{width}b")
+           for k, width in enumerate(widths, start=1)
+           for value, chars in enumerate(product(alphabet, repeat=k))}
+    for mode, (_, _, alphabet, widths) in MODES.items()
+}
+GROUP_TEXT = {mode: {bits: text for text, bits in table.items()}
+              for mode, table in GROUP_BITS.items()}
 
 PAD_BYTES = ("11101100", "00010001")
 
@@ -47,15 +67,10 @@ class ParsedPayload:
 
 def pick_mode(text):
     """Thriftiest mode whose alphabet covers the text."""
-    if text and all(ch in "0123456789" for ch in text):
-        return "numeric"
-    if all(ch in ALPHANUMERIC for ch in text):
-        return "alphanumeric"
-    try:
-        text.encode("latin-1")
-    except UnicodeEncodeError:
-        raise CodecError(f"text not encodable in byte mode: {text!r}")
-    return "byte"
+    for mode, table in GROUP_BITS.items():
+        if (text or mode != "numeric") and all(ch in table for ch in text):
+            return mode
+    raise CodecError(f"text not encodable in byte mode: {text!r}")
 
 
 def make_segment(text, mode="auto"):
@@ -79,45 +94,20 @@ def bytes_to_bits(data):
     return "".join(format(b, "08b") for b in data)
 
 
-def _alnum_value(ch):
-    v = ALPHANUMERIC.find(ch)
-    if v < 0:
-        raise CodecError(f"character {ch!r} outside the alphanumeric table")
-    return v
-
-
 def encode_segment(seg):
     """Mode indicator + length field + character data as a bit string."""
-    if seg.mode not in MODE_INDICATOR:
+    if seg.mode not in MODES:
         raise CodecError(f"unknown mode {seg.mode!r}")
+    indicator, width, _, widths = MODES[seg.mode]
     n = len(seg.text)
-    if n >= 1 << LENGTH_FIELD[seg.mode]:
+    if n >= 1 << width:
         raise CodecError(f"{n} characters overflow the length field")
-    bits = MODE_INDICATOR[seg.mode] + format(n, f"0{LENGTH_FIELD[seg.mode]}b")
-
-    if seg.mode == "alphanumeric":
-        for i in range(0, n - 1, 2):
-            pair = _alnum_value(seg.text[i]) * 45 + _alnum_value(seg.text[i + 1])
-            bits += format(pair, "011b")
-        if n % 2:
-            bits += format(_alnum_value(seg.text[-1]), "06b")
-    elif seg.mode == "numeric":
-        if not all(ch in "0123456789" for ch in seg.text):
-            raise CodecError("numeric mode requires digits only")
-        for i in range(0, n - n % 3, 3):
-            bits += format(int(seg.text[i : i + 3]), "010b")
-        rest = n % 3
-        if rest == 1:
-            bits += format(int(seg.text[-1]), "04b")
-        elif rest == 2:
-            bits += format(int(seg.text[-2:]), "07b")
-    else:  # byte
-        try:
-            raw = seg.text.encode("latin-1")
-        except UnicodeEncodeError:
-            raise CodecError(f"text not encodable in byte mode: {seg.text!r}")
-        bits += bytes_to_bits(raw)
-    return bits
+    table, k = GROUP_BITS[seg.mode], len(widths)
+    try:
+        groups = [table[seg.text[i : i + k]] for i in range(0, n, k)]
+    except KeyError:
+        raise CodecError(f"text not encodable in {seg.mode} mode: {seg.text!r}")
+    return indicator + format(n, f"0{width}b") + "".join(groups)
 
 
 def assemble_payload(segments, pad=True):
@@ -161,47 +151,20 @@ def parse_payload(bits):
     mode = MODE_OF_INDICATOR.get(indicator)
     if mode is None:
         raise CodecError(f"unsupported mode indicator {indicator}")
-    width = LENGTH_FIELD[mode]
+    _, width, _, widths = MODES[mode]
     if len(bits) < 4 + width:
         raise CodecError("payload truncated inside the length field")
     n = int(bits[4 : 4 + width], 2)
     pos = 4 + width
-
-    def take(count):
-        nonlocal pos
-        if pos + count > len(bits):
-            raise CodecError(
-                f"declared length {n} needs more bits than available"
-            )
-        chunk = bits[pos : pos + count]
-        pos += count
-        return chunk
-
+    table, k = GROUP_TEXT[mode], len(widths)
     out = []
-    if mode == "alphanumeric":
-        for _ in range(n // 2):
-            v = int(take(11), 2)
-            if v >= 45 * 45:
-                raise CodecError(f"alphanumeric pair value {v} out of range")
-            out.append(ALPHANUMERIC[v // 45])
-            out.append(ALPHANUMERIC[v % 45])
-        if n % 2:
-            v = int(take(6), 2)
-            if v >= 45:
-                raise CodecError(f"alphanumeric value {v} out of range")
-            out.append(ALPHANUMERIC[v])
-    elif mode == "numeric":
-        for _ in range(n // 3):
-            out.append(format(int(take(10), 2), "03d"))
-        rest = n % 3
-        if rest == 1:
-            out.append(format(int(take(4), 2), "01d"))
-        elif rest == 2:
-            out.append(format(int(take(7), 2), "02d"))
-    else:
-        raw = bytes(int(take(8), 2) for _ in range(n))
-        out.append(raw.decode("latin-1"))
-    text = "".join(out)
-    if len(text) != n:
-        raise CodecError("decoded character count mismatch")
-    return ParsedPayload(text, mode, n)
+    for i in range(0, n, k):
+        end = pos + widths[min(k, n - i) - 1]
+        if end > len(bits):
+            raise CodecError(f"declared length {n} needs more bits than available")
+        group = table.get(bits[pos:end])
+        if group is None:
+            raise CodecError(f"{mode} group value {int(bits[pos:end], 2)} out of range")
+        out.append(group)
+        pos = end
+    return ParsedPayload("".join(out), mode, n)

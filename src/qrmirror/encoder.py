@@ -1,18 +1,17 @@
 """Materialize grids: write data bits and format words onto the template,
 and build ordinary single-sided Version 1-L codes."""
 
+import numpy as np
+
 from . import codec, rscode
-from .formatinfo import FormatWord, word_bits
-from .grid import TOTAL_BITS, format_positions, function_pattern_grid, placement_cells
+from .formatinfo import FormatWord
+from .grid import TOTAL_BITS, format_cells, function_pattern_grid, placement_cells
 from .masks import data_mask
 
 
 def write_format(grid, on_grid_word):
     """Write a 15-bit on-grid format word into both format copies."""
-    bits = word_bits(on_grid_word)
-    for positions in format_positions():
-        for pos, bit in zip(positions, bits):
-            grid.cells[pos] = int(bit)
+    grid.cells[format_cells()] = (on_grid_word >> np.arange(14, -1, -1)) & 1
 
 
 def write_data_cells(grid, physical_bits):

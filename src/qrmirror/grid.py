@@ -97,8 +97,7 @@ def _template():
     fixed[DARK_MODULE] = True
 
     # format areas: reserved, written later
-    for pos in FORMAT_POSITIONS_1 + FORMAT_POSITIONS_2:
-        fixed[pos] = True
+    fixed[format_cells()] = True
 
     fixed.setflags(write=False)
     cells.setflags(write=False)
@@ -114,6 +113,19 @@ def function_pattern_grid():
 def format_positions():
     """Both format copies as coordinate lists ordered by bit index 14..0."""
     return list(FORMAT_POSITIONS_1), list(FORMAT_POSITIONS_2)
+
+
+@lru_cache(maxsize=1)
+def format_cells():
+    """Both format copies as read-only (rows, cols) index arrays.
+
+    Each array has shape (2, 15): copy 1 then copy 2, bit 14 first, so
+    indexing a 21x21 array with the pair reads or writes both words at once.
+    """
+    index = np.array((FORMAT_POSITIONS_1, FORMAT_POSITIONS_2), dtype=np.intp)
+    index = index.transpose(2, 0, 1)
+    index.setflags(write=False)
+    return tuple(index)
 
 
 @lru_cache(maxsize=1)

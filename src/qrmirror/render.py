@@ -12,6 +12,8 @@ class RenderError(ValueError):
 
 def to_ascii(grid, quiet=0):
     """Two characters per module, '##' dark and '  ' light."""
+    if quiet < 0:
+        raise ValueError("quiet zone must not be negative")
     n = SIZE + 2 * quiet
     lines = []
     for r in range(n):
@@ -33,6 +35,8 @@ def to_pbm(grid, scale=1, quiet=0):
     """
     if scale < 1:
         raise ValueError("scale must be at least 1")
+    if quiet < 0:
+        raise ValueError("quiet zone must not be negative")
     n = (SIZE + 2 * quiet) * scale
     img = np.zeros((n, n), dtype=np.uint8)
     start = quiet * scale
@@ -124,6 +128,8 @@ def _infer_geometry(img):
 
 def to_svg(grid, quiet=4):
     """SVG with one unit square per dark module."""
+    if quiet < 0:
+        raise ValueError("quiet zone must not be negative")
     n = SIZE + 2 * quiet
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -180,12 +180,8 @@ def parity_matrix():
     Column j is the parity of the unit data vector with only bit j set;
     bits are numbered most significant first within each byte.
     """
-    m = np.zeros((PARITY_BYTES * 8, DATA_BYTES * 8), dtype=np.uint8)
-    for j in range(DATA_BYTES * 8):
-        data = bytearray(DATA_BYTES)
-        data[j // 8] = 0x80 >> (j % 8)
-        parity = rs_encode(bytes(data))
-        for r in range(PARITY_BYTES * 8):
-            m[r, j] = (parity[r // 8] >> (7 - r % 8)) & 1
+    units = np.packbits(np.eye(DATA_BYTES * 8, dtype=np.uint8), axis=1)
+    parity = np.frombuffer(b"".join(rs_encode(data) for data in units), dtype=np.uint8)
+    m = np.unpackbits(parity.reshape(-1, PARITY_BYTES), axis=1).T.copy()
     m.setflags(write=False)
     return m

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import codec, rscode
 from .formatinfo import EC_NAME, apply_format_mask, bch_decode
-from .grid import format_positions, function_pattern_grid, placement_cells
+from .grid import format_cells, function_pattern_grid, placement_cells
 from .masks import data_mask
 
 
@@ -48,7 +48,7 @@ class DecodeReport:
 def _check_function_patterns(grid):
     template = function_pattern_grid()
     checked = template.fixed
-    checked[tuple(np.transpose(format_positions()[0] + format_positions()[1]))] = False
+    checked[format_cells()] = False
     wrong = np.argwhere(checked & (grid.cells != template.cells))
     if wrong.size:  # argwhere is row-major, so this is the first cell a scan meets
         r, c = wrong[0].tolist()
@@ -57,13 +57,7 @@ def _check_function_patterns(grid):
 
 def read_format_words(grid):
     """Both on-grid 15-bit format words, most significant bit first."""
-    words = []
-    for positions in format_positions():
-        w = 0
-        for pos in positions:
-            w = (w << 1) | int(grid.cells[pos])
-        words.append(w)
-    return words
+    return (grid.cells[format_cells()] @ (1 << np.arange(14, -1, -1))).tolist()
 
 
 def read_codewords(grid, mask_id):

@@ -110,12 +110,16 @@ def test_inspect_output(tmp_path, capsys):
     blank = tmp_path / "blank.pbm"
     blank.write_bytes(render.to_pbm(
         encoder.materialize(data_mask(3), select_mirror_format().witness), 1, 4))
-    for path in (out, blank):
+    # an ordinary code: the mirrored side fails at format, so zones are skipped
+    single = tmp_path / "single.pbm"
+    single.write_bytes(render.to_pbm(encoder.encode_single("HELLO"), 1, 4))
+    for path, mask, zones in ((out, 3, "zones: {"), (blank, 3, "zones: {"),
+                              (single, 0, "zones: skipped")):
         code, stdout, _ = run(capsys, "inspect", str(path))
         assert code == 0
         assert "[straight]" in stdout and "[mirrored]" in stdout
-        assert "level L, mask 3" in stdout
-        assert "zones: {" in stdout
+        assert f"level L, mask {mask}" in stdout
+        assert zones in stdout
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qrmirror import codec
+from qrmirror.codec import ALPHANUMERIC, CodecError, ParsedPayload, bytes_to_bits
 
 HELLO_BITS = "0010" + "000000101" + "01100001011" + "01111000110" + "011000"
 
@@ -145,3 +146,201 @@ def test_bits_bytes_helpers():
     assert codec.bytes_to_bits(bytes([0xEC, 0x11])) == "1110110000010001"
     with pytest.raises(codec.CodecError):
         codec.bits_to_bytes("101")
+
+
+# The per-mode codec the mode table replaced, kept verbatim as the reference
+# for the differential tests below.
+
+MODE_INDICATOR = {"numeric": "0001", "alphanumeric": "0010", "byte": "0100"}
+MODE_OF_INDICATOR = {v: k for k, v in MODE_INDICATOR.items()}
+# character-count field width at version 1
+LENGTH_FIELD = {"numeric": 10, "alphanumeric": 9, "byte": 8}
+
+
+def reference_pick_mode(text):
+    """Thriftiest mode whose alphabet covers the text."""
+    if text and all(ch in "0123456789" for ch in text):
+        return "numeric"
+    if all(ch in ALPHANUMERIC for ch in text):
+        return "alphanumeric"
+    try:
+        text.encode("latin-1")
+    except UnicodeEncodeError:
+        raise CodecError(f"text not encodable in byte mode: {text!r}")
+    return "byte"
+
+
+def _alnum_value(ch):
+    v = ALPHANUMERIC.find(ch)
+    if v < 0:
+        raise CodecError(f"character {ch!r} outside the alphanumeric table")
+    return v
+
+
+def reference_encode_segment(seg):
+    """Mode indicator + length field + character data as a bit string."""
+    if seg.mode not in MODE_INDICATOR:
+        raise CodecError(f"unknown mode {seg.mode!r}")
+    n = len(seg.text)
+    if n >= 1 << LENGTH_FIELD[seg.mode]:
+        raise CodecError(f"{n} characters overflow the length field")
+    bits = MODE_INDICATOR[seg.mode] + format(n, f"0{LENGTH_FIELD[seg.mode]}b")
+
+    if seg.mode == "alphanumeric":
+        for i in range(0, n - 1, 2):
+            pair = _alnum_value(seg.text[i]) * 45 + _alnum_value(seg.text[i + 1])
+            bits += format(pair, "011b")
+        if n % 2:
+            bits += format(_alnum_value(seg.text[-1]), "06b")
+    elif seg.mode == "numeric":
+        if not all(ch in "0123456789" for ch in seg.text):
+            raise CodecError("numeric mode requires digits only")
+        for i in range(0, n - n % 3, 3):
+            bits += format(int(seg.text[i : i + 3]), "010b")
+        rest = n % 3
+        if rest == 1:
+            bits += format(int(seg.text[-1]), "04b")
+        elif rest == 2:
+            bits += format(int(seg.text[-2:]), "07b")
+    else:  # byte
+        try:
+            raw = seg.text.encode("latin-1")
+        except UnicodeEncodeError:
+            raise CodecError(f"text not encodable in byte mode: {seg.text!r}")
+        bits += bytes_to_bits(raw)
+    return bits
+
+
+def reference_parse_payload(bits):
+    """Decode mode, length and characters; trailing bits are ignored.
+
+    Terminator and fill are deliberately not validated: the construction
+    relies on readers treating everything past the declared character count
+    as noise.
+    """
+    if len(bits) < 4:
+        raise CodecError("payload shorter than a mode indicator")
+    indicator = bits[:4]
+    if indicator == "0000":
+        return ParsedPayload("", "terminator", 0)
+    mode = MODE_OF_INDICATOR.get(indicator)
+    if mode is None:
+        raise CodecError(f"unsupported mode indicator {indicator}")
+    width = LENGTH_FIELD[mode]
+    if len(bits) < 4 + width:
+        raise CodecError("payload truncated inside the length field")
+    n = int(bits[4 : 4 + width], 2)
+    pos = 4 + width
+
+    def take(count):
+        nonlocal pos
+        if pos + count > len(bits):
+            raise CodecError(
+                f"declared length {n} needs more bits than available"
+            )
+        chunk = bits[pos : pos + count]
+        pos += count
+        return chunk
+
+    out = []
+    if mode == "alphanumeric":
+        for _ in range(n // 2):
+            v = int(take(11), 2)
+            if v >= 45 * 45:
+                raise CodecError(f"alphanumeric pair value {v} out of range")
+            out.append(ALPHANUMERIC[v // 45])
+            out.append(ALPHANUMERIC[v % 45])
+        if n % 2:
+            v = int(take(6), 2)
+            if v >= 45:
+                raise CodecError(f"alphanumeric value {v} out of range")
+            out.append(ALPHANUMERIC[v])
+    elif mode == "numeric":
+        for _ in range(n // 3):
+            out.append(format(int(take(10), 2), "03d"))
+        rest = n % 3
+        if rest == 1:
+            out.append(format(int(take(4), 2), "01d"))
+        elif rest == 2:
+            out.append(format(int(take(7), 2), "02d"))
+    else:
+        raw = bytes(int(take(8), 2) for _ in range(n))
+        out.append(raw.decode("latin-1"))
+    text = "".join(out)
+    if len(text) != n:
+        raise CodecError("decoded character count mismatch")
+    return ParsedPayload(text, mode, n)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+# character pools: each mode's alphabet, lowercase, Latin-1 beyond ASCII,
+# and characters no mode encodes
+POOLS = ("0123456789", ALPHANUMERIC, "abcxyz", "".join(map(chr, range(128, 256))),
+         "".join(map(chr, range(256))), "Ā€中\U0001f600")
+MODES_TRIED = ("numeric", "alphanumeric", "byte", "kanji")
+
+
+def sample_texts(rng):
+    """Texts of every length up to past the 152-bit capacity, drawn from
+    one pool, from one pool with one stranger, and from several pools."""
+    for n in range(0, 45):
+        for pool in POOLS:
+            text = [rng.choice(pool) for _ in range(n)]
+            yield "".join(text)
+            if n:
+                text[rng.randrange(n)] = rng.choice(rng.choice(POOLS))
+                yield "".join(text)
+        yield "".join(rng.choice(rng.choice(POOLS)) for _ in range(n))
+    # overflow each mode's length field
+    for n in (255, 256, 511, 512, 1023, 1024):
+        yield "7" * n
+
+
+def test_encode_and_pick_mode_match_per_mode_reference():
+    rng = random.Random(71)
+    for text in sample_texts(rng):
+        assert outcome(codec.pick_mode, text) == outcome(reference_pick_mode, text)
+        for mode in MODES_TRIED:
+            seg = codec.Segment(mode, text)
+            assert outcome(codec.encode_segment, seg) == outcome(
+                reference_encode_segment, seg), (mode, text)
+
+
+def test_parse_matches_per_mode_reference_on_random_bits():
+    rng = random.Random(72)
+    indicators = ["0001", "0010", "0100", "0000"] + [format(v, "04b") for v in range(16)]
+    for _ in range(6000):
+        bits = rng.choice(indicators)
+        if rng.random() < 0.5 and bits in MODE_OF_INDICATOR:
+            # a small declared count, so the groups behind it are reached
+            width = LENGTH_FIELD[MODE_OF_INDICATOR[bits]]
+            bits += format(rng.randrange(0, 50), f"0{width}b")
+        bits += "".join(rng.choice("01") for _ in range(rng.randrange(0, 160)))
+        bits = bits[: rng.randrange(0, len(bits) + 1)] if rng.random() < 0.2 else bits
+        assert outcome(codec.parse_payload, bits) == outcome(
+            reference_parse_payload, bits), bits
+
+
+def test_parse_matches_per_mode_reference_on_cut_and_flipped_encodings():
+    rng = random.Random(73)
+    for text in sample_texts(rng):
+        for mode in MODES_TRIED[:3]:
+            try:
+                bits = reference_encode_segment(codec.Segment(mode, text))
+            except CodecError:
+                continue
+            variants = [bits, bits[: rng.randrange(0, len(bits) + 1)]]
+            flipped = list(bits)
+            for i in rng.sample(range(len(bits)), min(3, len(bits))):
+                flipped[i] = "10"[int(flipped[i])]
+            variants.append("".join(flipped))
+            for v in variants:
+                assert outcome(codec.parse_payload, v) == outcome(
+                    reference_parse_payload, v), v

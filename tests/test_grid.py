@@ -97,6 +97,14 @@ def test_format_positions_distinct():
     assert not set(copy1) & set(copy2)
 
 
+def test_format_cells_index_both_copies_in_bit_order():
+    rows, cols = grid.format_cells()
+    assert rows.shape == cols.shape == (2, 15)
+    assert not rows.flags.writeable and not cols.flags.writeable
+    copies = [list(zip(r, c)) for r, c in zip(rows.tolist(), cols.tolist())]
+    assert copies == list(grid.format_positions())
+
+
 def test_format_copy1_transposes_onto_itself_reversed():
     copy1, _ = grid.format_positions()
     transposed = [grid.transpose_map(p) for p in copy1]

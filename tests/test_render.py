@@ -99,6 +99,13 @@ def test_pbm_scale_validation():
         render.to_pbm(function_pattern_grid(), scale=0)
 
 
+def test_negative_quiet_zone_is_rejected():
+    grid = encoder.encode_single("HELLO")
+    for render_with_quiet in (render.to_ascii, render.to_pbm, render.to_svg):
+        with pytest.raises(ValueError, match="quiet zone"):
+            render_with_quiet(grid, quiet=-1)
+
+
 def test_pbm_lines_within_70_columns():
     data = render.to_pbm(encoder.encode_single("X"), scale=10, quiet=4)
     assert all(len(line) <= 70 for line in data.split(b"\n"))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from qrmirror import codec, encoder, mirror, verify
-from qrmirror.grid import data_placement_order, function_pattern_grid
+from qrmirror.formatinfo import apply_format_mask, codewords, word_bits
+from qrmirror.grid import (ModuleGrid, data_placement_order, format_positions,
+                           function_pattern_grid)
 from qrmirror.masks import symmetric_masks
 
 
@@ -108,6 +110,41 @@ def test_format_reconciliation_prefers_smaller_distance():
     report = verify.decode_grid(grid)
     assert report.text == "HELLO"
     assert report.format_distance == 0
+
+
+def reference_write_format(grid, on_grid_word):
+    """The per-bit loop write_format replaced, kept as its reference."""
+    bits = word_bits(on_grid_word)
+    for positions in format_positions():
+        for pos, bit in zip(positions, bits):
+            grid.cells[pos] = int(bit)
+
+
+def reference_read_format_words(grid):
+    """The per-bit loop read_format_words replaced, kept as its reference."""
+    words = []
+    for positions in format_positions():
+        w = 0
+        for pos in positions:
+            w = (w << 1) | int(grid.cells[pos])
+        words.append(w)
+    return words
+
+
+def test_format_cells_match_per_bit_loops():
+    for word in (apply_format_mask(cw) for cw in codewords()):  # all 32 on-grid words
+        grid, expected = function_pattern_grid(), function_pattern_grid()
+        encoder.write_format(grid, word)
+        reference_write_format(expected, word)
+        assert np.array_equal(grid.cells, expected.cells)
+        assert verify.read_format_words(grid) == [word, word]
+    rng = np.random.default_rng(21)
+    fixed = function_pattern_grid().fixed
+    for _ in range(200):
+        grid = ModuleGrid(rng.integers(0, 2, (21, 21), dtype=np.uint8), fixed)
+        words = verify.read_format_words(grid)
+        assert words == reference_read_format_words(grid)
+        assert all(type(w) is int for w in words)
 
 
 def test_single_cell_robustness_sweep():
