@@ -39,7 +39,8 @@ def _at_least(minimum):
     return count
 
 
-def _fail(args, stage, message):
+def _fail(args, stage, exc):
+    message = str(exc).removeprefix(f"{stage}: ")  # staged errors name it already
     if getattr(args, "json", False):
         print(json.dumps({"error": stage, "message": message}), file=sys.stderr)
     else:
@@ -59,11 +60,11 @@ def _cmd_encode(args):
     try:
         grid = encode_single(args.text, MODE_NAMES[args.mode], args.mask)
     except codec.CodecError as exc:
-        return _fail(args, "encode", str(exc))
+        return _fail(args, "encode", exc)
     try:
         _write_output(args.output, render.to_pbm(grid, args.scale, args.quiet))
     except OSError as exc:
-        return _fail(args, "output", str(exc))
+        return _fail(args, "output", exc)
     return 0
 
 
@@ -78,7 +79,7 @@ def _cmd_mirror(args):
         )
     except (mirror.ConstructionError, codec.CodecError) as exc:
         stage = getattr(exc, "stage", "encode")
-        return _fail(args, stage, str(exc))
+        return _fail(args, stage, exc)
     try:
         _write_output(args.output, render.to_pbm(grid, args.scale, args.quiet))
         if args.report:
@@ -90,7 +91,7 @@ def _cmd_mirror(args):
                     os.remove(args.output)
                 raise
     except OSError as exc:
-        return _fail(args, "output", str(exc))
+        return _fail(args, "output", exc)
     return 0
 
 
@@ -104,7 +105,7 @@ def _cmd_flipgraph(args):
         with open(args.dot, "w") as fh:
             fh.write(dot)
     except OSError as exc:
-        return _fail(args, "output", str(exc))
+        return _fail(args, "output", exc)
     return 0
 
 
@@ -117,7 +118,7 @@ def _cmd_verify(args):
     try:
         grid = _read_grid(args)
     except (OSError, render.RenderError) as exc:
-        return _fail(args, "input", str(exc))
+        return _fail(args, "input", exc)
     try:
         if args.expect_a is not None or args.expect_b is not None:
             if args.expect_a is None or args.expect_b is None:
@@ -128,9 +129,9 @@ def _cmd_verify(args):
         else:
             reports = (decode_grid(grid, "straight"),)
     except MirrorMismatch as exc:
-        return _fail(args, "decode mismatch", str(exc))
+        return _fail(args, "decode mismatch", exc)
     except DecodeError as exc:
-        return _fail(args, exc.stage, str(exc))
+        return _fail(args, exc.stage, exc)
     for report in reports:
         if args.json:
             print(report.to_json())
@@ -146,7 +147,7 @@ def _cmd_inspect(args):
     try:
         grid = _read_grid(args)
     except (OSError, render.RenderError) as exc:
-        return _fail(args, "input", str(exc))
+        return _fail(args, "input", exc)
     reports = []
     for label, g in (("straight", grid), ("mirrored", grid.transposed())):
         print(f"[{label}]")
@@ -162,7 +163,7 @@ def _cmd_inspect(args):
         try:
             report = decode_grid(g, "straight")
         except DecodeError as exc:
-            print(f"  decode failed at {exc.stage}: {exc}")
+            print(f"  decode failed at {exc}")  # str(exc) starts with the stage
             continue
         reports.append(report)
         words = verify.read_codewords(g, report.mask_id)

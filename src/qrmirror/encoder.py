@@ -48,9 +48,8 @@ def encode_single(text, mode="auto", mask_id=0):
     No mask penalty scoring: the mask defaults to 0 and may be any of the
     eight patterns.
     """
-    payload = codec.assemble_payload(codec.make_segment(text, mode), pad=True)
-    fmt = FormatWord("L", mask_id)
-    return materialize(physical_bits(codeword_bits(payload), mask_id), fmt.on_grid)
+    return materialize(standard_physical_bits(text, mode, mask_id),
+                       FormatWord("L", mask_id).on_grid)
 
 
 def standard_physical_bits(text, mode, mask_id):

@@ -33,28 +33,28 @@ FORMAT_POSITIONS_2 = (
 
 @dataclass(eq=False)
 class ModuleGrid:
-    """A 21x21 module matrix.
-
-    cells holds 1 for dark and 0 for light; fixed marks cells that do not
-    belong to the 208-bit data region (function patterns and format areas).
-    """
+    """A 21x21 module matrix: cells holds 1 for dark and 0 for light."""
 
     cells: np.ndarray
-    fixed: np.ndarray
+
+    @property
+    def fixed(self):
+        """Read-only mask of the cells outside the 208-bit data region
+        (function patterns and format areas). It is the same for every grid
+        and maps onto itself under transposition."""
+        return _template()[1]
 
     def copy(self):
-        return ModuleGrid(self.cells.copy(), self.fixed.copy())
+        return ModuleGrid(self.cells.copy())
 
     def transposed(self):
         """The grid as seen after reflection along the main diagonal."""
-        return ModuleGrid(self.cells.T.copy(), self.fixed.T.copy())
+        return ModuleGrid(self.cells.T.copy())
 
     def __eq__(self, other):
         if not isinstance(other, ModuleGrid):
             return NotImplemented
-        return np.array_equal(self.cells, other.cells) and np.array_equal(
-            self.fixed, other.fixed
-        )
+        return np.array_equal(self.cells, other.cells)
 
 
 def transpose_map(coord):
@@ -63,35 +63,25 @@ def transpose_map(coord):
     return (c, r)
 
 
-def _finder(cells, fixed, r0, c0):
-    for dr in range(7):
-        for dc in range(7):
-            ring = dr in (0, 6) or dc in (0, 6)
-            core = 2 <= dr <= 4 and 2 <= dc <= 4
-            cells[r0 + dr, c0 + dc] = 1 if (ring or core) else 0
-            fixed[r0 + dr, c0 + dc] = True
-
-
 @lru_cache(maxsize=1)
 def _template():
+    """Read-only function-pattern cells and the mask of every fixed cell."""
+    # a finder with its light separator band, as seen in the top-left corner;
+    # the finder is symmetric, so flips give the other two corners
+    corner = np.zeros((8, 8), dtype=np.uint8)
+    corner[:7, :7] = 1
+    corner[1:6, 1:6] = 0
+    corner[2:5, 2:5] = 1
     cells = np.zeros((SIZE, SIZE), dtype=np.uint8)
+    cells[:8, :8] = corner
+    cells[:8, -8:] = corner[:, ::-1]
+    cells[-8:, :8] = corner[::-1]
     fixed = np.zeros((SIZE, SIZE), dtype=bool)
-
-    _finder(cells, fixed, 0, 0)
-    _finder(cells, fixed, 0, SIZE - 7)
-    _finder(cells, fixed, SIZE - 7, 0)
-
-    # separators (light strips around the finders)
-    for k in range(8):
-        fixed[7, k] = fixed[k, 7] = True
-        fixed[7, SIZE - 1 - k] = fixed[k, SIZE - 8] = True
-        fixed[SIZE - 8, k] = fixed[SIZE - 1 - k, 7] = True
+    fixed[:8, :8] = fixed[:8, -8:] = fixed[-8:, :8] = True
 
     # timing patterns, dark on even coordinates
-    for k in range(8, 13):
-        cells[6, k] = 1 - (k % 2)
-        cells[k, 6] = 1 - (k % 2)
-        fixed[6, k] = fixed[k, 6] = True
+    cells[6, 8:13] = cells[8:13, 6] = 1 - np.arange(8, 13) % 2
+    fixed[6, 8:13] = fixed[8:13, 6] = True
 
     cells[DARK_MODULE] = 1
     fixed[DARK_MODULE] = True
@@ -106,8 +96,7 @@ def _template():
 
 def function_pattern_grid():
     """Fresh Version-1 template: function patterns set, data region light."""
-    cells, fixed = _template()
-    return ModuleGrid(cells.copy(), fixed.copy())
+    return ModuleGrid(_template()[0].copy())
 
 
 def format_positions():

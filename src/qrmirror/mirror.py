@@ -78,7 +78,6 @@ class LinearSystem:
     rhs: np.ndarray
     provenance: tuple
     var_names: tuple
-    n_cell_vars: int = TOTAL_BITS
 
     def conflicting_pins(self):
         """Variables pinned to contradictory constants, with their rows.
@@ -430,17 +429,17 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed):
     return BruteForceResult(None, done, -1, best)
 
 
-def _free_value_preference(msg_a, mode_a, msg_b, mode_b, straight_fmt):
+def _free_value_preference(msg_a, msg_b, straight_fmt):
     """Preferred free values, as a function of the allocation.
 
     Free cells default to the straight side's ordinary encoding; aux bytes
     default to their side's ordinary codeword. The ordinary encodings are
     computed once per message pair.
     """
-    cells = encoder.standard_physical_bits(msg_a, mode_a, straight_fmt.mask_id)
+    cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
     data = {}
-    for name, msg, mode in (("A", msg_a, mode_a), ("B", msg_b, mode_b)):
-        payload = codec.assemble_payload(codec.make_segment(msg, mode), pad=True)
+    for name, msg in (("A", msg_a), ("B", msg_b)):
+        payload = codec.assemble_payload(codec.make_segment(msg), pad=True)
         data[name] = codec.bits_to_array(payload.bits)
 
     def preference(alloc):
@@ -450,8 +449,7 @@ def _free_value_preference(msg_a, mode_a, msg_b, mode_b, straight_fmt):
     return preference
 
 
-def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="auto",
-                           trials=200_000, seed=0):
+def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
     """Build a grid reading msg_a straight and msg_b mirrored.
 
     method "analytic" (also spelled "auto", the default) walks error
@@ -462,12 +460,9 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
     """
     if method not in ("auto", "analytic", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    payload_a = _with_terminator(
-        codec.assemble_payload(codec.make_segment(msg_a, mode_a), pad=False)
-    )
-    payload_b = _with_terminator(
-        codec.assemble_payload(codec.make_segment(msg_b, mode_b), pad=False)
-    )
+    payload_a, payload_b = (
+        _with_terminator(codec.assemble_payload(codec.make_segment(msg), pad=False))
+        for msg in (msg_a, msg_b))
     fmt = select_mirror_format()
     straight, mirrored = fmt.straight, fmt.mirrored
 
@@ -490,8 +485,7 @@ def construct_double_sided(msg_a, msg_b, method="auto", mode_a="auto", mode_b="a
                                              mirrored_fmt=mirrored)
             attempted += 1
             if preference is None:
-                preference = _free_value_preference(msg_a, mode_a, msg_b, mode_b,
-                                                    straight)
+                preference = _free_value_preference(msg_a, msg_b, straight)
             solution = solve_gf2(system, free_values=preference(alloc))
             if solution is not None:
                 break

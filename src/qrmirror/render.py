@@ -3,7 +3,7 @@ ingestion for round trips and interchange with external scanners."""
 
 import numpy as np
 
-from .grid import SIZE, ModuleGrid, function_pattern_grid
+from .grid import SIZE, ModuleGrid
 
 
 class RenderError(ValueError):
@@ -14,16 +14,8 @@ def to_ascii(grid, quiet=0):
     """Two characters per module, '##' dark and '  ' light."""
     if quiet < 0:
         raise ValueError("quiet zone must not be negative")
-    n = SIZE + 2 * quiet
-    lines = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            inside = quiet <= r < quiet + SIZE and quiet <= c < quiet + SIZE
-            dark = inside and grid.cells[r - quiet, c - quiet]
-            row.append("##" if dark else "  ")
-        lines.append("".join(row))
-    return "\n".join(lines) + "\n"
+    glyphs = np.where(np.pad(grid.cells != 0, quiet), "##", "  ")
+    return "".join("".join(row) + "\n" for row in glyphs)
 
 
 def to_pbm(grid, scale=1, quiet=0):
@@ -38,14 +30,11 @@ def to_pbm(grid, scale=1, quiet=0):
     if quiet < 0:
         raise ValueError("quiet zone must not be negative")
     n = (SIZE + 2 * quiet) * scale
-    img = np.zeros((n, n), dtype=np.uint8)
-    start = quiet * scale
-    img[start : start + SIZE * scale, start : start + SIZE * scale] = np.kron(
-        grid.cells, np.ones((scale, scale), dtype=np.uint8)
-    )
+    modules = np.pad(grid.cells.astype(np.uint8), quiet)
+    img = np.kron(modules, np.ones((scale, scale), dtype=np.uint8))
     lines = [f"P1", f"{n} {n}", f"# qrmirror scale={scale} quiet={quiet}"]
-    for row in img:
-        digits = "".join(str(int(v)) for v in row)
+    for row in img + ord("0"):
+        digits = row.tobytes().decode()
         lines.extend(digits[i : i + 70] for i in range(0, len(digits), 70))
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -99,9 +88,7 @@ def parse_pbm(data):
     core = img[start : start + SIZE * scale, start : start + SIZE * scale]
     blocks = core.reshape(SIZE, scale, SIZE, scale).swapaxes(1, 2)
     counts = blocks.reshape(SIZE, SIZE, scale * scale).sum(axis=2)
-    cells = (counts * 2 > scale * scale).astype(np.uint8)
-    template = function_pattern_grid()
-    return ModuleGrid(cells, template.fixed)
+    return ModuleGrid((counts * 2 > scale * scale).astype(np.uint8))
 
 
 def _infer_geometry(img):
@@ -136,11 +123,7 @@ def to_svg(grid, quiet=4):
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {n} {n}">',
         f'<rect width="{n}" height="{n}" fill="white"/>',
     ]
-    for r in range(SIZE):
-        for c in range(SIZE):
-            if grid.cells[r, c]:
-                parts.append(
-                    f'<rect x="{c + quiet}" y="{r + quiet}" width="1" height="1"/>'
-                )
+    parts.extend(f'<rect x="{c + quiet}" y="{r + quiet}" width="1" height="1"/>'
+                 for r, c in np.argwhere(grid.cells).tolist())
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

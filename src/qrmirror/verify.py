@@ -8,7 +8,7 @@ import numpy as np
 
 from . import codec, rscode
 from .formatinfo import EC_NAME, apply_format_mask, bch_decode
-from .grid import format_cells, function_pattern_grid, placement_cells
+from .grid import _template, format_cells, placement_cells
 from .masks import data_mask
 
 
@@ -46,10 +46,10 @@ class DecodeReport:
 
 
 def _check_function_patterns(grid):
-    template = function_pattern_grid()
-    checked = template.fixed
-    checked[format_cells()] = False
-    wrong = np.argwhere(checked & (grid.cells != template.cells))
+    cells, fixed = _template()
+    mismatch = fixed & (grid.cells != cells)
+    mismatch[format_cells()] = False  # format cells are read, not checked
+    wrong = np.argwhere(mismatch)
     if wrong.size:  # argwhere is row-major, so this is the first cell a scan meets
         r, c = wrong[0].tolist()
         raise DecodeError("function-pattern", f"cell ({r}, {c}) does not match the template")

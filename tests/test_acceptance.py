@@ -216,7 +216,7 @@ def test_criterion_7_property_suites():
         rhs = nrng.integers(0, 2, rows, dtype=np.uint8)
         sys_ = mirror.LinearSystem(matrix, rhs,
                                    tuple(("T", "row", i) for i in range(rows)),
-                                   tuple(f"x{i}" for i in range(n)), n)
+                                   tuple(f"x{i}" for i in range(n)))
         sol = mirror.solve_gf2(sys_)
         counts = np.arange(1 << n, dtype=np.uint32)
         bits = ((counts[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
@@ -232,7 +232,7 @@ def test_criterion_7_property_suites():
         rhs = nrng.integers(0, 2, 24, dtype=np.uint8)
         sys_ = mirror.LinearSystem(matrix, rhs,
                                    tuple(("T", "row", i) for i in range(24)),
-                                   tuple(f"x{i}" for i in range(20)), 20)
+                                   tuple(f"x{i}" for i in range(20)))
         sol = mirror.solve_gf2(sys_)
         counts = np.arange(1 << 20, dtype=np.uint32)
         bits = ((counts[:, None] >> np.arange(20, dtype=np.uint32)) & 1).astype(np.uint8)

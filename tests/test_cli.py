@@ -66,14 +66,33 @@ def test_mirror_infeasible_exits_1_with_diagnostic(tmp_path, capsys):
         code, _, err = run(capsys, "mirror", "ABCDEFGHIJKL", "MNOPQRSTUVWX",
                            *method, "-o", str(tmp_path / "x.pbm"))
         assert code == 1
-        assert "system infeasible" in err
+        assert err.count("system infeasible") == 1
+        assert err.startswith("error (system infeasible): no solvable system")
 
 
 def test_mirror_brute_budget_exhausted(tmp_path, capsys):
     code, _, err = run(capsys, "mirror", "AA", "BB", "--method", "brute",
                        "--trials", "50", "-o", str(tmp_path / "x.pbm"))
     assert code == 1
-    assert "RS budget" in err
+    assert err.count("RS budget") == 1
+    assert err.startswith("error (RS budget): brute force exhausted 50 trials")
+
+
+def test_decode_failures_name_the_stage_once(tmp_path, capsys):
+    # an ordinary code: its mirrored side fails at format
+    single = tmp_path / "single.pbm"
+    single.write_bytes(render.to_pbm(encoder.encode_single("HELLO").transposed(), 1, 4))
+    code, _, err = run(capsys, "verify", str(single))
+    assert code == 1
+    assert err == "error (format): neither format copy decodes within 3 bits\n"
+    code, _, err = run(capsys, "verify", str(single), "--json")
+    assert code == 1
+    assert json.loads(err) == {"error": "format",
+                               "message": "neither format copy decodes within 3 bits"}
+    code, stdout, _ = run(capsys, "inspect", str(single))
+    assert code == 0
+    assert "  decode failed at format: neither format copy decodes within 3 bits\n" in stdout
+    assert stdout.count("format:") == 1
 
 
 def test_usage_error_exits_2(tmp_path, capsys):

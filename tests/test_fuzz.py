@@ -33,7 +33,7 @@ def read_pbm(data):
 
 
 def read_grid(cells):
-    grid = ModuleGrid(cells.astype(np.uint8), TEMPLATE.fixed)
+    grid = ModuleGrid(cells.astype(np.uint8))
     for orientation in ("straight", "transposed"):
         try:
             verify.decode_grid(grid, orientation)

@@ -1,5 +1,7 @@
 """Geometry: function patterns, placement order, transposition, zones."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -260,3 +262,97 @@ def test_partition_matches_per_cell_reference():
             assert part.conflict_bytes_b() == bytes_b, (la, lb)
             # plain ints, as `qrmirror inspect` prints them in a list
             assert {type(b) for b in part.conflict_bytes_a() + part.conflict_bytes_b()} <= {int}
+
+
+def _reference_finder(cells, fixed, r0, c0):
+    for dr in range(7):
+        for dc in range(7):
+            ring = dr in (0, 6) or dc in (0, 6)
+            core = 2 <= dr <= 4 and 2 <= dc <= 4
+            cells[r0 + dr, c0 + dc] = 1 if (ring or core) else 0
+            fixed[r0 + dr, c0 + dc] = True
+
+
+def reference_template():
+    """The per-cell finder, separator and timing loops the slices replaced."""
+    SIZE = grid.SIZE
+    DARK_MODULE = grid.DARK_MODULE
+    format_cells = grid.format_cells
+    _finder = _reference_finder
+    cells = np.zeros((SIZE, SIZE), dtype=np.uint8)
+    fixed = np.zeros((SIZE, SIZE), dtype=bool)
+
+    _finder(cells, fixed, 0, 0)
+    _finder(cells, fixed, 0, SIZE - 7)
+    _finder(cells, fixed, SIZE - 7, 0)
+
+    # separators (light strips around the finders)
+    for k in range(8):
+        fixed[7, k] = fixed[k, 7] = True
+        fixed[7, SIZE - 1 - k] = fixed[k, SIZE - 8] = True
+        fixed[SIZE - 8, k] = fixed[SIZE - 1 - k, 7] = True
+
+    # timing patterns, dark on even coordinates
+    for k in range(8, 13):
+        cells[6, k] = 1 - (k % 2)
+        cells[k, 6] = 1 - (k % 2)
+        fixed[6, k] = fixed[k, 6] = True
+
+    cells[DARK_MODULE] = 1
+    fixed[DARK_MODULE] = True
+
+    # format areas: reserved, written later
+    fixed[format_cells()] = True
+
+    fixed.setflags(write=False)
+    cells.setflags(write=False)
+    return cells, fixed
+
+
+def test_template_matches_per_cell_reference():
+    cells, fixed = grid._template()
+    want_cells, want_fixed = reference_template()
+    assert cells.dtype == want_cells.dtype and fixed.dtype == want_fixed.dtype
+    assert np.array_equal(cells, want_cells)
+    assert np.array_equal(fixed, want_fixed)
+    assert not cells.flags.writeable and not fixed.flags.writeable
+    # grids share one fixed mask, so it must map onto itself under reflection
+    assert np.array_equal(fixed, fixed.T)
+    # the function-pattern cells reflect onto themselves too; the dark module does not
+    symmetric = cells == cells.T
+    assert not symmetric[grid.DARK_MODULE] and not symmetric[grid.DARK_MODULE[::-1]]
+    symmetric[grid.DARK_MODULE] = symmetric[grid.DARK_MODULE[::-1]] = True
+    assert symmetric.all()
+
+
+def test_module_grid_holds_only_cells():
+    assert [f.name for f in dataclasses.fields(grid.ModuleGrid)] == ["cells"]
+    _, want_fixed = reference_template()
+    rng = np.random.default_rng(8)
+    g = grid.ModuleGrid(rng.integers(0, 2, (21, 21), dtype=np.uint8))
+    for other in (g, grid.function_pattern_grid(), g.copy(), g.transposed()):
+        assert np.array_equal(other.fixed, want_fixed)
+        assert not other.fixed.flags.writeable
+        with pytest.raises(ValueError):
+            other.fixed[0, 0] = False
+
+    # copy: equal, independent cells
+    c = g.copy()
+    assert c == g and c.cells is not g.cells
+    c.cells[10, 10] ^= 1
+    assert c != g
+    # transposed: the reflected cells, in a fresh writable array
+    t = g.transposed()
+    assert np.array_equal(t.cells, g.cells.T) and t.cells.flags.writeable
+    assert t.cells.flags.c_contiguous and not np.shares_memory(t.cells, g.cells)
+    assert t.transposed() == g
+    # ==: equal cells, whatever the array; other types are not equal
+    assert g == grid.ModuleGrid(g.cells.copy())
+    assert g != grid.ModuleGrid(g.cells[:20])
+    assert g != "grid"
+    assert g.__eq__(g.cells) is NotImplemented
+    # fresh templates stay writable copies of the read-only cells
+    f = grid.function_pattern_grid()
+    assert f.cells.flags.writeable
+    f.cells[20, 20] = 1
+    assert grid.function_pattern_grid().cells[20, 20] == 0

@@ -1,11 +1,13 @@
 """ASCII, PBM and SVG serialization."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qrmirror import encoder, mirror, render
-from qrmirror.grid import function_pattern_grid
+from qrmirror.grid import SIZE, ModuleGrid, function_pattern_grid
 
 
 def test_ascii_dimensions():
@@ -24,11 +26,7 @@ def test_ascii_quiet_zone():
 
 
 def test_ascii_all_light():
-    import numpy as np
-    from qrmirror.grid import ModuleGrid
-
-    empty = ModuleGrid(np.zeros((21, 21), dtype=np.uint8),
-                       function_pattern_grid().fixed)
+    empty = ModuleGrid(np.zeros((21, 21), dtype=np.uint8))
     blank = render.to_ascii(empty)
     assert set(blank) <= {" ", "\n"}
     assert len(blank.splitlines()) == 21
@@ -122,12 +120,90 @@ def test_svg_well_formed_and_counts_match():
 
 
 def test_svg_empty_grid_has_no_module_rects():
-    import numpy as np
-    from qrmirror.grid import ModuleGrid
-
-    empty = ModuleGrid(np.zeros((21, 21), dtype=np.uint8),
-                       function_pattern_grid().fixed)
+    empty = ModuleGrid(np.zeros((21, 21), dtype=np.uint8))
     svg = render.to_svg(empty, quiet=0)
     root = ET.fromstring(svg)
     rects = [el for el in root.iter() if el.tag.endswith("rect")]
     assert len(rects) == 1  # background only
+
+
+def reference_to_ascii(grid, quiet=0):
+    """The per-cell ASCII loop np.pad and one join per row replaced."""
+    if quiet < 0:
+        raise ValueError("quiet zone must not be negative")
+    n = SIZE + 2 * quiet
+    lines = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            inside = quiet <= r < quiet + SIZE and quiet <= c < quiet + SIZE
+            dark = inside and grid.cells[r - quiet, c - quiet]
+            row.append("##" if dark else "  ")
+        lines.append("".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_to_pbm(grid, scale=1, quiet=0):
+    """to_pbm with one str(int(v)) per pixel, as the digit rows were built."""
+    if scale < 1:
+        raise ValueError("scale must be at least 1")
+    if quiet < 0:
+        raise ValueError("quiet zone must not be negative")
+    n = (SIZE + 2 * quiet) * scale
+    img = np.zeros((n, n), dtype=np.uint8)
+    start = quiet * scale
+    img[start : start + SIZE * scale, start : start + SIZE * scale] = np.kron(
+        grid.cells, np.ones((scale, scale), dtype=np.uint8)
+    )
+    lines = [f"P1", f"{n} {n}", f"# qrmirror scale={scale} quiet={quiet}"]
+    for row in img:
+        digits = "".join(str(int(v)) for v in row)
+        lines.extend(digits[i : i + 70] for i in range(0, len(digits), 70))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def reference_to_svg(grid, quiet=4):
+    """The per-cell SVG loop np.argwhere replaced."""
+    if quiet < 0:
+        raise ValueError("quiet zone must not be negative")
+    n = SIZE + 2 * quiet
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {n} {n}">',
+        f'<rect width="{n}" height="{n}" fill="white"/>',
+    ]
+    for r in range(SIZE):
+        for c in range(SIZE):
+            if grid.cells[r, c]:
+                parts.append(
+                    f'<rect x="{c + quiet}" y="{r + quiet}" width="1" height="1"/>'
+                )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_renderers_match_per_cell_reference():
+    golden = Path(__file__).parent / "golden"
+    grids = [render.parse_pbm((golden / name).read_bytes())
+             for name in ("harry_bovik.pbm", "hello.pbm")]
+    rng = np.random.default_rng(18004)
+    for _ in range(24):  # random data and format fills on the template
+        grids.append(encoder.materialize(rng.integers(0, 2, 208, dtype=np.uint8),
+                                         int(rng.integers(0, 1 << 15))))
+    grids.append(ModuleGrid(rng.integers(0, 2, (21, 21), dtype=np.uint8)))
+    for grid in grids:
+        for quiet in range(5):
+            assert render.to_ascii(grid, quiet) == reference_to_ascii(grid, quiet)
+            assert render.to_svg(grid, quiet) == reference_to_svg(grid, quiet)
+            for scale in range(1, 5):
+                data = render.to_pbm(grid, scale, quiet)
+                assert data == reference_to_pbm(grid, scale, quiet), (scale, quiet)
+                stripped = b"\n".join(
+                    line for line in data.split(b"\n") if not line.startswith(b"#"))
+                for scan in (data, stripped):
+                    recovered = render.parse_pbm(scan)
+                    assert recovered == grid
+                    assert recovered.cells.dtype == np.uint8
+                    assert np.array_equal(recovered.fixed, grid.fixed)
+    assert render.to_ascii(grids[0]) == reference_to_ascii(grids[0])
+    assert render.to_svg(grids[0]) == reference_to_svg(grids[0])

@@ -67,7 +67,7 @@ def make_system(matrix, rhs):
     rhs = np.array(rhs, dtype=np.uint8)
     names = tuple(f"x{i}" for i in range(matrix.shape[1]))
     prov = tuple(("T", "row", i) for i in range(matrix.shape[0]))
-    return LinearSystem(matrix, rhs, prov, names, n_cell_vars=matrix.shape[1])
+    return LinearSystem(matrix, rhs, prov, names)
 
 
 def oracle_solutions(matrix, rhs):

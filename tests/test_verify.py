@@ -139,9 +139,8 @@ def test_format_cells_match_per_bit_loops():
         assert np.array_equal(grid.cells, expected.cells)
         assert verify.read_format_words(grid) == [word, word]
     rng = np.random.default_rng(21)
-    fixed = function_pattern_grid().fixed
     for _ in range(200):
-        grid = ModuleGrid(rng.integers(0, 2, (21, 21), dtype=np.uint8), fixed)
+        grid = ModuleGrid(rng.integers(0, 2, (21, 21), dtype=np.uint8))
         words = verify.read_format_words(grid)
         assert words == reference_read_format_words(grid)
         assert all(type(w) is int for w in words)
