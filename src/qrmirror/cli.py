@@ -173,9 +173,10 @@ def _cmd_inspect(args):
     if len(reports) < 2:
         print("zones: skipped (one side does not decode)")
         return 0
-    # a side that reads the terminator first declares no bits
-    declared = [0 if rep.mode == "terminator"
-                else len(codec.encode_segment(codec.make_segment(rep.text, rep.mode)))
+    # the bits a construction of the decoded pair pins; a side that reads
+    # the terminator first declares none
+    declared = [0 if rep.mode == "terminator" else
+                len(codec.terminated_payload(codec.make_segment(rep.text, rep.mode)).bits)
                 for rep in reports]
     part = overlap_partition(*declared)
     sizes = {label: len(cells) for label, cells in sorted(part.zones.items())}

@@ -126,7 +126,7 @@ def assemble_payload(segments, pad=True):
     if not pad:
         return Payload(bits, declared, False)
 
-    bits += "0" * min(4, DATA_BITS - len(bits))
+    bits = _terminated(bits)
     if len(bits) % 8:
         bits += "0" * (8 - len(bits) % 8)
     k = 0
@@ -134,6 +134,23 @@ def assemble_payload(segments, pad=True):
         bits += PAD_BYTES[k % 2]
         k += 1
     return Payload(bits, declared, True)
+
+
+def _terminated(bits):
+    """bits and the 0000 terminator, cut short at the 152-bit capacity."""
+    return bits + "0" * min(4, DATA_BITS - len(bits))
+
+
+def terminated_payload(segment):
+    """The segment and its terminator, unpadded: the bits a double-sided
+    construction pins for one message.
+
+    Strict readers parse segment after segment, so the nibble right after
+    the message must not look like another mode indicator; pinning the
+    terminator keeps them from wandering into the free fill.
+    """
+    payload = assemble_payload(segment, pad=False)
+    return Payload(_terminated(payload.bits), payload.declared_length, False)
 
 
 def parse_payload(bits):

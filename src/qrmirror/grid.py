@@ -156,12 +156,6 @@ def placement_cells():
 
 
 @lru_cache(maxsize=1)
-def placement_index():
-    """Inverse of data_placement_order: coordinate -> bit index."""
-    return {cell: i for i, cell in enumerate(data_placement_order())}
-
-
-@lru_cache(maxsize=1)
 def transpose_permutation():
     """sigma with sigma[i] = placement index of the transposed cell i.
 

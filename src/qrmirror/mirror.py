@@ -307,17 +307,6 @@ def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
                     yield ErrorAllocation(sa, frozenset((*req, *extra)))
 
 
-def _with_terminator(payload):
-    """Extend the declared bits with the 0000 terminator (room permitting).
-
-    Strict readers parse segment after segment, so the nibble right after
-    the message must not look like another mode indicator; pinning the
-    terminator keeps them from wandering into the free fill.
-    """
-    extra = "0" * min(4, DATA_BITS - len(payload.bits))
-    return codec.Payload(payload.bits + extra, payload.declared_length, False)
-
-
 def _pin_conflict_cells(payload_a, payload_b):
     """Cells both sides pin to different values: (cell index, a byte, b byte)."""
     a = codec.bits_to_array(payload_a.bits)
@@ -460,9 +449,8 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
     """
     if method not in ("auto", "analytic", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    payload_a, payload_b = (
-        _with_terminator(codec.assemble_payload(codec.make_segment(msg), pad=False))
-        for msg in (msg_a, msg_b))
+    payload_a, payload_b = (codec.terminated_payload(codec.make_segment(msg))
+                            for msg in (msg_a, msg_b))
     fmt = select_mirror_format()
     straight, mirrored = fmt.straight, fmt.mirrored
 

@@ -37,37 +37,24 @@ def gf_mul(a, b):
     return EXP[LOG[a] + LOG[b]]
 
 
-def gf_div(a, b):
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return EXP[(LOG[a] - LOG[b]) % 255]
+def _eval(coefficients, log_x):
+    """Horner at alpha^log_x over coefficients listed highest degree first.
 
-
-def gf_inv(a):
-    return EXP[255 - LOG[a]]
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] ^= gf_mul(a, b)
-    return out
-
-
-def _poly_eval(p, x):
+    A word is listed so (byte p is the coefficient of x^(25-p)). A decoder
+    polynomial p lists its n coefficients lowest degree first; read this
+    way that list is x^(n-1) * p(1/x), so evaluating it at X tests p at X^-1.
+    """
     r = 0
-    for c in p:
-        r = gf_mul(r, x) ^ c
+    for c in coefficients:
+        r = (EXP[LOG[r] + log_x] if r else 0) ^ c
     return r
 
 
 def _generator_poly():
+    """prod(x + alpha^i, i < 7), highest degree first."""
     g = [1]
     for i in range(PARITY_BYTES):
-        g = _poly_mul(g, [1, EXP[i]])
+        g = [a ^ gf_mul(b, EXP[i]) for a, b in zip(g + [0], [0] + g)]
     return g
 
 
@@ -90,40 +77,31 @@ def rs_encode(data):
 
 def syndromes(codeword):
     """The 7 syndromes of a 26-byte word; all zero iff it is a codeword."""
-    return [_poly_eval(list(codeword), EXP[i]) for i in range(PARITY_BYTES)]
+    return [_eval(codeword, i) for i in range(PARITY_BYTES)]
 
 
 def _berlekamp_massey(synd):
-    """Minimal error locator, returned with descending coefficients."""
-    c = [1]  # ascending: c[i] is the coefficient of x^i
-    b = [1]
-    L = 0
-    m = 1
-    bb = 1
+    """Minimal error locator (lowest degree first) and its length."""
+    c, b, L, m, bb = [1], [1], 0, 1, 1
     for n in range(len(synd)):
         d = synd[n]
-        for i in range(1, L + 1):
-            if i < len(c):
-                d ^= gf_mul(c[i], synd[n - i])
+        for i in range(1, min(L, len(c) - 1) + 1):
+            d ^= gf_mul(c[i], synd[n - i])
         if d == 0:
             m += 1
             continue
-        scale = gf_div(d, bb)
-        t = c[:]
-        if len(b) + m > len(c):
-            c = c + [0] * (len(b) + m - len(c))
-        for i in range(len(b)):
-            c[i + m] ^= gf_mul(scale, b[i])
+        log_scale = (LOG[d] - LOG[bb]) % 255
+        t, c = c, c + [0] * max(0, len(b) + m - len(c))
+        for i, v in enumerate(b):
+            if v:
+                c[i + m] ^= EXP[LOG[v] + log_scale]
         if 2 * L <= n:
-            L = n + 1 - L
-            b = t
-            bb = d
-            m = 1
+            L, b, bb, m = n + 1 - L, t, d, 1
         else:
             m += 1
     while c and c[-1] == 0:
         c.pop()
-    return c[::-1], L
+    return c, L
 
 
 def rs_decode(codeword):
@@ -145,28 +123,28 @@ def rs_decode(codeword):
     if len(locator) - 1 != errors:
         raise RsDecodeError("inconsistent error locator degree")
 
-    # Chien search: byte p corresponds to the x^(25-p) term, so the root
-    # test uses X = alpha^(25-p).
-    positions = []
-    for p in range(BLOCK_BYTES):
-        x_inv = EXP[(-(BLOCK_BYTES - 1 - p)) % 255]
-        if _poly_eval(locator, x_inv) == 0:
-            positions.append(p)
+    # Chien search: byte p is the x^(25-p) term, so it is in error iff the
+    # locator vanishes at X^-1 with X = alpha^(25-p).
+    positions = [p for p in range(BLOCK_BYTES) if _eval(locator, BLOCK_BYTES - 1 - p) == 0]
     if len(positions) != errors:
         raise RsDecodeError("error locator roots do not match its degree")
 
-    # Forney: omega = syndrome poly * locator mod x^7; the formal derivative
-    # of the locator keeps odd-power terms only (characteristic 2).
-    omega = _poly_mul(synd[::-1], locator)[-PARITY_BYTES:]
-    deg = len(locator) - 1
-    deriv = [locator[i] if (deg - i) % 2 == 1 else 0 for i in range(deg)]
+    # Forney: omega = S * locator mod x^7, and the formal derivative keeps
+    # the locator's odd-power terms (characteristic 2). The error value
+    # X * omega(X^-1) / deriv(X^-1) is X^(1 - 6 + errors - 1) times the
+    # quotient of the two read as reciprocals at X (see _eval).
+    omega = [0] * PARITY_BYTES
+    for j, c in enumerate(locator):
+        for k in range(j, PARITY_BYTES):
+            omega[k] ^= gf_mul(c, synd[k - j])
+    deriv = [c if k % 2 else 0 for k, c in enumerate(locator)][1:]
     for p in positions:
-        x = EXP[(BLOCK_BYTES - 1 - p) % 255]
-        x_inv = gf_inv(x)
-        denom = _poly_eval(deriv, x_inv)
+        log_x = BLOCK_BYTES - 1 - p
+        denom = _eval(deriv, log_x)
         if denom == 0:
             raise RsDecodeError("degenerate error locator derivative")
-        word[p] ^= gf_mul(x, gf_div(_poly_eval(omega, x_inv), denom))
+        num = _eval(omega, log_x)  # not 0: the locator is minimal, so no value is 0
+        word[p] ^= EXP[(log_x * (errors + 1 - PARITY_BYTES) + LOG[num] - LOG[denom]) % 255]
 
     if max(syndromes(word)) != 0:
         raise RsDecodeError("residual syndromes after correction")

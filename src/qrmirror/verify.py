@@ -21,12 +21,11 @@ class DecodeError(ValueError):
 
 
 class MirrorMismatch(ValueError):
-    def __init__(self, side, expected, got, reports=()):
+    def __init__(self, side, expected, got):
         super().__init__(
             f"{side} side decoded {got!r}, expected {expected!r}"
         )
         self.side = side
-        self.reports = reports
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,8 @@ def decode_grid(grid, orientation="straight"):
     _check_function_patterns(g)
     info, dist = _reconcile_format(g)
     ec_level = EC_NAME[info >> 3]
+    if ec_level != "L":  # the data is read as the one 1-L block
+        raise DecodeError("format", f"level {ec_level} is not supported, only L")
     mask_id = info & 7
 
     try:
@@ -126,9 +127,8 @@ def verify_double_sided(grid, msg_a, msg_b):
         try:
             report = decode_grid(grid, orientation)
         except DecodeError as exc:
-            raise MirrorMismatch(side, expected, f"undecodable ({exc.stage})",
-                                 tuple(reports))
+            raise MirrorMismatch(side, expected, f"undecodable ({exc.stage})")
         if report.text != expected:
-            raise MirrorMismatch(side, expected, report.text, tuple(reports))
+            raise MirrorMismatch(side, expected, report.text)
         reports.append(report)
     return tuple(reports)

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from qrmirror import encoder, render
+from qrmirror import codec, encoder, render
 from qrmirror.cli import main
-from qrmirror.formatinfo import select_mirror_format
+from qrmirror.formatinfo import FormatWord, select_mirror_format
+from qrmirror.grid import overlap_partition
 from qrmirror.masks import data_mask
 
 
@@ -139,6 +140,35 @@ def test_inspect_output(tmp_path, capsys):
         assert "[straight]" in stdout and "[mirrored]" in stdout
         assert f"level L, mask {mask}" in stdout
         assert zones in stdout
+
+
+def test_inspect_zones_are_the_constructions(tmp_path, capsys):
+    out = tmp_path / "hb.pbm"
+    run(capsys, "mirror", "HARRY", "BOVIK", "-o", str(out))
+    code, stdout, _ = run(capsys, "inspect", str(out))
+    assert code == 0
+    # the construction pins each message's segment and its 4-bit terminator
+    part = overlap_partition(*(len(codec.encode_segment(codec.make_segment(m))) + 4
+                               for m in ("HARRY", "BOVIK")))
+    sizes = {label: len(cells) for label, cells in sorted(part.zones.items())}
+    assert f"zones: {sizes}" in stdout
+    assert f"conflict bytes straight: {list(part.conflict_bytes_a())}" in stdout
+    assert f"conflict bytes mirrored: {list(part.conflict_bytes_b())}" in stdout
+    assert "conflict bytes straight: [0, 2, 3, 5, 19, 21]" in stdout
+    assert sizes["a"] == 10
+
+
+@pytest.mark.parametrize("level", ["M", "Q", "H"])
+def test_verify_rejects_levels_other_than_l(tmp_path, capsys, level):
+    path = tmp_path / f"{level}.pbm"
+    grid = encoder.materialize(encoder.standard_physical_bits("HELLO", "auto", 2),
+                               FormatWord(level, 2).on_grid)
+    path.write_bytes(render.to_pbm(grid, 1, 4))
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert (code, stdout) == (1, "")
+    assert err == f"error (format): level {level} is not supported, only L\n"
+    code, _, err = run(capsys, "verify", str(path), "--json")
+    assert code == 1 and json.loads(err)["error"] == "format"
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):

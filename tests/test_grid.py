@@ -185,7 +185,7 @@ def test_overlap_partition_zero_lengths():
 def test_overlap_partition_control_zone_unions():
     part = grid.overlap_partition(41, 41)
     sigma = grid.transpose_permutation()
-    index = grid.placement_index()
+    index = {cell: i for i, cell in enumerate(grid.data_placement_order())}
     ecc_a = {cell for cell, i in index.items() if i >= 152}
     ecc_b = {cell for cell, i in index.items() if sigma[i] >= 152}
     assert part.zones["e"] | part.zones["f"] | part.zones["i"] == ecc_a
@@ -215,7 +215,7 @@ def test_module_grid_transposed():
 
 def reference_transpose_permutation():
     """The coordinate-dict construction the index-array sigma replaced."""
-    index = grid.placement_index()
+    index = {cell: i for i, cell in enumerate(grid.data_placement_order())}
     return tuple(index[grid.transpose_map(c)] for c in grid.data_placement_order())
 
 
@@ -240,7 +240,7 @@ def reference_overlap_partition(len_a_bits, len_b_bits):
     conflict_cells = set()
     for label in grid.CONFLICT_ZONES:
         conflict_cells |= zones[label]
-    index = grid.placement_index()
+    index = {cell: i for i, cell in enumerate(grid.data_placement_order())}
     bytes_a = tuple(sorted({index[c] // 8 for c in conflict_cells}))
     bytes_b = tuple(sorted({sigma[index[c]] // 8 for c in conflict_cells}))
     return zones, conflict_cells, bytes_a, bytes_b

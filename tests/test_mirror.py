@@ -391,8 +391,7 @@ def reference_allocation_resolves_pins(conflicts, alloc):
 
 def construction_payloads(msg_a, msg_b):
     """The declared payloads construct_double_sided pins on each side."""
-    return tuple(mirror._with_terminator(codec.assemble_payload(codec.make_segment(m, "auto"),
-                                                                pad=False))
+    return tuple(codec.terminated_payload(codec.make_segment(m, "auto"))
                  for m in (msg_a, msg_b))
 
 

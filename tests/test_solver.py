@@ -191,8 +191,8 @@ def seeded_constraint_systems(count, seed=9, lengths=(9, 12)):
     fmt = select_mirror_format()
     systems = []
     while len(systems) < count:
-        pa, pb = (mirror._with_terminator(codec.assemble_payload(codec.make_segment(
-                      "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n))), pad=False))
+        pa, pb = (codec.terminated_payload(codec.make_segment(
+                      "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n))))
                   for n in lengths)
         covers = mirror.enumerate_error_allocations(
             overlap_partition(len(pa.bits), len(pb.bits)), 3, mirror._pin_conflict_cells(pa, pb))

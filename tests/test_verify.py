@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qrmirror import codec, encoder, mirror, verify
-from qrmirror.formatinfo import apply_format_mask, codewords, word_bits
+from qrmirror.formatinfo import FormatWord, apply_format_mask, codewords, word_bits
 from qrmirror.grid import (ModuleGrid, data_placement_order, format_positions,
                            function_pattern_grid)
 from qrmirror.masks import symmetric_masks
@@ -259,3 +259,15 @@ def test_function_pattern_check_matches_cell_loop_reference():
         assert _pattern_verdict(verify._check_function_patterns, grid) == want, trial
         verdicts.add(want is None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("level", ["M", "Q", "H"])
+def test_levels_other_than_l_fail_at_format(level):
+    # the data would be read as the 1-L block whatever the format word says
+    bits = encoder.standard_physical_bits("HELLO", "auto", 2)
+    assert verify.decode_grid(encoder.materialize(bits, FormatWord("L", 2).on_grid)).text == "HELLO"
+    grid = encoder.materialize(bits, FormatWord(level, 2).on_grid)
+    with pytest.raises(verify.DecodeError) as info:
+        verify.decode_grid(grid)
+    assert info.value.stage == "format"
+    assert str(info.value) == f"format: level {level} is not supported, only L"
