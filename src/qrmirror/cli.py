@@ -11,16 +11,9 @@ import sys
 
 from . import codec, mirror, render, verify
 from .encoder import encode_single
-from .formatinfo import (
-    EC_NAME,
-    apply_format_mask,
-    bch_decode,
-    build_flip_graph,
-    flip_graph_dot,
-    word_bits,
-)
+from .formatinfo import EC_NAME, build_flip_graph, flip_graph_dot, word_bits
 from .grid import overlap_partition
-from .verify import DecodeError, MirrorMismatch, decode_grid, read_format_words
+from .verify import DecodeError, MirrorMismatch, decode_grid, read_format_copies
 
 MODE_CHOICES = ("auto", "alnum", "byte", "numeric")
 MODE_NAMES = {"alnum": "alphanumeric", "byte": "byte", "numeric": "numeric",
@@ -151,8 +144,7 @@ def _cmd_inspect(args):
     reports = []
     for label, g in (("straight", grid), ("mirrored", grid.transposed())):
         print(f"[{label}]")
-        for copy, word in enumerate(read_format_words(g), start=1):
-            decoded = bch_decode(apply_format_mask(word))
+        for copy, (word, decoded) in enumerate(read_format_copies(g), start=1):
             if decoded is None:
                 print(f"  format copy {copy}: {word_bits(word)} undecodable")
             else:

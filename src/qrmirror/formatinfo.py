@@ -24,10 +24,6 @@ EC_NAME = {v: k for k, v in EC_BITS.items()}
 MIDDLE_BIT = 1 << 7
 
 
-class FormatSelectionError(RuntimeError):
-    pass
-
-
 def bch_encode(info):
     """15-bit systematic codeword for 5 information bits."""
     if not 0 <= info < 32:
@@ -192,30 +188,25 @@ class MirrorFormat:
         return word_bits(self.witness)
 
 
-@lru_cache(maxsize=4)
-def select_mirror_format(domain="grid", ec_level="L"):
+@lru_cache(maxsize=1)
+def select_mirror_format():
     """Best witness readable from both sides of the code.
 
-    Both the straight and the reversed reading must decode (within 3 bits)
-    to the requested level with a transposition-symmetric mask, and the
-    middle bit must be dark so the dark-module collision costs nothing.
-    Ties prefer smaller combined distance, then self-loops, then the lower
-    mask id.
+    Both the straight and the reversed on-grid reading must decode (within
+    3 bits) to level L with a transposition-symmetric mask, and the middle
+    bit must be dark so the dark-module collision costs nothing. Ties
+    prefer smaller combined distance, then self-loops, then the lower mask
+    id.
     """
     sym = symmetric_masks()
-    want_ec = EC_BITS[ec_level]
     candidates = [
         (da + db, 0 if a == b else 1, a & 7, witness, a, da, b, db)
-        for witness, a, da, b, db in _mirror_readings(_radius3_ball_index(domain))
-        if witness & MIDDLE_BIT and a >> 3 == b >> 3 == want_ec
+        for witness, a, da, b, db in _mirror_readings(_radius3_ball_index("grid"))
+        if witness & MIDDLE_BIT and a >> 3 == b >> 3 == EC_BITS["L"]
         and (a & 7) in sym and (b & 7) in sym
     ]
-    if not candidates:
-        raise FormatSelectionError(
-            f"no {ec_level}-level symmetric-mask witness in domain {domain!r}"
-        )
     *_, witness, a, da, b, db = min(candidates)  # the key ends in the unique witness
-    return MirrorFormat(witness, domain, FormatWord.from_info(a), FormatWord.from_info(b),
+    return MirrorFormat(witness, "grid", FormatWord.from_info(a), FormatWord.from_info(b),
                         da, db)
 
 

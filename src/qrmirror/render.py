@@ -1,9 +1,13 @@
 """Grid serialization: ASCII art, plain PBM (P1) and SVG, plus PBM
 ingestion for round trips and interchange with external scanners."""
 
+import re
+
 import numpy as np
 
 from .grid import SIZE, ModuleGrid
+
+_COMMENT = re.compile(r"#([^\n]*)")  # a comment runs to the end of its line
 
 
 class RenderError(ValueError):
@@ -39,26 +43,14 @@ def to_pbm(grid, scale=1, quiet=0):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _tokenize_pbm(data):
-    text = data.decode("ascii", errors="replace")
-    meta = {}
-    body = []
-    for line in text.split("\n"):
-        if "#" in line:
-            comment = line[line.index("#") + 1 :].strip()
-            for part in comment.split():
-                if "=" in part:
-                    key, _, value = part.partition("=")
-                    meta[key] = value
-            line = line[: line.index("#")]
-        body.append(line)
-    return " ".join(body).split(), meta
-
-
 def parse_pbm(data):
     """Recover a ModuleGrid from a P1 stream written by to_pbm (or any
     square P1 whose module size is inferable)."""
-    tokens, meta = _tokenize_pbm(data)
+    text = data.decode("ascii", errors="replace")
+    meta = {}
+    for comment in _COMMENT.findall(text):  # later comments win
+        meta.update(part.split("=", 1) for part in comment.split() if "=" in part)
+    tokens = _COMMENT.sub("", text).split()
     if not tokens or tokens[0] != "P1":
         raise RenderError("not a plain PBM (P1) stream")
     try:
@@ -69,10 +61,10 @@ def parse_pbm(data):
         raise RenderError(f"image is {width}x{height}, not square")
     if width < SIZE:
         raise RenderError(f"image is {width}x{height}, smaller than {SIZE}x{SIZE}")
-    digits = "".join(tokens[3:])
-    if len(digits) != width * height or set(digits) - {"0", "1"}:
+    img = np.frombuffer("".join(tokens[3:]).encode("ascii", "replace"), np.uint8) - ord("0")
+    if img.size != width * height or (img > 1).any():  # other bytes wrap past 1
         raise RenderError("pixel data does not match the declared dimensions")
-    img = np.frombuffer(digits.encode(), dtype=np.uint8).reshape(height, width) - ord("0")
+    img = img.reshape(height, width)
 
     if "scale" in meta and "quiet" in meta:
         try:
@@ -103,13 +95,9 @@ def _infer_geometry(img):
     if side % SIZE:
         raise RenderError(f"content box of {side} pixels not divisible by 21")
     scale = side // SIZE
-    margin = min(rows[0], cols[0])
-    quiet = margin // scale
-    if (SIZE + 2 * quiet) * scale != n:
-        # margins may be uneven only through the quiet zone; re-derive
-        quiet, rem = divmod(n - SIZE * scale, 2 * scale)
-        if rem:
-            raise RenderError("cannot reconcile quiet zone with image size")
+    quiet, rem = divmod(n - SIZE * scale, 2 * scale)  # margins may be uneven
+    if rem:
+        raise RenderError("cannot reconcile quiet zone with image size")
     return scale, quiet
 
 

@@ -64,16 +64,18 @@ def read_codewords(grid, mask_id):
     return np.packbits(grid.cells[placement_cells()] ^ data_mask(mask_id)).tobytes()
 
 
+def read_format_copies(grid):
+    """Each on-grid format word with its decode, (info, distance) or None."""
+    return [(word, bch_decode(apply_format_mask(word))) for word in read_format_words(grid)]
+
+
 def _reconcile_format(grid):
-    decodes = []
-    for w in read_format_words(grid):
-        decodes.append(bch_decode(apply_format_mask(w)))
-    alive = [(d, i) for i, d in enumerate(decodes) if d is not None]
+    alive = [(decoded[1], copy, decoded)
+             for copy, (_, decoded) in enumerate(read_format_copies(grid))
+             if decoded is not None]
     if not alive:
         raise DecodeError("format", "neither format copy decodes within 3 bits")
-    # smaller distance wins; ties go to copy 1
-    (info, dist), _ = min(alive, key=lambda t: (t[0][1], t[1]))
-    return info, dist
+    return min(alive)[2]  # smaller distance wins; ties go to copy 1
 
 
 def decode_grid(grid, orientation="straight"):

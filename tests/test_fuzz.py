@@ -47,7 +47,8 @@ def test_parse_pbm_arbitrary_bytes(data):
     read_pbm(data)
 
 
-PBM_TOKENS = ("0", "1", "01", "P1", "#", "\n", " ", "=", "-1", "x", "21", "42", "1e3")
+PBM_TOKENS = ("0", "1", "01", "P1", "#", "\n", " ", "=", "-1", "x", "21", "42", "1e3",
+              "\t", "\r", "\x0b", "\x1c", "\xa0", "# qrmirror scale=1 quiet=0")
 
 
 @FUZZ

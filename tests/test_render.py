@@ -1,11 +1,14 @@
 """ASCII, PBM and SVG serialization."""
 
+import importlib.util
+import random
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qrmirror
 from qrmirror import encoder, mirror, render
 from qrmirror.grid import SIZE, ModuleGrid, function_pattern_grid
 
@@ -201,9 +204,179 @@ def test_renderers_match_per_cell_reference():
                 stripped = b"\n".join(
                     line for line in data.split(b"\n") if not line.startswith(b"#"))
                 for scan in (data, stripped):
+                    assert parse_outcome(render.parse_pbm, scan) == parse_outcome(
+                        reference_parse_pbm, scan)
                     recovered = render.parse_pbm(scan)
                     assert recovered == grid
                     assert recovered.cells.dtype == np.uint8
                     assert np.array_equal(recovered.fixed, grid.fixed)
     assert render.to_ascii(grids[0]) == reference_to_ascii(grids[0])
     assert render.to_svg(grids[0]) == reference_to_svg(grids[0])
+
+
+def reference_tokenize_pbm(data):
+    """The line loop one comment pattern replaced, kept as its reference."""
+    text = data.decode("ascii", errors="replace")
+    meta = {}
+    body = []
+    for line in text.split("\n"):
+        if "#" in line:
+            comment = line[line.index("#") + 1 :].strip()
+            for part in comment.split():
+                if "=" in part:
+                    key, _, value = part.partition("=")
+                    meta[key] = value
+            line = line[: line.index("#")]
+        body.append(line)
+    return " ".join(body).split(), meta
+
+
+def reference_parse_pbm(data):
+    """Recover a ModuleGrid from a P1 stream written by to_pbm (or any
+    square P1 whose module size is inferable)."""
+    tokens, meta = reference_tokenize_pbm(data)
+    if not tokens or tokens[0] != "P1":
+        raise render.RenderError("not a plain PBM (P1) stream")
+    try:
+        width, height = int(tokens[1]), int(tokens[2])
+    except (IndexError, ValueError):
+        raise render.RenderError("malformed PBM header")
+    if width != height:
+        raise render.RenderError(f"image is {width}x{height}, not square")
+    if width < SIZE:
+        raise render.RenderError(f"image is {width}x{height}, smaller than {SIZE}x{SIZE}")
+    digits = "".join(tokens[3:])
+    if len(digits) != width * height or set(digits) - {"0", "1"}:
+        raise render.RenderError("pixel data does not match the declared dimensions")
+    img = np.frombuffer(digits.encode(), dtype=np.uint8).reshape(height, width) - ord("0")
+
+    if "scale" in meta and "quiet" in meta:
+        try:
+            scale, quiet = int(meta["scale"]), int(meta["quiet"])
+        except ValueError:
+            raise render.RenderError("metadata scale or quiet is not an integer")
+        if scale < 1 or quiet < 0 or (SIZE + 2 * quiet) * scale != width:
+            raise render.RenderError("metadata disagrees with the image dimensions")
+    else:
+        scale, quiet = reference_infer_geometry(img)
+
+    start = quiet * scale
+    core = img[start : start + SIZE * scale, start : start + SIZE * scale]
+    blocks = core.reshape(SIZE, scale, SIZE, scale).swapaxes(1, 2)
+    counts = blocks.reshape(SIZE, SIZE, scale * scale).sum(axis=2)
+    return ModuleGrid((counts * 2 > scale * scale).astype(np.uint8))
+
+
+def reference_infer_geometry(img):
+    n = img.shape[0]
+    rows = np.nonzero(img.any(axis=1))[0]
+    cols = np.nonzero(img.any(axis=0))[0]
+    if rows.size == 0:
+        if n % SIZE:
+            raise render.RenderError(f"{n} pixels not divisible into 21 modules")
+        return n // SIZE, 0
+    side = max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
+    if side % SIZE:
+        raise render.RenderError(f"content box of {side} pixels not divisible by 21")
+    scale = side // SIZE
+    margin = min(rows[0], cols[0])
+    quiet = margin // scale
+    if (SIZE + 2 * quiet) * scale != n:
+        # margins may be uneven only through the quiet zone; re-derive
+        quiet, rem = divmod(n - SIZE * scale, 2 * scale)
+        if rem:
+            raise render.RenderError("cannot reconcile quiet zone with image size")
+    return scale, quiet
+
+
+def parse_outcome(parse, data):
+    """The grid a parser reads, or the type and message of what it raises."""
+    try:
+        grid = parse(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return grid.cells.tobytes(), grid.cells.shape, grid.cells.dtype
+
+
+# Python's str whitespace that bytes.split and the C locale miss, bytes that
+# decode to U+FFFD, the comment and metadata markers, and every digit
+MUTATION_BYTES = b"\t\v\f\r\n \x1c\x1d\x1e\x1f\x85\xa0\xff#=P-x0123456789"
+
+
+def repadded_scan(grid, rng):
+    """A foreign scan: the code at some scale inside uneven light margins,
+    no metadata line."""
+    scale = rng.randint(1, 4)
+    extra = rng.randint(0, 6 * scale + 1)
+    top, left = rng.randint(0, extra), rng.randint(0, extra)
+    img = np.pad(np.kron(grid.cells, np.ones((scale, scale), dtype=np.uint8)),
+                 ((top, extra - top), (left, extra - left)))
+    n = img.shape[0]
+    return f"P1\n{n} {n}\n".encode() + b"\n".join((row + ord("0")).tobytes() for row in img)
+
+
+def mutated_scan(scan, rng):
+    """One to three random edits of a scan."""
+    data = bytearray(scan)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(data))
+        edit = rng.randrange(6)
+        if edit == 0 and pos < len(data):
+            data[pos] = rng.choice(MUTATION_BYTES)
+        elif edit == 1:
+            del data[pos:]
+        elif edit == 2:
+            data[pos:pos] = bytes(rng.choices(MUTATION_BYTES, k=rng.randint(1, 3)))
+        elif edit == 3:
+            scale, quiet = rng.choices(("-1", "0", "1", "2", "3", "4", "x", "", "1=2"), k=2)
+            data[pos:pos] = f"# qrmirror scale={scale} quiet={quiet}\n".encode()
+        elif edit == 4:  # most positions fall inside the pixel rows
+            comment = bytes(rng.choices(MUTATION_BYTES.replace(b"\n", b""), k=rng.randint(0, 8)))
+            data[pos:pos] = b"#" + comment + b"\n"
+        else:
+            data = data.replace(b"\n", b"\r")
+    return bytes(data)
+
+
+def test_parse_matches_reference_on_mutated_scans():
+    golden = Path(__file__).parent / "golden"
+    grids = [render.parse_pbm((golden / name).read_bytes())
+             for name in ("harry_bovik.pbm", "hello.pbm")]
+    rng = random.Random(18004)
+    grids.append(ModuleGrid(np.array(rng.choices((0, 1), k=441), dtype=np.uint8).reshape(21, 21)))
+    grids.append(ModuleGrid(np.zeros((21, 21), dtype=np.uint8)))
+    scans = []
+    for grid in grids:
+        for scale in range(1, 5):
+            for quiet in range(5):
+                data = render.to_pbm(grid, scale, quiet)
+                scans += [data, b"".join(line for line in data.splitlines(keepends=True)
+                                         if not line.startswith(b"#"))]
+    for case in range(24_000):
+        if case % 20 == 0:
+            data = bytes(rng.choices(MUTATION_BYTES, k=rng.randint(0, 60)))
+            if case % 40:
+                data = b"P1 %d %d " % (rng.randint(19, 22), rng.randint(20, 21)) + data
+        elif case % 20 == 1:
+            data = repadded_scan(rng.choice(grids), rng)
+        else:
+            data = rng.choice(scans)
+        if case % 20:
+            data = mutated_scan(data, rng)
+        assert parse_outcome(render.parse_pbm, data) == parse_outcome(
+            reference_parse_pbm, data), data
+
+
+def test_parse_matches_reference_on_benchmark_scans(monkeypatch):
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))  # workloads.py imports inputs
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scans = workloads.DecodeScans(qrmirror)
+    scans.prepare(1)
+    assert len(scans.pool) == 160
+    for pbm, _ in scans.pool:
+        outcome = parse_outcome(render.parse_pbm, pbm)
+        assert outcome == parse_outcome(reference_parse_pbm, pbm)
+        assert outcome[1] == (SIZE, SIZE)
