@@ -3,6 +3,8 @@
 Run: python demos/01_single_sided_basics.py
 """
 
+import numpy as np
+
 from qrmirror import codec, encoder, render, rscode, verify
 
 # A payload is mode indicator + length + characters. Alphanumeric packs
@@ -10,12 +12,12 @@ from qrmirror import codec, encoder, render, rscode, verify
 segment = codec.make_segment("HELLO")
 print("mode:", segment.mode)
 bits = codec.encode_segment(segment)
-print(f"declared bits ({len(bits)}):", bits)
+print(f"declared bits ({len(bits)}):", "".join(map(str, bits)))
 
 # Padding fills the 152-bit data area: terminator, byte alignment, then
 # the alternating fill bytes 11101100 / 00010001.
 payload = codec.assemble_payload(segment, pad=True)
-data = codec.bits_to_bytes(payload.bits)
+data = np.packbits(payload.bits).tobytes()
 print("data bytes:", data.hex(" "))
 
 # Seven Reed-Solomon parity bytes protect the block; any 3 bytes can fail.

@@ -1,8 +1,9 @@
 """Payload bitstream assembly and parsing for Version 1 codes.
 
-Bit strings are plain '0'/'1' Python strings. A padded payload is always
-exactly 152 bits: segment bits, a terminator of up to four zeros, zero fill
-to a byte boundary, then the alternating pad bytes 11101100 / 00010001.
+Bits are uint8 arrays of 0s and 1s, read-only in a Payload. A padded
+payload is always exactly 152 bits: segment bits, a terminator of up to
+four zeros, zero fill to a byte boundary, then the alternating pad bytes
+11101100 / 00010001.
 """
 
 from dataclasses import dataclass
@@ -14,31 +15,33 @@ from .grid import DATA_BITS
 
 ALPHANUMERIC = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ $%*+-./:"
 
-# mode -> (indicator, character-count field width at version 1, alphabet,
-# bit widths of a group of 1, 2, ... characters). A group of k characters
-# is a k-digit number in base len(alphabet), most significant first
-# (ISO/IEC 18004:2015 section 7.4). A segment is full groups, then one
-# shorter group for any characters left over.
+# mode -> (4-bit indicator, character-count field width at version 1,
+# alphabet, bit widths of a group of 1, 2, ... characters). A group of k
+# characters is a k-digit number in base len(alphabet), most significant
+# first (ISO/IEC 18004:2015 section 7.4). A segment is full groups, then
+# one shorter group for any characters left over.
 MODES = {
-    "numeric": ("0001", 10, "0123456789", (4, 7, 10)),
-    "alphanumeric": ("0010", 9, ALPHANUMERIC, (6, 11)),
-    "byte": ("0100", 8, "".join(map(chr, range(256))), (8,)),
+    "numeric": (0b0001, 10, "0123456789", (4, 7, 10)),
+    "alphanumeric": (0b0010, 9, ALPHANUMERIC, (6, 11)),
+    "byte": (0b0100, 8, "".join(map(chr, range(256))), (8,)),
 }
 MODE_OF_INDICATOR = {row[0]: mode for mode, row in MODES.items()}
 
-# per mode: every group of 1..len(widths) characters -> its bits, and
-# bits -> group; a mode's group widths differ, so one dict each way holds
-# every group size
-GROUP_BITS = {
-    mode: {"".join(chars): format(value, f"0{width}b")
+# per mode: every group of 1..len(widths) characters -> its (value, bit
+# width) field, and field -> group; a mode's group widths differ, so one
+# dict each way holds every group size
+GROUP_FIELD = {
+    mode: {"".join(chars): (value, width)
            for k, width in enumerate(widths, start=1)
            for value, chars in enumerate(product(alphabet, repeat=k))}
     for mode, (_, _, alphabet, widths) in MODES.items()
 }
-GROUP_TEXT = {mode: {bits: text for text, bits in table.items()}
-              for mode, table in GROUP_BITS.items()}
+GROUP_TEXT = {mode: {field: text for text, field in table.items()}
+              for mode, table in GROUP_FIELD.items()}
 
-PAD_BYTES = ("11101100", "00010001")
+# the alternating pad bytes 0xEC 0x11 over the whole data capacity, as one
+# DATA_BITS-bit number; its top k bits are the first k pad bits
+PAD_VALUE = int.from_bytes(bytes([0xEC, 0x11] * DATA_BITS)[: DATA_BITS // 8], "big")
 
 
 class CodecError(ValueError):
@@ -51,11 +54,14 @@ class Segment:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Payload:
-    bits: str
+    bits: np.ndarray  # read-only uint8 0s and 1s
     declared_length: int  # characters
     padded: bool
+
+    def __post_init__(self):
+        self.bits.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class ParsedPayload:
 
 def pick_mode(text):
     """Thriftiest mode whose alphabet covers the text."""
-    for mode, table in GROUP_BITS.items():
+    for mode, table in GROUP_FIELD.items():
         if (text or mode != "numeric") and all(ch in table for ch in text):
             return mode
     raise CodecError(f"text not encodable in byte mode: {text!r}")
@@ -79,35 +85,47 @@ def make_segment(text, mode="auto"):
     return Segment(mode, text)
 
 
-def bits_to_bytes(bits):
-    if len(bits) % 8:
-        raise CodecError(f"bit count {len(bits)} not a multiple of 8")
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+def _bits(value, size):
+    """The size-bit number value as a bit array, most significant bit first."""
+    data = (value << (-size % 8)).to_bytes((size + 7) // 8, "big")
+    return np.unpackbits(np.frombuffer(data, np.uint8), count=size)
 
 
-def bits_to_array(bits):
-    """A '0'/'1' string as a uint8 array of 0s and 1s."""
-    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-
-
-def bytes_to_bits(data):
-    return "".join(format(b, "08b") for b in data)
-
-
-def encode_segment(seg):
-    """Mode indicator + length field + character data as a bit string."""
+def _segment_value(seg):
+    """Mode indicator + length field + character data as (number, bit count)."""
     if seg.mode not in MODES:
         raise CodecError(f"unknown mode {seg.mode!r}")
     indicator, width, _, widths = MODES[seg.mode]
     n = len(seg.text)
     if n >= 1 << width:
         raise CodecError(f"{n} characters overflow the length field")
-    table, k = GROUP_BITS[seg.mode], len(widths)
+    table, k = GROUP_FIELD[seg.mode], len(widths)
+    value, size = indicator << width | n, 4 + width
     try:
-        groups = [table[seg.text[i : i + k]] for i in range(0, n, k)]
+        for i in range(0, n, k):
+            v, w = table[seg.text[i : i + k]]
+            value, size = value << w | v, size + w
     except KeyError:
         raise CodecError(f"text not encodable in {seg.mode} mode: {seg.text!r}")
-    return indicator + format(n, f"0{width}b") + "".join(groups)
+    return value, size
+
+
+def encode_segment(seg):
+    """Mode indicator + length field + character data as a bit array."""
+    return _bits(*_segment_value(seg))
+
+
+def _joined(segments):
+    """The segments' bits as (number, bit count), and their characters."""
+    if isinstance(segments, Segment):
+        segments = [segments]
+    value = size = 0
+    for s in segments:
+        v, w = _segment_value(s)
+        value, size = value << w | v, size + w
+    if size > DATA_BITS:
+        raise CodecError(f"{size} payload bits exceed capacity {DATA_BITS}")
+    return value, size, sum(len(s.text) for s in segments)
 
 
 def assemble_payload(segments, pad=True):
@@ -117,28 +135,12 @@ def assemble_payload(segments, pad=True):
     double-sided construction wants: everything after the declared data is
     free for the solver.
     """
-    if isinstance(segments, Segment):
-        segments = [segments]
-    bits = "".join(encode_segment(s) for s in segments)
-    if len(bits) > DATA_BITS:
-        raise CodecError(f"{len(bits)} payload bits exceed capacity {DATA_BITS}")
-    declared = sum(len(s.text) for s in segments)
-    if not pad:
-        return Payload(bits, declared, False)
-
-    bits = _terminated(bits)
-    if len(bits) % 8:
-        bits += "0" * (8 - len(bits) % 8)
-    k = 0
-    while len(bits) < DATA_BITS:
-        bits += PAD_BYTES[k % 2]
-        k += 1
-    return Payload(bits, declared, True)
-
-
-def _terminated(bits):
-    """bits and the 0000 terminator, cut short at the 152-bit capacity."""
-    return bits + "0" * min(4, DATA_BITS - len(bits))
+    value, size, declared = _joined(segments)
+    if pad:  # terminator, zero fill to the byte edge, then the pad bytes
+        end = min(size + 4, DATA_BITS)
+        end += -end % 8
+        value, size = value << (DATA_BITS - size) | PAD_VALUE >> end, DATA_BITS
+    return Payload(_bits(value, size), declared, pad)
 
 
 def terminated_payload(segment):
@@ -149,8 +151,9 @@ def terminated_payload(segment):
     the message must not look like another mode indicator; pinning the
     terminator keeps them from wandering into the free fill.
     """
-    payload = assemble_payload(segment, pad=False)
-    return Payload(_terminated(payload.bits), payload.declared_length, False)
+    value, size, declared = _joined(segment)
+    end = min(size + 4, DATA_BITS)  # the 0000 terminator, cut short at capacity
+    return Payload(_bits(value << (end - size), end), declared, False)
 
 
 def parse_payload(bits):
@@ -160,28 +163,32 @@ def parse_payload(bits):
     relies on readers treating everything past the declared character count
     as noise.
     """
-    if len(bits) < 4:
+    size = len(bits)
+    if size < 4:
         raise CodecError("payload shorter than a mode indicator")
-    indicator = bits[:4]
-    if indicator == "0000":
+    value = int.from_bytes(np.packbits(bits), "big") >> (-size % 8)
+    rest = size - 4  # bits after the field just read
+    indicator = value >> rest
+    if indicator == 0:
         return ParsedPayload("", "terminator", 0)
     mode = MODE_OF_INDICATOR.get(indicator)
     if mode is None:
-        raise CodecError(f"unsupported mode indicator {indicator}")
+        raise CodecError(f"unsupported mode indicator {indicator:04b}")
     _, width, _, widths = MODES[mode]
-    if len(bits) < 4 + width:
+    if rest < width:
         raise CodecError("payload truncated inside the length field")
-    n = int(bits[4 : 4 + width], 2)
-    pos = 4 + width
+    rest -= width
+    n = value >> rest & ((1 << width) - 1)
     table, k = GROUP_TEXT[mode], len(widths)
     out = []
     for i in range(0, n, k):
-        end = pos + widths[min(k, n - i) - 1]
-        if end > len(bits):
+        w = widths[min(k, n - i) - 1]
+        if w > rest:
             raise CodecError(f"declared length {n} needs more bits than available")
-        group = table.get(bits[pos:end])
+        rest -= w
+        v = value >> rest & ((1 << w) - 1)
+        group = table.get((v, w))
         if group is None:
-            raise CodecError(f"{mode} group value {int(bits[pos:end], 2)} out of range")
+            raise CodecError(f"{mode} group value {v} out of range")
         out.append(group)
-        pos = end
     return ParsedPayload("".join(out), mode, n)

@@ -29,19 +29,6 @@ def materialize(physical_bits, on_grid_word):
     return grid
 
 
-def codeword_bits(payload):
-    """The 208-bit codeword stream (payload + Reed-Solomon parity)."""
-    if not payload.padded:
-        raise ValueError("payload must be padded to 152 bits before encoding")
-    data = codec.bits_to_bytes(payload.bits)
-    return payload.bits + codec.bytes_to_bits(rscode.rs_encode(data))
-
-
-def physical_bits(logical_bits, mask_id):
-    """Apply a mask to a 208-bit logical stream, yielding cell values."""
-    return codec.bits_to_array(logical_bits) ^ data_mask(mask_id)
-
-
 def encode_single(text, mode="auto", mask_id=0):
     """Standard single-sided Version 1-L code for one message.
 
@@ -58,5 +45,6 @@ def standard_physical_bits(text, mode, mask_id):
     Used as the fill preference of the double-sided solver, so free cells
     default to what an ordinary encoder would have printed.
     """
-    payload = codec.assemble_payload(codec.make_segment(text, mode), pad=True)
-    return physical_bits(codeword_bits(payload), mask_id)
+    data = codec.assemble_payload(codec.make_segment(text, mode), pad=True).bits
+    parity = np.frombuffer(rscode.rs_encode(np.packbits(data)), np.uint8)
+    return np.concatenate([data, np.unpackbits(parity)]) ^ data_mask(mask_id)

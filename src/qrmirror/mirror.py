@@ -62,10 +62,6 @@ class ErrorAllocation:
             if any(not 0 <= b < 26 for b in bytes_):
                 raise ValueError(f"{name} allocation has byte indices outside 0..25")
 
-    @property
-    def total(self):
-        return len(self.side_a_bytes) + len(self.side_b_bytes)
-
 
 EMPTY_ALLOCATION = ErrorAllocation(frozenset(), frozenset())
 
@@ -78,20 +74,6 @@ class LinearSystem:
     rhs: np.ndarray
     provenance: tuple
     var_names: tuple
-
-    def conflicting_pins(self):
-        """Variables pinned to contradictory constants, with their rows.
-
-        Returns {var index: sorted row indices} for every variable that two
-        single-coefficient rows force to different values.
-        """
-        seen = {}
-        conflicts = {}
-        for row, var, value in zip(*(a.tolist() for a in _pins(self.matrix, self.rhs))):
-            prev = seen.setdefault(var, (value, row))
-            if prev[0] != value:
-                conflicts.setdefault(var, {prev[1]}).add(row)
-        return {v: sorted(rows) for v, rows in conflicts.items()}
 
 
 @dataclass(frozen=True)
@@ -107,10 +89,6 @@ class Solution:
     @property
     def free_variable_count(self):
         return len(self.free_columns)
-
-    def satisfies(self, system):
-        lhs = (system.matrix.astype(np.int32) @ self.assignment.astype(np.int32)) % 2
-        return bool(np.array_equal(lhs.astype(np.uint8), system.rhs))
 
 
 def _pins(matrix, rhs):
@@ -210,9 +188,9 @@ def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None)
     matrices = []
     rhs = []
     provenance = []
-    for name, payload, bitvar, word, alloc_bytes in (
-        ("A", payload_a, straight, fmt, alloc.side_a_bytes),
-        ("B", payload_b, sigma, mirrored_fmt, alloc.side_b_bytes),
+    for name, declared, bitvar, word, alloc_bytes in (
+        ("A", payload_a.bits, straight, fmt, alloc.side_a_bytes),
+        ("B", payload_b.bits, sigma, mirrored_fmt, alloc.side_b_bytes),
     ):
         mu = data_mask(word.mask_id)
         # where each intended data bit lives: a grid cell or an aux bit
@@ -223,7 +201,6 @@ def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None)
                 data_var[byte * 8 : byte * 8 + 8] = np.arange(8) + TOTAL_BITS + 8 * k
                 data_mu[byte * 8 : byte * 8 + 8] = 0
 
-        declared = codec.bits_to_array(payload.bits)
         message = np.zeros((declared.size, n_vars), dtype=np.uint8)
         message[np.arange(declared.size), data_var[: declared.size]] = 1
         matrices.append(message)
@@ -254,9 +231,12 @@ def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None)
 def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
     """Allocations over conflict-zone bytes that cover every pin conflict.
 
-    Only bytes whose cells sit in zones a, c, e or i can ever need
-    sacrificing, so the stream is restricted to those, deduplicated and
-    exhausted up to max_per_side bytes on each side. conflicts holds
+    The stream offers only bytes whose cells sit in zones a, c, e or i,
+    deduplicated and exhausted up to max_per_side bytes on each side. That
+    is a search restriction, not a theorem: sacrificing any other byte
+    unties its cells from that side's parity rows, so at 3 bytes per side
+    an allocation outside the candidates can solve where every candidate
+    allocation fails, and the restriction loses it. conflicts holds
     (cell, straight byte, mirrored byte) triples of cells the two sides pin
     to different values; an allocation must sacrifice one byte of each
     pair, so it is a vertex cover of the bipartite conflict graph.
@@ -309,8 +289,7 @@ def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
 
 def _pin_conflict_cells(payload_a, payload_b):
     """Cells both sides pin to different values: (cell index, a byte, b byte)."""
-    a = codec.bits_to_array(payload_a.bits)
-    b = codec.bits_to_array(payload_b.bits)
+    a, b = payload_a.bits, payload_b.bits
     k = transpose_permutation()[: b.size]
     j = np.flatnonzero(k < a.size)
     j = j[a[k[j]] != b[j]]
@@ -371,8 +350,7 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed):
     mu_a = data_mask(fmt.straight.mask_id)
     mu_b = data_mask(fmt.mirrored.mask_id)
     delta = mu_a[sigma] ^ mu_b
-    a_bits = codec.bits_to_array(payload_a.bits)
-    b_bits = codec.bits_to_array(payload_b.bits)
+    a_bits, b_bits = payload_a.bits, payload_b.bits
     la, lb = len(a_bits), len(b_bits)
     parity = rscode.parity_matrix().astype(np.int32)
 
@@ -426,10 +404,8 @@ def _free_value_preference(msg_a, msg_b, straight_fmt):
     computed once per message pair.
     """
     cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
-    data = {}
-    for name, msg in (("A", msg_a), ("B", msg_b)):
-        payload = codec.assemble_payload(codec.make_segment(msg), pad=True)
-        data[name] = codec.bits_to_array(payload.bits)
+    data = {name: codec.assemble_payload(codec.make_segment(msg), pad=True).bits
+            for name, msg in (("A", msg_a), ("B", msg_b))}
 
     def preference(alloc):
         aux = [data[name][byte * 8 : byte * 8 + 8] for name, byte in _aux_bytes(alloc)]

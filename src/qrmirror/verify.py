@@ -3,6 +3,7 @@ orientation and check double-sided constructions end to end."""
 
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,13 +45,19 @@ class DecodeReport:
         return json.dumps(fields, sort_keys=True)
 
 
+@lru_cache(maxsize=1)
+def _checked_cells():
+    """The fixed cells minus the format cells, which are read, not checked."""
+    checked = _template()[1].copy()
+    checked[format_cells()] = False
+    checked.setflags(write=False)
+    return checked
+
+
 def _check_function_patterns(grid):
-    cells, fixed = _template()
-    mismatch = fixed & (grid.cells != cells)
-    mismatch[format_cells()] = False  # format cells are read, not checked
-    wrong = np.argwhere(mismatch)
-    if wrong.size:  # argwhere is row-major, so this is the first cell a scan meets
-        r, c = wrong[0].tolist()
+    mismatch = _checked_cells() & (grid.cells != _template()[0])
+    if mismatch.any():  # argwhere is row-major, so this is the first cell a scan meets
+        r, c = np.argwhere(mismatch)[0].tolist()
         raise DecodeError("function-pattern", f"cell ({r}, {c}) does not match the template")
 
 
@@ -101,7 +108,7 @@ def decode_grid(grid, orientation="straight"):
     except rscode.RsDecodeError as exc:
         raise DecodeError("rs", str(exc))
     try:
-        parsed = codec.parse_payload(codec.bytes_to_bits(data))
+        parsed = codec.parse_payload(np.unpackbits(np.frombuffer(data, np.uint8)))
     except codec.CodecError as exc:
         raise DecodeError("payload", str(exc))
     return DecodeReport(

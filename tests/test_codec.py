@@ -1,30 +1,46 @@
 """Bitstream assembly and parsing."""
 
 import random
+from dataclasses import dataclass
+from itertools import product
 
+import numpy as np
 import pytest
 
-from qrmirror import codec
-from qrmirror.codec import ALPHANUMERIC, CodecError, ParsedPayload, bytes_to_bits
+from qrmirror import codec, encoder, rscode
+from qrmirror.codec import ALPHANUMERIC, CodecError, ParsedPayload
+from qrmirror.grid import DATA_BITS
+from qrmirror.masks import data_mask
 
 HELLO_BITS = "0010" + "000000101" + "01100001011" + "01111000110" + "011000"
 
 
+def as_array(bits):
+    """A '0'/'1' string as a uint8 bit array."""
+    return np.array(list(bits), dtype=np.uint8)
+
+
+def as_string(bits):
+    """A bit array as a '0'/'1' string."""
+    return "".join(map(str, bits))
+
+
 def test_hello_exact_bits():
     seg = codec.Segment("alphanumeric", "HELLO")
-    assert codec.encode_segment(seg) == HELLO_BITS
+    assert as_string(codec.encode_segment(seg)) == HELLO_BITS
     assert len(HELLO_BITS) == 41
 
 
 def test_empty_alphanumeric_segment():
-    assert codec.encode_segment(codec.Segment("alphanumeric", "")) == "0010" + "0" * 9
+    bits = codec.encode_segment(codec.Segment("alphanumeric", ""))
+    assert as_string(bits) == "0010" + "0" * 9
 
 
 def test_ab_pair_value():
     # A=10, B=11 in the 45-character table
     assert codec.ALPHANUMERIC.index("A") * 45 + codec.ALPHANUMERIC.index("B") == 461
     bits = codec.encode_segment(codec.Segment("alphanumeric", "AB"))
-    assert bits[13:] == format(461, "011b")
+    assert as_string(bits[13:]) == format(461, "011b")
 
 
 def test_alphanumeric_length_formula():
@@ -41,12 +57,13 @@ def test_alphanumeric_rejects_lowercase():
 
 def test_numeric_segment():
     bits = codec.encode_segment(codec.Segment("numeric", "12345"))
-    assert bits == "0001" + format(5, "010b") + format(123, "010b") + format(45, "07b")
+    assert as_string(bits) == ("0001" + format(5, "010b") + format(123, "010b")
+                               + format(45, "07b"))
 
 
 def test_byte_segment():
     bits = codec.encode_segment(codec.Segment("byte", "Hi!"))
-    assert bits == "0100" + format(3, "08b") + "010010000110100100100001"
+    assert as_string(bits) == "0100" + format(3, "08b") + "010010000110100100100001"
 
 
 def test_pick_mode():
@@ -61,24 +78,37 @@ def test_padded_payload_is_152_bits_with_fill_pattern():
     assert payload.padded
     assert len(payload.bits) == 152
     # terminator, zero fill to the byte edge, then alternating pad bytes
-    tail = payload.bits[48:]
-    expected = (codec.PAD_BYTES[0] + codec.PAD_BYTES[1]) * 7
+    tail = as_string(payload.bits[48:])
+    expected = ("11101100" + "00010001") * 7
     assert tail == expected[: len(tail)]
 
 
 def test_padded_empty_payload():
     payload = codec.assemble_payload(codec.make_segment(""), pad=True)
-    assert len(payload.bits) == 152
-    assert payload.bits[:13] == "0010" + "0" * 9
-    assert payload.bits[13:17] == "0000"  # terminator
-    assert payload.bits[17:24] == "0" * 7  # fill to the byte boundary
+    bits = as_string(payload.bits)
+    assert len(bits) == 152
+    assert bits[:13] == "0010" + "0" * 9
+    assert bits[13:17] == "0000"  # terminator
+    assert bits[17:24] == "0" * 7  # fill to the byte boundary
 
 
 def test_unpadded_payload_is_raw_bits():
     payload = codec.assemble_payload(codec.make_segment("HELLO"), pad=False)
-    assert payload.bits == HELLO_BITS
+    assert as_string(payload.bits) == HELLO_BITS
     assert not payload.padded
     assert payload.declared_length == 5
+
+
+def test_payload_bits_are_read_only_uint8():
+    seg = codec.make_segment("HELLO")
+    for payload in (codec.assemble_payload(seg, pad=True),
+                    codec.assemble_payload(seg, pad=False),
+                    codec.terminated_payload(seg)):
+        assert payload.bits.dtype == np.uint8
+        assert set(payload.bits.tolist()) <= {0, 1}
+        with pytest.raises(ValueError):
+            payload.bits[0] = 1
+        assert as_string(payload.bits[:41]) == HELLO_BITS
 
 
 def test_assemble_rejects_overflow():
@@ -87,29 +117,29 @@ def test_assemble_rejects_overflow():
 
 
 def test_parse_ignores_trailing_bits():
-    parsed = codec.parse_payload(HELLO_BITS + "10110100101011")
+    parsed = codec.parse_payload(as_array(HELLO_BITS + "10110100101011"))
     assert parsed.text == "HELLO"
     assert parsed.mode == "alphanumeric"
     assert parsed.declared_length == 5
 
 
 def test_parse_empty_message():
-    parsed = codec.parse_payload("0010" + "0" * 9 + "111")
+    parsed = codec.parse_payload(as_array("0010" + "0" * 9 + "111"))
     assert parsed.text == ""
 
 
 def test_parse_rejects_eci():
     with pytest.raises(codec.CodecError):
-        codec.parse_payload("0111" + "0" * 20)
+        codec.parse_payload(as_array("0111" + "0" * 20))
 
 
 def test_parse_rejects_truncated_data():
     with pytest.raises(codec.CodecError):
-        codec.parse_payload("0010" + format(10, "09b") + "0" * 11)
+        codec.parse_payload(as_array("0010" + format(10, "09b") + "0" * 11))
 
 
 def test_parse_terminator_only():
-    parsed = codec.parse_payload("0000" + "0" * 20)
+    parsed = codec.parse_payload(as_array("0000" + "0" * 20))
     assert parsed.text == ""
     assert parsed.mode == "terminator"
 
@@ -142,10 +172,150 @@ def test_round_trip_numeric():
 
 
 def test_bits_bytes_helpers():
-    assert codec.bits_to_bytes("1110110000010001") == bytes([0xEC, 0x11])
-    assert codec.bytes_to_bits(bytes([0xEC, 0x11])) == "1110110000010001"
+    # the reference converters, and the numpy calls that replaced them
+    assert reference_bits_to_bytes("1110110000010001") == bytes([0xEC, 0x11])
+    assert reference_bytes_to_bits(bytes([0xEC, 0x11])) == "1110110000010001"
     with pytest.raises(codec.CodecError):
-        codec.bits_to_bytes("101")
+        reference_bits_to_bytes("101")
+    assert np.packbits(as_array("1110110000010001")).tobytes() == bytes([0xEC, 0x11])
+    assert as_string(np.unpackbits(np.frombuffer(bytes([0xEC, 0x11]), np.uint8))) == (
+        "1110110000010001")
+
+
+# The '0'/'1' string codec the bit arrays replaced, kept verbatim (names
+# prefixed) as the reference for the differential tests below.
+
+REFERENCE_MODES = {
+    "numeric": ("0001", 10, "0123456789", (4, 7, 10)),
+    "alphanumeric": ("0010", 9, ALPHANUMERIC, (6, 11)),
+    "byte": ("0100", 8, "".join(map(chr, range(256))), (8,)),
+}
+REFERENCE_MODE_OF_INDICATOR = {row[0]: mode for mode, row in REFERENCE_MODES.items()}
+
+# per mode: every group of 1..len(widths) characters -> its bits, and
+# bits -> group; a mode's group widths differ, so one dict each way holds
+# every group size
+REFERENCE_GROUP_BITS = {
+    mode: {"".join(chars): format(value, f"0{width}b")
+           for k, width in enumerate(widths, start=1)
+           for value, chars in enumerate(product(alphabet, repeat=k))}
+    for mode, (_, _, alphabet, widths) in REFERENCE_MODES.items()
+}
+REFERENCE_GROUP_TEXT = {mode: {bits: text for text, bits in table.items()}
+                        for mode, table in REFERENCE_GROUP_BITS.items()}
+
+REFERENCE_PAD_BYTES = ("11101100", "00010001")
+
+
+@dataclass(frozen=True)
+class ReferencePayload:
+    bits: str
+    declared_length: int  # characters
+    padded: bool
+
+
+def reference_bits_to_bytes(bits):
+    if len(bits) % 8:
+        raise CodecError(f"bit count {len(bits)} not a multiple of 8")
+    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def reference_bytes_to_bits(data):
+    return "".join(format(b, "08b") for b in data)
+
+
+def reference_string_encode_segment(seg):
+    """Mode indicator + length field + character data as a bit string."""
+    if seg.mode not in REFERENCE_MODES:
+        raise CodecError(f"unknown mode {seg.mode!r}")
+    indicator, width, _, widths = REFERENCE_MODES[seg.mode]
+    n = len(seg.text)
+    if n >= 1 << width:
+        raise CodecError(f"{n} characters overflow the length field")
+    table, k = REFERENCE_GROUP_BITS[seg.mode], len(widths)
+    try:
+        groups = [table[seg.text[i : i + k]] for i in range(0, n, k)]
+    except KeyError:
+        raise CodecError(f"text not encodable in {seg.mode} mode: {seg.text!r}")
+    return indicator + format(n, f"0{width}b") + "".join(groups)
+
+
+def reference_string_assemble_payload(segments, pad=True):
+    """Concatenate segments and optionally pad to the full 152 bits.
+
+    Without padding the remaining bits stay unspecified, which is what the
+    double-sided construction wants: everything after the declared data is
+    free for the solver.
+    """
+    if isinstance(segments, codec.Segment):
+        segments = [segments]
+    bits = "".join(reference_string_encode_segment(s) for s in segments)
+    if len(bits) > DATA_BITS:
+        raise CodecError(f"{len(bits)} payload bits exceed capacity {DATA_BITS}")
+    declared = sum(len(s.text) for s in segments)
+    if not pad:
+        return ReferencePayload(bits, declared, False)
+
+    bits = _reference_terminated(bits)
+    if len(bits) % 8:
+        bits += "0" * (8 - len(bits) % 8)
+    k = 0
+    while len(bits) < DATA_BITS:
+        bits += REFERENCE_PAD_BYTES[k % 2]
+        k += 1
+    return ReferencePayload(bits, declared, True)
+
+
+def _reference_terminated(bits):
+    """bits and the 0000 terminator, cut short at the 152-bit capacity."""
+    return bits + "0" * min(4, DATA_BITS - len(bits))
+
+
+def reference_string_terminated_payload(segment):
+    """The segment and its terminator, unpadded: the bits a double-sided
+    construction pins for one message.
+
+    Strict readers parse segment after segment, so the nibble right after
+    the message must not look like another mode indicator; pinning the
+    terminator keeps them from wandering into the free fill.
+    """
+    payload = reference_string_assemble_payload(segment, pad=False)
+    return ReferencePayload(_reference_terminated(payload.bits), payload.declared_length,
+                            False)
+
+
+def reference_string_parse_payload(bits):
+    """Decode mode, length and characters; trailing bits are ignored.
+
+    Terminator and fill are deliberately not validated: the construction
+    relies on readers treating everything past the declared character count
+    as noise.
+    """
+    if len(bits) < 4:
+        raise CodecError("payload shorter than a mode indicator")
+    indicator = bits[:4]
+    if indicator == "0000":
+        return ParsedPayload("", "terminator", 0)
+    mode = REFERENCE_MODE_OF_INDICATOR.get(indicator)
+    if mode is None:
+        raise CodecError(f"unsupported mode indicator {indicator}")
+    _, width, _, widths = REFERENCE_MODES[mode]
+    if len(bits) < 4 + width:
+        raise CodecError("payload truncated inside the length field")
+    n = int(bits[4 : 4 + width], 2)
+    pos = 4 + width
+    table, k = REFERENCE_GROUP_TEXT[mode], len(widths)
+    out = []
+    for i in range(0, n, k):
+        end = pos + widths[min(k, n - i) - 1]
+        if end > len(bits):
+            raise CodecError(f"declared length {n} needs more bits than available")
+        group = table.get(bits[pos:end])
+        if group is None:
+            raise CodecError(f"{mode} group value {int(bits[pos:end], 2)} out of range")
+        out.append(group)
+        pos = end
+    return ParsedPayload("".join(out), mode, n)
 
 
 # The per-mode codec the mode table replaced, kept verbatim as the reference
@@ -207,7 +377,7 @@ def reference_encode_segment(seg):
             raw = seg.text.encode("latin-1")
         except UnicodeEncodeError:
             raise CodecError(f"text not encodable in byte mode: {seg.text!r}")
-        bits += bytes_to_bits(raw)
+        bits += reference_bytes_to_bits(raw)
     return bits
 
 
@@ -280,6 +450,21 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def exact_outcome(fn, *args):
+    """fn's result with bit arrays as '0'/'1' strings, or the type and
+    message of the exception it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - type and message are the outcome
+        return type(exc), str(exc)
+    if isinstance(result, np.ndarray):
+        return as_string(result)
+    if isinstance(result, (codec.Payload, ReferencePayload)):
+        bits = result.bits if isinstance(result.bits, str) else as_string(result.bits)
+        return bits, result.declared_length, result.padded
+    return result
+
+
 # character pools: each mode's alphabet, lowercase, Latin-1 beyond ASCII,
 # and characters no mode encodes
 POOLS = ("0123456789", ALPHANUMERIC, "abcxyz", "".join(map(chr, range(128, 256))),
@@ -309,8 +494,10 @@ def test_encode_and_pick_mode_match_per_mode_reference():
         assert outcome(codec.pick_mode, text) == outcome(reference_pick_mode, text)
         for mode in MODES_TRIED:
             seg = codec.Segment(mode, text)
-            assert outcome(codec.encode_segment, seg) == outcome(
-                reference_encode_segment, seg), (mode, text)
+            got = outcome(codec.encode_segment, seg)
+            if isinstance(got, np.ndarray):
+                got = as_string(got)
+            assert got == outcome(reference_encode_segment, seg), (mode, text)
 
 
 def test_parse_matches_per_mode_reference_on_random_bits():
@@ -324,8 +511,10 @@ def test_parse_matches_per_mode_reference_on_random_bits():
             bits += format(rng.randrange(0, 50), f"0{width}b")
         bits += "".join(rng.choice("01") for _ in range(rng.randrange(0, 160)))
         bits = bits[: rng.randrange(0, len(bits) + 1)] if rng.random() < 0.2 else bits
-        assert outcome(codec.parse_payload, bits) == outcome(
+        assert outcome(codec.parse_payload, as_array(bits)) == outcome(
             reference_parse_payload, bits), bits
+        assert exact_outcome(codec.parse_payload, as_array(bits)) == exact_outcome(
+            reference_string_parse_payload, bits), bits
 
 
 def test_parse_matches_per_mode_reference_on_cut_and_flipped_encodings():
@@ -342,5 +531,44 @@ def test_parse_matches_per_mode_reference_on_cut_and_flipped_encodings():
                 flipped[i] = "10"[int(flipped[i])]
             variants.append("".join(flipped))
             for v in variants:
-                assert outcome(codec.parse_payload, v) == outcome(
+                assert outcome(codec.parse_payload, as_array(v)) == outcome(
                     reference_parse_payload, v), v
+                assert exact_outcome(codec.parse_payload, as_array(v)) == exact_outcome(
+                    reference_string_parse_payload, v), v
+
+
+def reference_string_physical_bits(text, mode, mask_id):
+    """The string pipeline's single-sided physical bits: padded payload,
+    bytes, Reed-Solomon parity, bits again, then the mask."""
+    payload = reference_string_assemble_payload(codec.make_segment(text, mode), pad=True)
+    data = reference_bits_to_bytes(payload.bits)
+    logical = payload.bits + reference_bytes_to_bits(rscode.rs_encode(data))
+    return as_array(logical) ^ data_mask(mask_id)
+
+
+def test_bit_codec_matches_string_codec_on_seeded_messages():
+    # every mode, lengths past capacity, and texts no mode encodes: the
+    # same bits, or the same error with the same message
+    rng = random.Random(74)
+    physical_checked = 0
+    for text in sample_texts(rng):
+        for mode in MODES_TRIED:
+            seg = codec.Segment(mode, text)
+            assert exact_outcome(codec.encode_segment, seg) == exact_outcome(
+                reference_string_encode_segment, seg), (mode, text)
+            for pad in (True, False):
+                assert exact_outcome(codec.assemble_payload, seg, pad) == exact_outcome(
+                    reference_string_assemble_payload, seg, pad), (mode, text, pad)
+            assert exact_outcome(codec.terminated_payload, seg) == exact_outcome(
+                reference_string_terminated_payload, seg), (mode, text)
+        for mode in ("auto", *MODES_TRIED[:3]):
+            want = exact_outcome(reference_string_physical_bits, text, mode, 0)
+            if isinstance(want, tuple):  # an error, masks aside
+                assert exact_outcome(encoder.standard_physical_bits, text, mode, 0) == want
+                continue
+            for mask_id in range(8):
+                got = encoder.standard_physical_bits(text, mode, mask_id)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, reference_string_physical_bits(text, mode, mask_id))
+                physical_checked += 1
+    assert physical_checked > 1000

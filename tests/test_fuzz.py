@@ -8,9 +8,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qrmirror import codec, encoder, render, rscode, verify
+from qrmirror import encoder, render, rscode, verify
 from qrmirror.formatinfo import FormatWord
 from qrmirror.grid import ModuleGrid, format_positions, function_pattern_grid
+from qrmirror.masks import data_mask
 
 FUZZ = settings(max_examples=100, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -96,8 +97,8 @@ def test_decode_random_cells_under_intact_function_patterns(raw, keep_format):
        st.sampled_from(range(8)))
 def test_decode_arbitrary_data_bytes_with_valid_parity(data, mask_id):
     # RS accepts the block, so the payload parser sees arbitrary bits
-    logical = codec.bytes_to_bits(data + rscode.rs_encode(data))
-    grid = encoder.materialize(encoder.physical_bits(logical, mask_id),
+    logical = np.unpackbits(np.frombuffer(data + rscode.rs_encode(data), np.uint8))
+    grid = encoder.materialize(logical ^ data_mask(mask_id),
                                FormatWord("L", mask_id).on_grid)
     read_grid(grid.cells)
 

@@ -9,7 +9,7 @@ from qrmirror import codec, encoder, mirror, verify
 from qrmirror.formatinfo import FormatWord, apply_format_mask, codewords, word_bits
 from qrmirror.grid import (ModuleGrid, data_placement_order, format_positions,
                            function_pattern_grid)
-from qrmirror.masks import symmetric_masks
+from qrmirror.masks import data_mask, symmetric_masks
 
 
 def test_single_sided_round_trip_hello():
@@ -204,7 +204,7 @@ def test_placement_arrays_match_per_cell_loop():
     for mask_id in range(8):
         logical = "".join(rng.choice("01") for _ in range(208))
         want_physical = [int(b) ^ mask_bit(mask_id, cell) for b, cell in zip(logical, order)]
-        physical = encoder.physical_bits(logical, mask_id)
+        physical = np.array(list(logical), dtype=np.uint8) ^ data_mask(mask_id)
         assert physical.dtype == np.uint8
         assert physical.tolist() == want_physical
 
@@ -216,7 +216,8 @@ def test_placement_arrays_match_per_cell_loop():
         assert grid == want_grid
 
         bits = "".join(str(int(grid.cells[cell]) ^ mask_bit(mask_id, cell)) for cell in order)
-        assert verify.read_codewords(grid, mask_id) == codec.bits_to_bytes(bits)
+        assert verify.read_codewords(grid, mask_id) == bytes(
+            int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
 
 
 def reference_check_function_patterns(grid):
