@@ -14,7 +14,7 @@ cases = [
     ("HELLO", "WORLD"),
     ("ABCDEFGH", "IJKLMNOPQRS"),    # the 8+11 target
     ("ABCDEFGHI", "JKLMNOPQRSTU"),  # beyond it
-    ("ABCDEFGHIJ", "KLMNOPQRSTUV"),  # too far: every allocation fails
+    ("ABCDEFGHIJ", "KLMNOPQRSTUV"),  # infeasible among the offered allocations
 ]
 for a, b in cases:
     label = f"{len(a)}+{len(b)} {a[:9]:>9}/{b[:12]:<12}"
@@ -26,3 +26,9 @@ for a, b in cases:
               f"  (free bits left: {rep.free_vars})")
     except mirror.ConstructionError as exc:
         print(f"{label} infeasible ({exc})")
+
+# The enumerator offers only conflict-zone bytes; at 3 bytes per side a
+# byte outside them can solve (tests/test_mirror.py::
+# test_allocation_outside_the_candidates_can_solve builds this pair).
+print("\n'infeasible' holds only among the conflict-zone allocations offered;")
+print("ABCDEFGHIJ/KLMNOPQRSTUV solves with A {0, 5, 6}, B {2, 6, 25}.")

@@ -177,7 +177,6 @@ class MirrorFormat:
     """A witness string plus both of its decodes."""
 
     witness: int
-    domain: str
     straight: FormatWord
     mirrored: FormatWord
     distance_straight: int
@@ -206,8 +205,7 @@ def select_mirror_format():
         and (a & 7) in sym and (b & 7) in sym
     ]
     *_, witness, a, da, b, db = min(candidates)  # the key ends in the unique witness
-    return MirrorFormat(witness, "grid", FormatWord.from_info(a), FormatWord.from_info(b),
-                        da, db)
+    return MirrorFormat(witness, FormatWord.from_info(a), FormatWord.from_info(b), da, db)
 
 
 def flip_graph_dot(graph):

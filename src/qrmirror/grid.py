@@ -196,17 +196,8 @@ class OverlapPartition:
     free: a, c, e, i.
     """
 
-    len_a: int
-    len_b: int
     zones: dict
     _conflict_bytes: tuple  # (straight bytes, mirrored bytes)
-
-    @property
-    def conflict_cells(self):
-        out = set()
-        for label in CONFLICT_ZONES:
-            out |= self.zones[label]
-        return out
 
     def conflict_bytes_a(self):
         """Straight-side codeword bytes touching any conflict zone."""
@@ -243,4 +234,4 @@ def overlap_partition(len_a_bits, len_b_bits):
         zones[_ZONE_BY_ROLES[k]].add(cell)
     conflict = _CONFLICT_BY_ROLES[pair]
     conflict_bytes = tuple(tuple(sorted(set((b[conflict] // 8).tolist()))) for b in bits)
-    return OverlapPartition(len_a_bits, len_b_bits, zones, conflict_bytes)
+    return OverlapPartition(zones, conflict_bytes)

@@ -1,18 +1,23 @@
 """Double-sided construction.
 
 The physical values of the 208 data-region cells are the variables of a
-GF(2) linear system. Each side contributes rows that pin its declared
-payload bits and rows expressing its Reed-Solomon parity; a byte listed in
-the error allocation contributes no rows for its side, and the damage this
-leaves on the grid is later absorbed by the decoder's 3-byte correction
-budget. Allocated data bytes get eight auxiliary variables holding the
-intended (post-correction) byte so the parity rows can still refer to it.
-_aux_bytes fixes their order for both the system and the free-value
-preference. That preference, which picks the solution among many, starts
-from both messages' ordinary encodings, computed once per message pair
-when the first allocation is tried. Only allocations that release every
-cell the two sides pin to different values are tried at all. Each system
-is solved by substituting the message pins into the parity rows and
+GF(2) linear system. Every row is a row of one cached 208x208 check
+matrix: unit rows on the 152 data bits stacked on the parity-check matrix
+H = [P | I] of the systematic Reed-Solomon code. Each side selects the
+rows of its declared bits and of its parity bytes outside the error
+allocation, and one index array places each codeword bit in its variable
+column; the right-hand side is the target (declared bits, then zeros)
+xor the rows applied to the mask. A byte listed in the allocation gives
+no rows for its side, and the damage this leaves on the grid is later
+absorbed by the decoder's 3-byte correction budget. Allocated data bytes
+get eight auxiliary variables holding the intended (post-correction)
+byte so the parity checks can still refer to it. _aux_bytes fixes their
+order for both the system and the free-value preference. That
+preference, which picks the solution among many, starts from both
+messages' ordinary encodings, computed once per message pair when the
+first allocation is tried. Only allocations that release every cell the
+two sides pin to different values are tried at all. Each system is
+solved by substituting the message pins into the parity rows and
 eliminating those on bit-packed rows.
 
 The randomized baseline (method "brute") is the construction the analytic
@@ -26,6 +31,7 @@ one-character pairs.
 import itertools
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +39,6 @@ from . import codec, encoder, rscode
 from .formatinfo import select_mirror_format
 from .grid import (
     DATA_BITS,
-    ECC_BITS,
     TOTAL_BITS,
     overlap_partition,
     transpose_permutation,
@@ -68,12 +73,11 @@ EMPTY_ALLOCATION = ErrorAllocation(frozenset(), frozenset())
 
 @dataclass
 class LinearSystem:
-    """GF(2) rows over the shared cell variables (plus any auxiliaries)."""
+    """GF(2) rows over the shared cell variables (plus any auxiliaries):
+    each side's declared-bit rows, then its kept parity checks."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    provenance: tuple
-    var_names: tuple
 
 
 @dataclass(frozen=True)
@@ -97,11 +101,11 @@ def _pins(matrix, rhs):
     return rows, matrix[rows].argmax(axis=1), rhs[rows]
 
 
-def solve_gf2(system, free_values=None, rng=None):
+def solve_gf2(system, free_values=None):
     """Solve the system, or return None when it has no solution.
 
     Free variables default to zero; free_values supplies preferred values
-    (indexed like the system's variables) and rng randomizes them instead.
+    (indexed like the system's variables).
     Rows are ints, column c at bit c and the right-hand side at bit cols.
     The pinned columns and the lowest bits of the substituted rows'
     echelon are the pivots of the unique RREF, so the free columns and
@@ -133,11 +137,8 @@ def solve_gf2(system, free_values=None, rng=None):
     free_cols = tuple(c for c in range(cols) if not pivot_mask >> c & 1)
     x = np.zeros(cols, dtype=np.uint8)
     free_idx = np.array(free_cols, dtype=np.intp)
-    if free_idx.size:
-        if rng is not None:
-            x[free_idx] = rng.integers(0, 2, free_idx.size, dtype=np.uint8)
-        elif free_values is not None:
-            x[free_idx] = np.asarray(free_values, dtype=np.uint8)[free_idx]
+    if free_values is not None:
+        x[free_idx] = np.asarray(free_values, dtype=np.uint8)[free_idx]
     xs = int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little") | x_pinned | top
     for low in sorted(pivots, reverse=True):  # every higher column is known
         if (pivots[low] & xs).bit_count() & 1:
@@ -147,14 +148,23 @@ def solve_gf2(system, free_values=None, rng=None):
     return Solution(x, free_cols, len(pinned) + len(pivots))
 
 
-_CELL_NAMES = tuple(f"cell{i}" for i in range(TOTAL_BITS))
-
-
 def _aux_bytes(alloc):
-    """(side, byte) of every allocated data byte, in aux-variable order."""
-    return [(name, byte)
-            for name, bytes_ in (("A", alloc.side_a_bytes), ("B", alloc.side_b_bytes))
+    """(side, byte) of every allocated data byte, in aux-variable order;
+    side 0 is the straight side, side 1 the mirrored one."""
+    return [(side, byte)
+            for side, bytes_ in enumerate((alloc.side_a_bytes, alloc.side_b_bytes))
             for byte in sorted(bytes_) if byte < rscode.DATA_BYTES]
+
+
+@lru_cache(maxsize=1)
+def _codeword_checks():
+    """208x208 GF(2) rows over a codeword's bits: the identity with the
+    parity matrix P in rows 152-207, columns 0-151. Row i < 152 picks
+    data bit i; row 152 + j is the check of parity bit j, H = [P | I]."""
+    checks = np.eye(TOTAL_BITS, dtype=np.uint8)
+    checks[DATA_BITS:, :DATA_BITS] = rscode.parity_matrix()
+    checks.setflags(write=False)
+    return checks
 
 
 def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None):
@@ -174,58 +184,36 @@ def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None)
         if len(payload.bits) > DATA_BITS:
             raise ValueError("payload exceeds the 152-bit data capacity")
 
-    sigma = transpose_permutation()
-    straight = np.arange(TOTAL_BITS, dtype=np.intp)
-    parity = rscode.parity_matrix()
-
-    # auxiliary variables: 8 per allocated data byte, holding the intended
-    # codeword byte that the decoder will restore
+    # each side's codeword bit k lives in variable var[side, k]: a grid cell,
+    # or for an allocated data byte one of the 8 aux variables holding the
+    # intended byte the decoder will restore (mask 0: aux bits are logical)
+    var = np.stack([np.arange(TOTAL_BITS), transpose_permutation()])
+    mask = np.stack([data_mask(fmt.mask_id), data_mask(mirrored_fmt.mask_id)])
     aux = _aux_bytes(alloc)
-    n_vars = TOTAL_BITS + 8 * len(aux)
-    var_names = _CELL_NAMES + tuple(f"{name}.byte{byte:02d}.bit{j}"
-                                    for name, byte in aux for j in range(8))
+    for k, (side, byte) in enumerate(aux):
+        var[side, byte * 8 : byte * 8 + 8] = np.arange(8) + TOTAL_BITS + 8 * k
+        mask[side, byte * 8 : byte * 8 + 8] = 0
 
     matrices = []
     rhs = []
-    provenance = []
-    for name, declared, bitvar, word, alloc_bytes in (
-        ("A", payload_a.bits, straight, fmt, alloc.side_a_bytes),
-        ("B", payload_b.bits, sigma, mirrored_fmt, alloc.side_b_bytes),
-    ):
-        mu = data_mask(word.mask_id)
-        # where each intended data bit lives: a grid cell or an aux bit
-        data_var = bitvar[:DATA_BITS].copy()
-        data_mu = mu[:DATA_BITS].copy()
-        for k, (side, byte) in enumerate(aux):
-            if side == name:
-                data_var[byte * 8 : byte * 8 + 8] = np.arange(8) + TOTAL_BITS + 8 * k
-                data_mu[byte * 8 : byte * 8 + 8] = 0
+    for side, (declared, alloc_bytes) in enumerate(((payload_a.bits, alloc.side_a_bytes),
+                                                    (payload_b.bits, alloc.side_b_bytes))):
+        # the declared bits' rows, then the parity bytes outside the allocation
+        keep = np.ones(TOTAL_BITS, dtype=bool)
+        keep[declared.size : DATA_BITS] = False
+        for byte in alloc_bytes:
+            if byte >= rscode.DATA_BYTES:
+                keep[byte * 8 : byte * 8 + 8] = False
+        rows = _codeword_checks()[keep]
+        placed = np.zeros((rows.shape[0], TOTAL_BITS + 8 * len(aux)), dtype=np.uint8)
+        placed[:, var[side]] = rows
+        matrices.append(placed)
+        # target (declared bits, then zeros) xor rows . mask mod 2
+        target = np.zeros(rows.shape[0], dtype=np.uint8)
+        target[: declared.size] = declared
+        rhs.append(target ^ np.bitwise_xor.reduce(rows & mask[side], axis=1))
 
-        message = np.zeros((declared.size, n_vars), dtype=np.uint8)
-        message[np.arange(declared.size), data_var[: declared.size]] = 1
-        matrices.append(message)
-        rhs.append(declared ^ data_mu[: declared.size])
-        provenance.extend(zip(itertools.repeat(name), itertools.repeat("message"),
-                              range(declared.size)))
-
-        # parity bit rows of the bytes outside the allocation
-        dropped = [b - rscode.DATA_BYTES for b in alloc_bytes if b >= rscode.DATA_BYTES]
-        rows = np.delete(np.arange(ECC_BITS).reshape(-1, 8), dropped, axis=0).ravel()
-        checks = np.zeros((rows.size, n_vars), dtype=np.uint8)
-        checks[:, data_var] = parity[rows]
-        checks[np.arange(rows.size), bitvar[DATA_BITS + rows]] ^= 1
-        matrices.append(checks)
-        rhs.append(((parity[rows] @ data_mu.astype(np.intp) + mu[DATA_BITS + rows]) % 2)
-                   .astype(np.uint8))
-        provenance.extend(zip(itertools.repeat(name), itertools.repeat("parity"),
-                              (rscode.DATA_BYTES + rows // 8).tolist()))
-
-    return LinearSystem(
-        np.concatenate(matrices),
-        np.concatenate(rhs),
-        tuple(provenance),
-        var_names,
-    )
+    return LinearSystem(np.concatenate(matrices), np.concatenate(rhs))
 
 
 def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
@@ -324,7 +312,6 @@ class ConstructionReport:
 class BruteForceResult:
     grid: object
     trials_run: int
-    found_at: int
     best_damage: tuple
 
 
@@ -388,12 +375,11 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed):
             i = int(hit[0])
             physical = full[i] ^ mu_a
             grid = encoder.materialize(physical, fmt.witness)
-            return BruteForceResult(grid, done + i + 1, done + i + 1,
-                                    (0, int(damage[i])))
+            return BruteForceResult(grid, done + i + 1, (0, int(damage[i])))
         batch_best = int(damage.min())
         best = min(best, (0, batch_best))
         done += n
-    return BruteForceResult(None, done, -1, best)
+    return BruteForceResult(None, done, best)
 
 
 def _free_value_preference(msg_a, msg_b, straight_fmt):
@@ -404,11 +390,11 @@ def _free_value_preference(msg_a, msg_b, straight_fmt):
     computed once per message pair.
     """
     cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
-    data = {name: codec.assemble_payload(codec.make_segment(msg), pad=True).bits
-            for name, msg in (("A", msg_a), ("B", msg_b))}
+    data = [codec.assemble_payload(codec.make_segment(msg), pad=True).bits
+            for msg in (msg_a, msg_b)]
 
     def preference(alloc):
-        aux = [data[name][byte * 8 : byte * 8 + 8] for name, byte in _aux_bytes(alloc)]
+        aux = [data[side][byte * 8 : byte * 8 + 8] for side, byte in _aux_bytes(alloc)]
         return np.concatenate([cells, *aux])
 
     return preference
@@ -438,7 +424,7 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
                 f"brute force exhausted {result.trials_run} trials; best damage "
                 f"{result.best_damage[0]}+{result.best_damage[1]} bytes",
             )
-        grid, free_vars, trials_run = result.grid, 0, result.found_at
+        grid, free_vars, trials_run = result.grid, 0, result.trials_run
     else:
         partition = overlap_partition(len(payload_a.bits), len(payload_b.bits))
         conflicts = _pin_conflict_cells(payload_a, payload_b)

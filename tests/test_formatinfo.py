@@ -220,7 +220,6 @@ def reference_select_mirror_format(domain="grid", ec_level="L"):
             best_key = key
             best = fi.MirrorFormat(
                 witness,
-                domain,
                 fi.FormatWord.from_info(a),
                 fi.FormatWord.from_info(b),
                 da,
