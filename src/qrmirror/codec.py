@@ -7,7 +7,6 @@ four zeros, zero fill to a byte boundary, then the alternating pad bytes
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -26,18 +25,6 @@ MODES = {
     "byte": (0b0100, 8, "".join(map(chr, range(256))), (8,)),
 }
 MODE_OF_INDICATOR = {row[0]: mode for mode, row in MODES.items()}
-
-# per mode: every group of 1..len(widths) characters -> its (value, bit
-# width) field, and field -> group; a mode's group widths differ, so one
-# dict each way holds every group size
-GROUP_FIELD = {
-    mode: {"".join(chars): (value, width)
-           for k, width in enumerate(widths, start=1)
-           for value, chars in enumerate(product(alphabet, repeat=k))}
-    for mode, (_, _, alphabet, widths) in MODES.items()
-}
-GROUP_TEXT = {mode: {field: text for text, field in table.items()}
-              for mode, table in GROUP_FIELD.items()}
 
 # the alternating pad bytes 0xEC 0x11 over the whole data capacity, as one
 # DATA_BITS-bit number; its top k bits are the first k pad bits
@@ -73,8 +60,8 @@ class ParsedPayload:
 
 def pick_mode(text):
     """Thriftiest mode whose alphabet covers the text."""
-    for mode, table in GROUP_FIELD.items():
-        if (text or mode != "numeric") and all(ch in table for ch in text):
+    for mode, (_, _, alphabet, _) in MODES.items():
+        if (text or mode != "numeric") and all(ch in alphabet for ch in text):
             return mode
     raise CodecError(f"text not encodable in byte mode: {text!r}")
 
@@ -95,18 +82,22 @@ def _segment_value(seg):
     """Mode indicator + length field + character data as (number, bit count)."""
     if seg.mode not in MODES:
         raise CodecError(f"unknown mode {seg.mode!r}")
-    indicator, width, _, widths = MODES[seg.mode]
+    indicator, width, alphabet, widths = MODES[seg.mode]
     n = len(seg.text)
     if n >= 1 << width:
         raise CodecError(f"{n} characters overflow the length field")
-    table, k = GROUP_FIELD[seg.mode], len(widths)
+    base, k = len(alphabet), len(widths)
     value, size = indicator << width | n, 4 + width
-    try:
-        for i in range(0, n, k):
-            v, w = table[seg.text[i : i + k]]
-            value, size = value << w | v, size + w
-    except KeyError:
-        raise CodecError(f"text not encodable in {seg.mode} mode: {seg.text!r}")
+    for i in range(0, n, k):
+        group = seg.text[i : i + k]
+        v = 0
+        for ch in group:
+            digit = alphabet.find(ch)
+            if digit < 0:
+                raise CodecError(f"text not encodable in {seg.mode} mode: {seg.text!r}")
+            v = v * base + digit
+        w = widths[len(group) - 1]
+        value, size = value << w | v, size + w
     return value, size
 
 
@@ -174,21 +165,25 @@ def parse_payload(bits):
     mode = MODE_OF_INDICATOR.get(indicator)
     if mode is None:
         raise CodecError(f"unsupported mode indicator {indicator:04b}")
-    _, width, _, widths = MODES[mode]
+    _, width, alphabet, widths = MODES[mode]
     if rest < width:
         raise CodecError("payload truncated inside the length field")
     rest -= width
     n = value >> rest & ((1 << width) - 1)
-    table, k = GROUP_TEXT[mode], len(widths)
+    base, k = len(alphabet), len(widths)
     out = []
     for i in range(0, n, k):
-        w = widths[min(k, n - i) - 1]
+        count = min(k, n - i)
+        w = widths[count - 1]
         if w > rest:
             raise CodecError(f"declared length {n} needs more bits than available")
         rest -= w
         v = value >> rest & ((1 << w) - 1)
-        group = table.get((v, w))
-        if group is None:
+        if v >= base**count:
             raise CodecError(f"{mode} group value {v} out of range")
+        group = ""
+        for _ in range(count):  # least significant digit last
+            v, digit = divmod(v, base)
+            group = alphabet[digit] + group
         out.append(group)
     return ParsedPayload("".join(out), mode, n)

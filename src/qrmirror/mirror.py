@@ -20,6 +20,19 @@ two sides pin to different values are tried at all. Each system is
 solved by substituting the message pins into the parity rows and
 eliminating those on bit-packed rows.
 
+Most allocations at the capacity edge have no solution, and after the
+first failure the rest are decided without building a system. An
+allocation S is solvable iff the target g lies in V + span{unit vectors
+on the cells of S}, all over the 208 cells: g is each side's declared
+bits, zero-filled, encoded and xored with its mask, the mirrored side's
+placed through transpose_permutation(), summed; V is spanned by the
+codewords of both sides' undeclared data bits, placed the same way. V
+depends only on the declared lengths la and lb, so its quotient (of
+dimension k = la + lb - 96 from 8+11 up) is cached per length pair, and
+each verdict eliminates at most 48 reduced cell vectors. Only the first
+admitted allocation is built and solved as above, so every grid and
+report is the one the build-every-allocation search gives.
+
 The randomized baseline (method "brute") is the construction the analytic
 method replaces: randomize the free fill, compute the straight side's
 parity honestly, and measure how many bytes the mirrored side would need
@@ -165,6 +178,102 @@ def _codeword_checks():
     checks[DATA_BITS:, :DATA_BITS] = rscode.parity_matrix()
     checks.setflags(write=False)
     return checks
+
+
+@lru_cache(maxsize=32)
+def _quotient(la, lb):
+    """V's reduced row echelon form, on its non-pivot cells only.
+
+    V is spanned by the codewords of the straight side's undeclared data
+    bits la..151 and of the mirrored side's lb..151, placed on their cells;
+    it depends only on the two declared lengths. Its k = 208 - dim V
+    non-pivot cells are the coordinates of the quotient by V, k = la + lb
+    - 96 from 8+11 up. Reduced modulo V, a non-pivot cell's unit vector is
+    its own coordinate and a pivot cell's is its row without the pivot.
+    Returns (free, rows), read-only: free marks the non-pivot cells; rows
+    holds the pivot cells' reduced vectors in cell order, coordinate j at
+    bit j % 8 of byte j // 8, (208 - k) x ceil(k/8) bytes.
+    """
+    checks = _codeword_checks()
+    gens = np.zeros((2 * DATA_BITS - la - lb, TOTAL_BITS), dtype=np.uint8)
+    gens[: DATA_BITS - la] = checks[:, la:DATA_BITS].T
+    gens[DATA_BITS - la :, transpose_permutation()] = checks[:, lb:DATA_BITS].T
+    pivots = {}  # lowest bit -> row; a row has no bit below its pivot
+    for row in np.packbits(gens, axis=1, bitorder="little"):
+        row = int.from_bytes(row.tobytes(), "little")
+        while row:
+            low = row & -row
+            row ^= pivots.setdefault(low, row)  # a new pivot leaves 0
+    pivot_bits = sum(pivots)
+    for low in sorted(pivots, reverse=True):  # every higher pivot row is reduced
+        row = pivots[low]
+        above = row & ~low & pivot_bits
+        while above:
+            high = above & -above
+            row ^= pivots[high]
+            above ^= high
+        pivots[low] = row
+    order = sorted(pivots)
+    rref = np.frombuffer(b"".join((pivots[low] ^ low).to_bytes(TOTAL_BITS // 8, "little")
+                                  for low in order), dtype=np.uint8)
+    rref = np.unpackbits(rref.reshape(len(order), TOTAL_BITS // 8), axis=1, bitorder="little")
+    free = np.ones(TOTAL_BITS, dtype=bool)
+    free[[low.bit_length() - 1 for low in order]] = False
+    rows = np.packbits(rref[:, free], axis=1, bitorder="little")
+    free.setflags(write=False)
+    rows.setflags(write=False)
+    return free, rows
+
+
+def _admission(payload_a, payload_b, fmt, mirrored_fmt):
+    """admits(alloc): whether build_constraint_system's system for alloc
+    has a solution, decided without building it.
+
+    A grid satisfies both sides iff it lies in g_a + V_a + U_a and in
+    g_b + V_b + U_b: g is a side's declared bits, zero-filled, encoded and
+    xored with its mask; V its undeclared data bits' codewords; U the unit
+    vectors on its allocated bytes' cells, all placed on the cells. So
+    alloc is solvable iff g = g_a ^ g_b lies in V + U, i.e. iff g reduced
+    modulo V (_quotient) lies in the span of the allocated cells' reduced
+    unit vectors.
+    """
+    la, lb = payload_a.bits.size, payload_b.bits.size
+    free, table = _quotient(la, lb)
+    width = table.shape[1]
+    packed = table.tobytes()
+    rows = [0] * TOTAL_BITS  # each cell's unit vector reduced modulo V
+    for j, c in enumerate(np.flatnonzero(free).tolist()):
+        rows[c] = 1 << j
+    for i, c in enumerate(np.flatnonzero(~free).tolist()):
+        rows[c] = int.from_bytes(packed[i * width : (i + 1) * width], "little")
+    checks = _codeword_checks()
+    sigma = transpose_permutation()
+    g = np.bitwise_xor.reduce(checks[:, :la] & payload_a.bits, axis=1) ^ data_mask(fmt.mask_id)
+    g[sigma] ^= (np.bitwise_xor.reduce(checks[:, :lb] & payload_b.bits, axis=1)
+                 ^ data_mask(mirrored_fmt.mask_id))
+    target = 0
+    for c in np.flatnonzero(g).tolist():
+        target ^= rows[c]
+    # each side's reduced vectors in its own codeword bit order
+    sides = (rows, [rows[c] for c in sigma.tolist()])
+
+    def admits(alloc):
+        pivots = {}  # lowest bit -> row
+        for side_rows, bytes_ in zip(sides, (alloc.side_a_bytes, alloc.side_b_bytes)):
+            for byte in bytes_:
+                for row in side_rows[byte * 8 : byte * 8 + 8]:
+                    while row:
+                        low = row & -row
+                        row ^= pivots.setdefault(low, row)
+        row = target
+        while row:
+            low = row & -row
+            if low not in pivots:
+                return False
+            row ^= pivots[low]
+        return True
+
+    return admits
 
 
 def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None):
@@ -428,12 +537,17 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
     else:
         partition = overlap_partition(len(payload_a.bits), len(payload_b.bits))
         conflicts = _pin_conflict_cells(payload_a, payload_b)
-        preference = None
+        preference = admits = None
         attempted = 0
         for alloc in enumerate_error_allocations(partition, conflicts=conflicts):
+            attempted += 1
+            if preference is not None:
+                if admits is None:
+                    admits = _admission(payload_a, payload_b, straight, mirrored)
+                if not admits(alloc):
+                    continue
             system = build_constraint_system(payload_a, payload_b, straight, alloc,
                                              mirrored_fmt=mirrored)
-            attempted += 1
             if preference is None:
                 preference = _free_value_preference(msg_a, msg_b, straight)
             solution = solve_gf2(system, free_values=preference(alloc))

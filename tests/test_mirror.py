@@ -1,7 +1,11 @@
 """The double-sided constraint system, allocations, and construction."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,29 +471,203 @@ def test_uncoverable_conflicts_are_named():
         assert f"({ba}, {bb})" in message
 
 
+SINGLE_BYTE_ALLOCATIONS = [mirror.ErrorAllocation(a, b)
+                           for a in [frozenset()] + [frozenset({b}) for b in range(26)]
+                           for b in [frozenset()] + [frozenset({b}) for b in range(26)]]
+
+
+def exhaustive_search_pairs():
+    rng = random.Random(5)
+    return [seeded_alnum_pair(rng, rng.randint(2, 6), rng.randint(3, 6)) for _ in range(16)]
+
+
+def selected_formats():
+    fmt = select_mirror_format()
+    return fmt.straight, fmt.mirrored
+
+
+def solves(pa, pb, alloc, formats=None):
+    """Whether the allocation's system, built and eliminated, has a solution."""
+    straight, mirrored = formats or selected_formats()
+    return mirror.solve_gf2(mirror.build_constraint_system(
+        pa, pb, straight, alloc, mirrored_fmt=mirrored)) is not None
+
+
 def test_cover_stream_verdict_matches_exhaustive_search():
     # restricting allocations to conflict-zone bytes and pin-conflict
     # covers loses no solvable system: for one byte per side, every one of
     # the 27 x 27 allocations over all 26 bytes gives the same verdict
-    fmt = select_mirror_format()
-    singles = [frozenset()] + [frozenset({b}) for b in range(26)]
-
-    def solvable(pa, pb, allocs):
-        return any(mirror.solve_gf2(mirror.build_constraint_system(
-                       pa, pb, fmt.straight, alloc, mirrored_fmt=fmt.mirrored)) is not None
-                   for alloc in allocs)
-
-    rng = random.Random(5)
     verdicts = []
-    for _ in range(16):
-        pair = seeded_alnum_pair(rng, rng.randint(2, 6), rng.randint(3, 6))
+    for pair in exhaustive_search_pairs():
         pa, pb = construction_payloads(*pair)
         partition, conflicts = construction_inputs(*pair)
         covers = mirror.enumerate_error_allocations(partition, 1, conflicts)
-        every = (mirror.ErrorAllocation(a, b) for a in singles for b in singles)
-        verdicts.append(solvable(pa, pb, covers))
-        assert verdicts[-1] == solvable(pa, pb, every), pair
+        verdicts.append(any(solves(pa, pb, alloc) for alloc in covers))
+        assert verdicts[-1] == any(solves(pa, pb, alloc)
+                                   for alloc in SINGLE_BYTE_ALLOCATIONS), pair
     assert set(verdicts) == {True, False}
+
+
+def admission(pa, pb, formats=None):
+    straight, mirrored = formats or selected_formats()
+    return mirror._admission(pa, pb, straight, mirrored)
+
+
+@pytest.mark.parametrize("formats", [None, (FormatWord("L", 0), FormatWord("L", 5))])
+def test_admission_matches_build_and_solve_on_every_cover(formats):
+    # the quotient test decides each allocation as building and eliminating
+    # its system does: every cover of seeded capacity-edge pairs, and the
+    # 13+13 pairs whose pin conflicts leave any cover, at the selected
+    # witness's masks and at two different ones
+    rng = random.Random(12)
+    cases = [seeded_alnum_pair(rng, 9, 12) for _ in range(12)]
+    cases += [seeded_alnum_pair(rng, 13, 13) for _ in range(24)]
+    checked = {True: 0, False: 0}
+    for pair in cases:
+        pa, pb = construction_payloads(*pair)
+        partition, conflicts = construction_inputs(*pair)
+        admits = admission(pa, pb, formats)
+        for alloc in mirror.enumerate_error_allocations(partition, conflicts=conflicts):
+            verdict = solves(pa, pb, alloc, formats)
+            assert admits(alloc) == verdict, (pair, alloc)
+            checked[verdict] += 1
+    assert checked[True] >= 2 and checked[False] >= 100
+
+
+def test_admission_matches_build_and_solve_on_single_byte_allocations():
+    # over all 26 bytes per side, not only the conflict-zone candidates
+    verdicts = set()
+    for pair in exhaustive_search_pairs():
+        pa, pb = construction_payloads(*pair)
+        admits = admission(pa, pb)
+        for alloc in SINGLE_BYTE_ALLOCATIONS:
+            verdict = solves(pa, pb, alloc)
+            assert admits(alloc) == verdict, (pair, alloc)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("msg_a, msg_b, bytes_a, bytes_b", [
+    (" IOT5BZVQ", "93BBFR21BQH+", {4, 6, 18}, {0, 5, 7}),
+    ("6PF$P6+..", "J$7PI61GBX3G", {5, 6, 7}, {0, 6, 12}),
+    ("BZQYTVUCN- ", "*91RAQAOKB0D", {6, 7, 22}, {0, 2, 6}),
+    ("ABCDEFGHIJ", "KLMNOPQRSTUV", {0, 5, 6}, {2, 6, 25}),
+])
+def test_admission_accepts_allocations_outside_the_candidates(msg_a, msg_b, bytes_a, bytes_b):
+    pa, pb = construction_payloads(msg_a, msg_b)
+    alloc = mirror.ErrorAllocation(frozenset(bytes_a), frozenset(bytes_b))
+    assert admission(pa, pb)(alloc)
+    assert solves(pa, pb, alloc)
+
+
+@pytest.mark.parametrize("len_a, len_b", [(61, 78), (67, 83), (89, 89), (152, 152)])
+def test_quotient_has_the_kernel_dimension(len_a, len_b):
+    # alnum 8+11, 9+12 and 13+13 terminated payloads, and two full ones
+    free, rows = mirror._quotient(len_a, len_b)
+    k = int(free.sum())
+    assert k == len_a + len_b - 96
+    assert rows.shape == (TOTAL_BITS - k, (k + 7) // 8)
+    assert not free.flags.writeable and not rows.flags.writeable
+
+
+def test_quotient_cache_is_bounded_and_small_per_key():
+    assert mirror._quotient.cache_info().maxsize is not None
+    for len_a in range(0, 153, 19):
+        for len_b in range(0, 153, 19):
+            assert sum(a.nbytes for a in mirror._quotient(len_a, len_b)) <= 3 * 1024
+
+
+def test_construction_imports_no_module():
+    # a stray numpy helper can pull a whole subpackage into every process
+    # (np.setdiff1d loads numpy.ma, about 1.3 MB resident): constructing a
+    # capacity-edge pair that reaches the quotient test and a 13+13 pair
+    # that ends infeasible must leave sys.modules as importing left it
+    script = (
+        "import sys\n"
+        "from qrmirror import mirror\n"
+        "before = set(sys.modules)\n"
+        "mirror.construct_double_sided('T*NH8B/0L', 'WT%5LZ*:2OAS', method='analytic')\n"
+        "try:\n"
+        "    mirror.construct_double_sided('GI//B-E.9E-B8', '4YDI1R8/%0H95', method='analytic')\n"
+        "except mirror.ConstructionError as exc:\n"
+        "    assert exc.stage == 'system infeasible'\n"
+        "else:\n"
+        "    raise AssertionError('13+13 pair constructed')\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(mirror.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
+
+
+def reference_construct_analytic(msg_a, msg_b):
+    """The analytic construction that builds and solves every cover in
+    stream order until one solves, as construct_double_sided did before it
+    decided covers from the quotient table."""
+    payload_a, payload_b = construction_payloads(msg_a, msg_b)
+    fmt = select_mirror_format()
+    partition, conflicts = construction_inputs(msg_a, msg_b)
+    preference = None
+    attempted = 0
+    for alloc in mirror.enumerate_error_allocations(partition, conflicts=conflicts):
+        system = mirror.build_constraint_system(payload_a, payload_b, fmt.straight, alloc,
+                                                mirrored_fmt=fmt.mirrored)
+        attempted += 1
+        if preference is None:
+            preference = mirror._free_value_preference(msg_a, msg_b, fmt.straight)
+        solution = mirror.solve_gf2(system, free_values=preference(alloc))
+        if solution is not None:
+            break
+    else:
+        raise mirror.ConstructionError("system infeasible",
+                                       mirror._infeasible_reason(conflicts, attempted))
+    grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
+    rep_a = verify.decode_grid(grid, "straight")
+    rep_b = verify.decode_grid(grid, "transposed")
+    if rep_a.text != msg_a or rep_b.text != msg_b:
+        raise mirror.ConstructionError(
+            "decode mismatch", f"solved grid reads {rep_a.text!r}/{rep_b.text!r}")
+    report = mirror.ConstructionReport(
+        "analytic", fmt.witness_bits, fmt.straight.mask_id,
+        {"side_a": sorted(alloc.side_a_bytes), "side_b": sorted(alloc.side_b_bytes)},
+        solution.free_variable_count, len(rep_a.corrected_bytes), len(rep_b.corrected_bytes), 0)
+    return grid, report
+
+
+def construction_outcome(construct, msg_a, msg_b):
+    """(grid cells, report JSON), or (stage, message) of the failure."""
+    try:
+        grid, report = construct(msg_a, msg_b)
+    except mirror.ConstructionError as exc:
+        return exc.stage, str(exc)
+    return grid.cells.tobytes(), report.to_json()
+
+
+def test_construction_matches_the_build_every_cover_reference():
+    # deciding covers by the quotient table moves no grid, report or
+    # message; an infeasible message still counts every cover examined
+    rng = random.Random(14)
+    pairs = [("HARRY", "BOVIK"), ("HELLO", "HELLO"), ("12345", "67890"), ("h i", "HELLO")]
+    pairs += [seeded_alnum_pair(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(12)]
+    pairs += [("".join(rng.choice("0123456789") for _ in range(rng.randint(1, 9))),
+               "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 9))))
+              for _ in range(6)]
+    pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(10)]
+    pairs += [seeded_alnum_pair(rng, 10, 12) for _ in range(4)]
+    pairs += [seeded_alnum_pair(rng, 13, 13) for _ in range(12)]
+    stages = set()
+    for pair in pairs:
+        want = construction_outcome(reference_construct_analytic, *pair)
+        got = construction_outcome(
+            lambda a, b: mirror.construct_double_sided(a, b, method="analytic"), *pair)
+        assert got == want, pair
+        stages.add(want[0] if isinstance(want[0], str) else "solved")
+        if "viable allocations" in want[1]:
+            stages.add("counted")
+    assert stages == {"solved", "system infeasible", "counted"}
 
 
 @pytest.mark.parametrize("msg_a, msg_b, bytes_a, bytes_b", [
