@@ -18,7 +18,10 @@ messages' ordinary encodings, computed once per message pair when the
 first allocation is tried. Only allocations that release every cell the
 two sides pin to different values are tried at all. Each system is
 solved by substituting the message pins into the parity rows and
-eliminating those on bit-packed rows.
+eliminating those on bit-packed rows. Every elimination here packs a row
+into a Python int with its lowest column at its highest bit and files
+its pivots in a list indexed by int.bit_length() (_eliminate), so the
+pivot order is lowest column first.
 
 Most allocations at the capacity edge have no solution, and after the
 first failure the rest are decided without building a system. An
@@ -108,10 +111,21 @@ class Solution:
         return len(self.free_columns)
 
 
-def _pins(matrix, rhs):
-    """Single-coefficient rows: (row indices, their columns, their values)."""
-    rows = np.flatnonzero(np.count_nonzero(matrix, axis=1) == 1)
-    return rows, matrix[rows].argmax(axis=1), rhs[rows]
+def _eliminate(pivots, rows):
+    """Reduce each row by the pivots and file what remains as a new pivot.
+
+    Rows are ints with their lowest column at their highest bit;
+    pivots[n] is the row whose leading bit is bit n - 1, or 0. Returns
+    the number of new pivots.
+    """
+    rank = 0
+    for row in rows:
+        while row and (pivot := pivots[row.bit_length()]):
+            row ^= pivot
+        if row:
+            pivots[row.bit_length()] = row
+            rank += 1
+    return rank
 
 
 def solve_gf2(system, free_values=None):
@@ -119,46 +133,49 @@ def solve_gf2(system, free_values=None):
 
     Free variables default to zero; free_values supplies preferred values
     (indexed like the system's variables).
-    Rows are ints, column c at bit c and the right-hand side at bit cols.
-    The pinned columns and the lowest bits of the substituted rows'
-    echelon are the pivots of the unique RREF, so the free columns and
-    the assignment are those of full row reduction.
+    Rows are ints, column c at bit cols - c and the right-hand side at
+    bit 0, so a row's leading bit is its lowest column and a row reduced
+    to bit 0 alone reads 0 = 1. The pinned columns and the leading bits
+    of the substituted rows' echelon are the pivots of the unique RREF,
+    so the free columns and the assignment are those of full row
+    reduction.
     """
     matrix, rhs = system.matrix, system.rhs
     cols = matrix.shape[1]
-    top = 1 << cols
-    pin_rows, pin_cols, pin_vals = _pins(matrix, rhs)
-    pinned = {}
-    for c, v in zip(pin_cols.tolist(), pin_vals.tolist()):
-        if pinned.setdefault(c, v) != v:
+    width = (cols + 8) // 8  # bytes per row: zero padding, the columns, the right-hand side
+    pad = 8 * width - 1 - cols
+    packed = np.packbits(np.column_stack([np.zeros((rhs.size, pad), dtype=np.uint8), matrix, rhs]),
+                         axis=1).tobytes()
+    rows = [int.from_bytes(packed[i : i + width], "big") for i in range(0, len(packed), width)]
+    pinned = {}  # column bit of each single-coefficient row -> its value
+    others = []
+    for row in rows:
+        if (row >> 1).bit_count() != 1:
+            others.append(row)
+        elif pinned.setdefault(row & ~1, row & 1) != row & 1:
             return None
-    pin_mask = sum(1 << c for c in pinned)
-    x_pinned = sum(1 << c for c, v in pinned.items() if v)
-    width = (cols + 7) // 8
-    packed = np.packbits(matrix, axis=1, bitorder="little").tobytes()
-    pivots = {}  # lowest bit -> row
-    for i in np.delete(np.arange(rhs.size), pin_rows).tolist():
-        row = int.from_bytes(packed[i * width : (i + 1) * width], "little")
-        row = (row & ~pin_mask) | ((int(rhs[i]) + (row & x_pinned).bit_count()) & 1) << cols
-        while row:
-            low = row & -row
-            if low == top:
-                return None
-            row ^= pivots.setdefault(low, row)  # a new pivot leaves 0
+    pin_mask = sum(pinned)
+    x_pinned = sum(bit for bit, v in pinned.items() if v)
+    pivots = [0] * (cols + 2)
+    rank = _eliminate(pivots, [(row & ~pin_mask) ^ ((row & x_pinned).bit_count() & 1)
+                               for row in others])
+    if pivots[1]:
+        return None
 
-    pivot_mask = pin_mask | sum(pivots)
-    free_cols = tuple(c for c in range(cols) if not pivot_mask >> c & 1)
-    x = np.zeros(cols, dtype=np.uint8)
-    free_idx = np.array(free_cols, dtype=np.intp)
+    def columns(bits):
+        return np.unpackbits(np.frombuffer(bits.to_bytes(width, "big"), dtype=np.uint8))[pad:-1]
+
+    pivot_mask = pin_mask | sum(1 << n - 1 for n, row in enumerate(pivots) if row)
+    free_idx = np.flatnonzero(columns(pivot_mask) == 0)
+    x = np.zeros(8 * width, dtype=np.uint8)
     if free_values is not None:
-        x[free_idx] = np.asarray(free_values, dtype=np.uint8)[free_idx]
-    xs = int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little") | x_pinned | top
-    for low in sorted(pivots, reverse=True):  # every higher column is known
-        if (pivots[low] & xs).bit_count() & 1:
-            xs |= low
-    x = np.unpackbits(np.frombuffer(xs.to_bytes(width + 1, "little"), dtype=np.uint8),
-                      count=cols, bitorder="little")
-    return Solution(x, free_cols, len(pinned) + len(pivots))
+        x[pad + free_idx] = np.asarray(free_values, dtype=np.uint8)[free_idx]
+    x[-1] = 1  # bit 0: the right-hand side
+    xs = int.from_bytes(np.packbits(x).tobytes(), "big") | x_pinned
+    for n, row in enumerate(pivots):  # every higher column is known
+        if row and (row & xs).bit_count() & 1:
+            xs |= 1 << n - 1
+    return Solution(columns(xs), tuple(free_idx.tolist()), len(pinned) + rank)
 
 
 def _aux_bytes(alloc):
@@ -192,33 +209,30 @@ def _quotient(la, lb):
     its own coordinate and a pivot cell's is its row without the pivot.
     Returns (free, rows), read-only: free marks the non-pivot cells; rows
     holds the pivot cells' reduced vectors in cell order, coordinate j at
-    bit j % 8 of byte j // 8, (208 - k) x ceil(k/8) bytes.
+    bit j % 8 of byte j // 8, (208 - k) x ceil(k/8) bytes. The generators
+    are eliminated as ints with cell c at bit 207 - c.
     """
     checks = _codeword_checks()
     gens = np.zeros((2 * DATA_BITS - la - lb, TOTAL_BITS), dtype=np.uint8)
     gens[: DATA_BITS - la] = checks[:, la:DATA_BITS].T
     gens[DATA_BITS - la :, transpose_permutation()] = checks[:, lb:DATA_BITS].T
-    pivots = {}  # lowest bit -> row; a row has no bit below its pivot
-    for row in np.packbits(gens, axis=1, bitorder="little"):
-        row = int.from_bytes(row.tobytes(), "little")
-        while row:
-            low = row & -row
-            row ^= pivots.setdefault(low, row)  # a new pivot leaves 0
-    pivot_bits = sum(pivots)
-    for low in sorted(pivots, reverse=True):  # every higher pivot row is reduced
-        row = pivots[low]
-        above = row & ~low & pivot_bits
-        while above:
-            high = above & -above
-            row ^= pivots[high]
-            above ^= high
-        pivots[low] = row
-    order = sorted(pivots)
-    rref = np.frombuffer(b"".join((pivots[low] ^ low).to_bytes(TOTAL_BITS // 8, "little")
-                                  for low in order), dtype=np.uint8)
-    rref = np.unpackbits(rref.reshape(len(order), TOTAL_BITS // 8), axis=1, bitorder="little")
+    pivots = [0] * (TOTAL_BITS + 1)
+    _eliminate(pivots, (int.from_bytes(row.tobytes(), "big") for row in np.packbits(gens, axis=1)))
+    lead = [n for n, row in enumerate(pivots) if row]
+    lead_bits = sum(1 << n - 1 for n in lead)
+    for n in lead:  # every higher cell's pivot row is reduced
+        row = pivots[n]
+        later = row & lead_bits & ~(1 << n - 1)
+        while later:
+            m = later.bit_length()
+            row ^= pivots[m]
+            later ^= 1 << m - 1
+        pivots[n] = row
+    rref = np.frombuffer(b"".join(pivots[n].to_bytes(TOTAL_BITS // 8, "big")
+                                  for n in reversed(lead)), dtype=np.uint8)
+    rref = np.unpackbits(rref.reshape(len(lead), TOTAL_BITS // 8), axis=1)
     free = np.ones(TOTAL_BITS, dtype=bool)
-    free[[low.bit_length() - 1 for low in order]] = False
+    free[[TOTAL_BITS - n for n in lead]] = False
     rows = np.packbits(rref[:, free], axis=1, bitorder="little")
     free.setflags(write=False)
     rows.setflags(write=False)
@@ -235,7 +249,8 @@ def _admission(payload_a, payload_b, fmt, mirrored_fmt):
     vectors on its allocated bytes' cells, all placed on the cells. So
     alloc is solvable iff g = g_a ^ g_b lies in V + U, i.e. iff g reduced
     modulo V (_quotient) lies in the span of the allocated cells' reduced
-    unit vectors.
+    unit vectors. The stream yields covers grouped by straight subset, so
+    admits keeps the last straight subset's pivots for the next cover.
     """
     la, lb = payload_a.bits.size, payload_b.bits.size
     free, table = _quotient(la, lb)
@@ -256,22 +271,18 @@ def _admission(payload_a, payload_b, fmt, mirrored_fmt):
         target ^= rows[c]
     # each side's reduced vectors in its own codeword bit order
     sides = (rows, [rows[c] for c in sigma.tolist()])
+    straight = [None, None]  # the last straight subset, its pivots
 
     def admits(alloc):
-        pivots = {}  # lowest bit -> row
-        for side_rows, bytes_ in zip(sides, (alloc.side_a_bytes, alloc.side_b_bytes)):
-            for byte in bytes_:
-                for row in side_rows[byte * 8 : byte * 8 + 8]:
-                    while row:
-                        low = row & -row
-                        row ^= pivots.setdefault(low, row)
-        row = target
-        while row:
-            low = row & -row
-            if low not in pivots:
-                return False
-            row ^= pivots[low]
-        return True
+        if straight[0] != alloc.side_a_bytes:
+            pivots = [0] * (width * 8 + 1)
+            _eliminate(pivots, (row for byte in alloc.side_a_bytes
+                                for row in sides[0][byte * 8 : byte * 8 + 8]))
+            straight[:] = alloc.side_a_bytes, pivots
+        pivots = straight[1].copy()
+        _eliminate(pivots, (row for byte in alloc.side_b_bytes
+                            for row in sides[1][byte * 8 : byte * 8 + 8]))
+        return not _eliminate(pivots, [target])
 
     return admits
 

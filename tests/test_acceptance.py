@@ -36,7 +36,9 @@ def conflicting_pins(system):
     """Variables that two single-coefficient rows pin to different values."""
     seen = {}
     conflicts = set()
-    for var, value in zip(*(a.tolist() for a in mirror._pins(system.matrix, system.rhs)[1:])):
+    pins = np.count_nonzero(system.matrix, axis=1) == 1
+    for var, value in zip(system.matrix[pins].argmax(axis=1).tolist(),
+                          system.rhs[pins].tolist()):
         if seen.setdefault(var, value) != value:
             conflicts.add(var)
     return conflicts

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qrmirror import codec, encoder, mirror, verify
 from qrmirror.formatinfo import FormatWord, select_mirror_format
-from qrmirror.grid import TOTAL_BITS, overlap_partition, transpose_permutation
+from qrmirror.grid import DATA_BITS, TOTAL_BITS, overlap_partition, transpose_permutation
 from qrmirror.masks import symmetric_masks
 
 
@@ -30,7 +30,9 @@ def conflicting_pins(system):
     """
     seen = {}
     conflicts = {}
-    for row, var, value in zip(*(a.tolist() for a in mirror._pins(system.matrix, system.rhs))):
+    pin_rows = np.flatnonzero(np.count_nonzero(system.matrix, axis=1) == 1)
+    pins = pin_rows, system.matrix[pin_rows].argmax(axis=1), system.rhs[pin_rows]
+    for row, var, value in zip(*(a.tolist() for a in pins)):
         prev = seen.setdefault(var, (value, row))
         if prev[0] != value:
             conflicts.setdefault(var, {prev[1]}).add(row)
@@ -534,6 +536,33 @@ def test_admission_matches_build_and_solve_on_every_cover(formats):
     assert checked[True] >= 2 and checked[False] >= 100
 
 
+def test_admission_reuses_straight_pivots_only_for_the_same_straight_bytes():
+    # one admits per pair sees its covers shuffled, each twice in a row,
+    # and interleaved so the straight subset changes on every call
+    rng = random.Random(16)
+    verdicts = {True: 0, False: 0}
+    for _ in range(6):
+        pair = seeded_alnum_pair(rng, 9, 12)
+        pa, pb = construction_payloads(*pair)
+        partition, conflicts = construction_inputs(*pair)
+        covers = list(mirror.enumerate_error_allocations(partition, conflicts=conflicts))
+        want = {alloc: solves(pa, pb, alloc) for alloc in covers}
+        shuffled = rng.sample(covers, len(covers))
+        pending = {}
+        for alloc in covers:
+            pending.setdefault(alloc.side_a_bytes, []).append(alloc)
+        interleaved = []
+        while options := [sa for sa, left in pending.items() if left and not (
+                interleaved and sa == interleaved[-1].side_a_bytes)]:
+            interleaved.append(pending[max(options, key=lambda sa: len(pending[sa]))].pop())
+        assert len(interleaved) > len(covers) // 2
+        admits = admission(pa, pb)
+        for alloc in shuffled + [a for alloc in shuffled for a in (alloc, alloc)] + interleaved:
+            assert admits(alloc) == want[alloc], alloc
+            verdicts[want[alloc]] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_admission_matches_build_and_solve_on_single_byte_allocations():
     # over all 26 bytes per side, not only the conflict-zone candidates
     verdicts = set()
@@ -575,6 +604,63 @@ def test_quotient_cache_is_bounded_and_small_per_key():
     for len_a in range(0, 153, 19):
         for len_b in range(0, 153, 19):
             assert sum(a.nbytes for a in mirror._quotient(len_a, len_b)) <= 3 * 1024
+
+
+def reference_quotient(la, lb):
+    """mirror._quotient as it eliminated rows with cell c at bit c, keeping
+    its pivots in a dict keyed by each row's lowest bit."""
+    checks = mirror._codeword_checks()
+    gens = np.zeros((2 * DATA_BITS - la - lb, TOTAL_BITS), dtype=np.uint8)
+    gens[: DATA_BITS - la] = checks[:, la:DATA_BITS].T
+    gens[DATA_BITS - la :, transpose_permutation()] = checks[:, lb:DATA_BITS].T
+    pivots = {}  # lowest bit -> row; a row has no bit below its pivot
+    for row in np.packbits(gens, axis=1, bitorder="little"):
+        row = int.from_bytes(row.tobytes(), "little")
+        while row:
+            low = row & -row
+            row ^= pivots.setdefault(low, row)  # a new pivot leaves 0
+    pivot_bits = sum(pivots)
+    for low in sorted(pivots, reverse=True):  # every higher pivot row is reduced
+        row = pivots[low]
+        above = row & ~low & pivot_bits
+        while above:
+            high = above & -above
+            row ^= pivots[high]
+            above ^= high
+        pivots[low] = row
+    order = sorted(pivots)
+    rref = np.frombuffer(b"".join((pivots[low] ^ low).to_bytes(TOTAL_BITS // 8, "little")
+                                  for low in order), dtype=np.uint8)
+    rref = np.unpackbits(rref.reshape(len(order), TOTAL_BITS // 8), axis=1, bitorder="little")
+    free = np.ones(TOTAL_BITS, dtype=bool)
+    free[[low.bit_length() - 1 for low in order]] = False
+    rows = np.packbits(rref[:, free], axis=1, bitorder="little")
+    free.setflags(write=False)
+    rows.setflags(write=False)
+    return free, rows
+
+
+def test_quotient_matches_the_lowest_bit_reference():
+    # the extreme lengths, the 9+12 and 13+13 keys, and the keys of seeded
+    # short alnum, numeric and byte pairs
+    keys = {(la, lb) for la in (0, 1, 151, 152) for lb in (0, 1, 151, 152)}
+    keys |= {(67, 83), (89, 89)}
+    rng = random.Random(15)
+    short = set()
+    while len(short) < 40:
+        alphabet_a, alphabet_b, top = rng.choice([
+            (codec.ALPHANUMERIC, codec.ALPHANUMERIC, 6), ("0123456789", "0123456789", 9),
+            ("abcdefghijklmnopqrstuvwxyz", codec.ALPHANUMERIC, 6)])
+        pa, pb = construction_payloads(
+            *("".join(rng.choice(alphabet) for _ in range(rng.randint(1, top)))
+              for alphabet in (alphabet_a, alphabet_b)))
+        short.add((pa.bits.size, pb.bits.size))
+    for key in sorted(keys | short):
+        got, want = mirror._quotient(*key), reference_quotient(*key)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), key
+            assert g.tobytes() == w.tobytes(), key
+            assert not g.flags.writeable, key
 
 
 def test_construction_imports_no_module():

@@ -1,12 +1,11 @@
 """The GF(2) solver against an exhaustive-enumeration oracle."""
 
-import itertools
 import random
 
 import numpy as np
 import pytest
 
-from qrmirror import codec, mirror
+from qrmirror import codec, mirror, rscode
 from qrmirror.formatinfo import select_mirror_format
 from qrmirror.grid import overlap_partition
 from qrmirror.mirror import LinearSystem, Solution, solve_gf2
@@ -185,21 +184,51 @@ def reference_gf2_row_reduce(matrix, rhs):
     return a, b, pivot_cols
 
 
+def seeded_covers(rng, lengths):
+    """A seeded alphanumeric pair's payloads and its pin-conflict covers."""
+    pa, pb = (codec.terminated_payload(codec.make_segment(
+                  "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n))))
+              for n in lengths)
+    covers = mirror.enumerate_error_allocations(
+        overlap_partition(len(pa.bits), len(pb.bits)), 3, mirror._pin_conflict_cells(pa, pb))
+    return pa, pb, list(covers)
+
+
+def constraint_system(pa, pb, alloc):
+    fmt = select_mirror_format()
+    system = mirror.build_constraint_system(pa, pb, fmt.straight, alloc,
+                                            mirrored_fmt=fmt.mirrored)
+    return system.matrix, system.rhs
+
+
 def seeded_constraint_systems(count, seed=9, lengths=(9, 12)):
     """Systems of seeded alphanumeric pairs under their first covers."""
     rng = random.Random(seed)
-    fmt = select_mirror_format()
     systems = []
     while len(systems) < count:
-        pa, pb = (codec.terminated_payload(codec.make_segment(
-                      "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n))))
-                  for n in lengths)
-        covers = mirror.enumerate_error_allocations(
-            overlap_partition(len(pa.bits), len(pb.bits)), 3, mirror._pin_conflict_cells(pa, pb))
-        for alloc in itertools.islice(covers, 3):
-            system = mirror.build_constraint_system(pa, pb, fmt.straight, alloc,
-                                                    mirrored_fmt=fmt.mirrored)
-            systems.append((system.matrix, system.rhs))
+        pa, pb, covers = seeded_covers(rng, lengths)
+        systems += [constraint_system(pa, pb, alloc) for alloc in covers[:3]]
+    return systems
+
+
+def later_cover_systems(pairs=6, seed=10):
+    """Systems of seeded 9+12 pairs under the first and the last cover past
+    the first three that gives both sides aux columns and allocates a
+    parity byte, and of two 13+13 pairs with covers under each cover."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(pairs):
+        pa, pb, covers = seeded_covers(rng, (9, 12))
+        deep = [alloc for alloc in covers[3:]
+                if min(alloc.side_a_bytes, default=26) < rscode.DATA_BYTES
+                and min(alloc.side_b_bytes, default=26) < rscode.DATA_BYTES
+                and max(alloc.side_a_bytes | alloc.side_b_bytes) >= rscode.DATA_BYTES]
+        systems += [constraint_system(pa, pb, alloc) for alloc in (deep[0], deep[-1])]
+    with_covers = 0
+    while with_covers < 2:
+        pa, pb, covers = seeded_covers(rng, (13, 13))
+        with_covers += bool(covers)
+        systems += [constraint_system(pa, pb, alloc) for alloc in covers]
     return systems
 
 
@@ -249,6 +278,7 @@ def test_solver_matches_dense_reference():
     systems += seeded_constraint_systems(24)
     systems += seeded_constraint_systems(12, seed=3, lengths=(3, 5))
     systems += seeded_constraint_systems(12, seed=4, lengths=(6, 2))
+    systems += later_cover_systems()
     feasible = 0
     for matrix, rhs in systems:
         system = make_system(matrix, rhs)
