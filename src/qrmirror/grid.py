@@ -7,7 +7,7 @@ bits in the standard two-column zigzag order.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -193,11 +193,23 @@ class OverlapPartition:
     payloads, b/d payload against free fill, c/e payload against the other
     side's parity, f/h parity against free fill, g free on both sides,
     i parity on both. Conflicts are exactly the zones where neither side is
-    free: a, c, e, i.
+    free: a, c, e, i. The zone sets are built on first read.
     """
 
-    zones: dict
+    _lengths: tuple  # (straight, mirrored) declared bits
     _conflict_bytes: tuple  # (straight bytes, mirrored bytes)
+
+    @cached_property
+    def zones(self):
+        """Zone label -> the set of its (row, col) cells."""
+        # a cell's role on a side: how many of (declared length, DATA_BITS) its index reaches
+        bits = (np.arange(TOTAL_BITS), transpose_permutation())
+        role_a, role_b = (np.searchsorted((n, DATA_BITS), b, side="right")
+                          for n, b in zip(self._lengths, bits))
+        zones = {label: set() for label in ZONE_LABELS.values()}
+        for cell, k in zip(data_placement_order(), (3 * role_a + role_b).tolist()):
+            zones[_ZONE_BY_ROLES[k]].add(cell)
+        return zones
 
     def conflict_bytes_a(self):
         """Straight-side codeword bytes touching any conflict zone."""
@@ -209,9 +221,8 @@ class OverlapPartition:
 
 
 _ROLES = ("payload", "free", "ecc")
-# zone label and conflict flag of the role pair (a, b), at index 3 * a + b
+# zone label of the role pair (a, b), at index 3 * a + b
 _ZONE_BY_ROLES = tuple(ZONE_LABELS[(a, b)] for a in _ROLES for b in _ROLES)
-_CONFLICT_BY_ROLES = np.array([label in CONFLICT_ZONES for label in _ZONE_BY_ROLES])
 
 
 def overlap_partition(len_a_bits, len_b_bits):
@@ -223,15 +234,9 @@ def overlap_partition(len_a_bits, len_b_bits):
     for n in (len_a_bits, len_b_bits):
         if not 0 <= n <= DATA_BITS:
             raise ValueError(f"payload length {n} outside 0..{DATA_BITS}")
-    # each cell's bit index on both sides, then its role there: the number
-    # of the bounds (declared length, DATA_BITS) the index reaches
+    # a conflict cell is declared or parity on both sides: neither is free
     bits = (np.arange(TOTAL_BITS), transpose_permutation())
-    role_a, role_b = (np.searchsorted((n, DATA_BITS), b, side="right")
-                      for n, b in zip((len_a_bits, len_b_bits), bits))
-    pair = 3 * role_a + role_b
-    zones = {label: set() for label in ZONE_LABELS.values()}
-    for cell, k in zip(data_placement_order(), pair.tolist()):
-        zones[_ZONE_BY_ROLES[k]].add(cell)
-    conflict = _CONFLICT_BY_ROLES[pair]
+    conflict = np.logical_and(*((b < n) | (b >= DATA_BITS)
+                                for n, b in zip((len_a_bits, len_b_bits), bits)))
     conflict_bytes = tuple(tuple(sorted(set((b[conflict] // 8).tolist()))) for b in bits)
-    return OverlapPartition(zones, conflict_bytes)
+    return OverlapPartition((len_a_bits, len_b_bits), conflict_bytes)

@@ -14,17 +14,16 @@ get eight auxiliary variables holding the intended (post-correction)
 byte so the parity checks can still refer to it. _aux_bytes fixes their
 order for both the system and the free-value preference. That
 preference, which picks the solution among many, starts from both
-messages' ordinary encodings, computed once per message pair when the
-first allocation is tried. Only allocations that release every cell the
-two sides pin to different values are tried at all. Each system is
+messages' ordinary encodings. Only allocations that release every cell
+the two sides pin to different values are considered at all. A system is
 solved by substituting the message pins into the parity rows and
 eliminating those on bit-packed rows. Every elimination here packs a row
 into a Python int with its lowest column at its highest bit and files
 its pivots in a list indexed by int.bit_length() (_eliminate), so the
 pivot order is lowest column first.
 
-Most allocations at the capacity edge have no solution, and after the
-first failure the rest are decided without building a system. An
+Most allocations at the capacity edge have no solution, so every
+allocation, the first one too, is decided without building a system. An
 allocation S is solvable iff the target g lies in V + span{unit vectors
 on the cells of S}, all over the 208 cells: g is each side's declared
 bits, zero-filled, encoded and xored with its mask, the mirrored side's
@@ -34,7 +33,8 @@ depends only on the declared lengths la and lb, so its quotient (of
 dimension k = la + lb - 96 from 8+11 up) is cached per length pair, and
 each verdict eliminates at most 48 reduced cell vectors. Only the first
 admitted allocation is built and solved as above, so every grid and
-report is the one the build-every-allocation search gives.
+report is the one the build-every-allocation search gives, and an
+infeasible pair builds no system at all.
 
 The randomized baseline (method "brute") is the construction the analytic
 method replaces: randomize the free fill, compute the straight side's
@@ -197,7 +197,18 @@ def _codeword_checks():
     return checks
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
+def _data_bit_codewords():
+    """Read-only 2 x 152 x 208: each data bit's codeword on the 208 cells,
+    [0] as the straight side places it, [1] as the mirrored side does
+    (through transpose_permutation())."""
+    straight = _codeword_checks()[:, :DATA_BITS].T
+    codewords = np.stack([straight, straight[:, transpose_permutation()]])
+    codewords.setflags(write=False)
+    return codewords
+
+
+@lru_cache(maxsize=256)  # every cover needs it; short messages alone give ~170 keys
 def _quotient(la, lb):
     """V's reduced row echelon form, on its non-pivot cells only.
 
@@ -212,10 +223,8 @@ def _quotient(la, lb):
     bit j % 8 of byte j // 8, (208 - k) x ceil(k/8) bytes. The generators
     are eliminated as ints with cell c at bit 207 - c.
     """
-    checks = _codeword_checks()
-    gens = np.zeros((2 * DATA_BITS - la - lb, TOTAL_BITS), dtype=np.uint8)
-    gens[: DATA_BITS - la] = checks[:, la:DATA_BITS].T
-    gens[DATA_BITS - la :, transpose_permutation()] = checks[:, lb:DATA_BITS].T
+    codewords = _data_bit_codewords()
+    gens = np.concatenate([codewords[0, la:], codewords[1, lb:]])
     pivots = [0] * (TOTAL_BITS + 1)
     _eliminate(pivots, (int.from_bytes(row.tobytes(), "big") for row in np.packbits(gens, axis=1)))
     lead = [n for n, row in enumerate(pivots) if row]
@@ -249,39 +258,44 @@ def _admission(payload_a, payload_b, fmt, mirrored_fmt):
     vectors on its allocated bytes' cells, all placed on the cells. So
     alloc is solvable iff g = g_a ^ g_b lies in V + U, i.e. iff g reduced
     modulo V (_quotient) lies in the span of the allocated cells' reduced
-    unit vectors. The stream yields covers grouped by straight subset, so
-    admits keeps the last straight subset's pivots for the next cover.
+    unit vectors, read from the table a byte at a time on first use. The
+    stream yields covers grouped by straight subset, so admits keeps the
+    last one's pivots for the next cover.
     """
     la, lb = payload_a.bits.size, payload_b.bits.size
     free, table = _quotient(la, lb)
     width = table.shape[1]
-    packed = table.tobytes()
-    rows = [0] * TOTAL_BITS  # each cell's unit vector reduced modulo V
-    for j, c in enumerate(np.flatnonzero(free).tolist()):
-        rows[c] = 1 << j
-    for i, c in enumerate(np.flatnonzero(~free).tolist()):
-        rows[c] = int.from_bytes(packed[i * width : (i + 1) * width], "little")
-    checks = _codeword_checks()
     sigma = transpose_permutation()
-    g = np.bitwise_xor.reduce(checks[:, :la] & payload_a.bits, axis=1) ^ data_mask(fmt.mask_id)
-    g[sigma] ^= (np.bitwise_xor.reduce(checks[:, :lb] & payload_b.bits, axis=1)
-                 ^ data_mask(mirrored_fmt.mask_id))
-    target = 0
-    for c in np.flatnonzero(g).tolist():
-        target ^= rows[c]
-    # each side's reduced vectors in its own codeword bit order
-    sides = (rows, [rows[c] for c in sigma.tolist()])
+    declared = np.zeros((2, DATA_BITS), dtype=bool)  # each side's declared bits that are 1
+    declared[0, :la], declared[1, :lb] = payload_a.bits, payload_b.bits
+    g = (np.bitwise_xor.reduce(_data_bit_codewords()[declared], axis=0)
+         ^ data_mask(fmt.mask_id) ^ data_mask(mirrored_fmt.mask_id)[sigma]).view(bool)
+    target = (int.from_bytes(np.packbits(g[free], bitorder="little").tobytes(), "little")
+              ^ int.from_bytes(np.bitwise_xor.reduce(table[g[~free]], axis=0).tobytes(), "little"))
+    free_bits = int.from_bytes(np.packbits(free, bitorder="little").tobytes(), "little")
+    packed = table.tobytes()
+    byte_rows = {}  # (side, byte) -> its 8 cells' reduced vectors, in the side's bit order
+
+    def reduced(cell):  # j free cells precede it, so cell - j pivot cells do
+        j = (free_bits & ((1 << cell) - 1)).bit_count()
+        i = (cell - j) * width
+        return 1 << j if free_bits >> cell & 1 else int.from_bytes(packed[i : i + width], "little")
+
+    def rows(side, byte):
+        if (side, byte) not in byte_rows:
+            bits = range(byte * 8, byte * 8 + 8)
+            byte_rows[side, byte] = [reduced(c) for c in (sigma[bits].tolist() if side else bits)]
+        return byte_rows[side, byte]
+
     straight = [None, None]  # the last straight subset, its pivots
 
     def admits(alloc):
         if straight[0] != alloc.side_a_bytes:
             pivots = [0] * (width * 8 + 1)
-            _eliminate(pivots, (row for byte in alloc.side_a_bytes
-                                for row in sides[0][byte * 8 : byte * 8 + 8]))
+            _eliminate(pivots, (row for byte in alloc.side_a_bytes for row in rows(0, byte)))
             straight[:] = alloc.side_a_bytes, pivots
         pivots = straight[1].copy()
-        _eliminate(pivots, (row for byte in alloc.side_b_bytes
-                            for row in sides[1][byte * 8 : byte * 8 + 8]))
+        _eliminate(pivots, (row for byte in alloc.side_b_bytes for row in rows(1, byte)))
         return not _eliminate(pivots, [target])
 
     return admits
@@ -524,10 +538,10 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
     """Build a grid reading msg_a straight and msg_b mirrored.
 
     method "analytic" (also spelled "auto", the default) walks error
-    allocations in increasing size, building and solving the constraint
-    system for each; the first solvable one is materialized. method
-    "brute" runs the randomized baseline for trials fills from seed.
-    Either grid is self-verified before it is returned.
+    allocations in increasing size, deciding each by _admission; only the
+    first admitted one has its system built, solved and materialized.
+    method "brute" runs the randomized baseline for trials fills from
+    seed. Either grid is self-verified before it is returned.
     """
     if method not in ("auto", "analytic", "brute"):
         raise ValueError(f"unknown method {method!r}")
@@ -548,25 +562,21 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
     else:
         partition = overlap_partition(len(payload_a.bits), len(payload_b.bits))
         conflicts = _pin_conflict_cells(payload_a, payload_b)
-        preference = admits = None
+        admits = None
         attempted = 0
         for alloc in enumerate_error_allocations(partition, conflicts=conflicts):
             attempted += 1
-            if preference is not None:
-                if admits is None:
-                    admits = _admission(payload_a, payload_b, straight, mirrored)
-                if not admits(alloc):
-                    continue
-            system = build_constraint_system(payload_a, payload_b, straight, alloc,
-                                             mirrored_fmt=mirrored)
-            if preference is None:
-                preference = _free_value_preference(msg_a, msg_b, straight)
-            solution = solve_gf2(system, free_values=preference(alloc))
-            if solution is not None:
+            admits = admits or _admission(payload_a, payload_b, straight, mirrored)
+            if admits(alloc):
                 break
         else:
             raise ConstructionError("system infeasible",
                                     _infeasible_reason(conflicts, attempted))
+        system = build_constraint_system(payload_a, payload_b, straight, alloc,
+                                         mirrored_fmt=mirrored)
+        solution = solve_gf2(system, _free_value_preference(msg_a, msg_b, straight)(alloc))
+        if solution is None:  # a wrong verdict: no other cover may stand in for it
+            raise RuntimeError(f"the quotient test admitted {alloc}, whose system has no solution")
         grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
         method, free_vars, trials_run = "analytic", solution.free_variable_count, 0
 

@@ -439,6 +439,15 @@ def seeded_alnum_pair(rng, len_a, len_b):
             "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(len_b)))
 
 
+def seeded_short_pair(rng):
+    """An alnum, numeric or byte-vs-alnum pair of 1-6 (digits 1-9) characters."""
+    alphabet_a, alphabet_b, top = rng.choice([
+        (codec.ALPHANUMERIC, codec.ALPHANUMERIC, 6), ("0123456789", "0123456789", 9),
+        ("abcdefghijklmnopqrstuvwxyz", codec.ALPHANUMERIC, 6)])
+    return tuple("".join(rng.choice(alphabet) for _ in range(rng.randint(1, top)))
+                 for alphabet in (alphabet_a, alphabet_b))
+
+
 def test_cover_stream_matches_filtered_reference():
     def check(partition, conflicts, label):
         for max_per_side in range(4):
@@ -648,12 +657,7 @@ def test_quotient_matches_the_lowest_bit_reference():
     rng = random.Random(15)
     short = set()
     while len(short) < 40:
-        alphabet_a, alphabet_b, top = rng.choice([
-            (codec.ALPHANUMERIC, codec.ALPHANUMERIC, 6), ("0123456789", "0123456789", 9),
-            ("abcdefghijklmnopqrstuvwxyz", codec.ALPHANUMERIC, 6)])
-        pa, pb = construction_payloads(
-            *("".join(rng.choice(alphabet) for _ in range(rng.randint(1, top)))
-              for alphabet in (alphabet_a, alphabet_b)))
+        pa, pb = construction_payloads(*seeded_short_pair(rng))
         short.add((pa.bits.size, pb.bits.size))
     for key in sorted(keys | short):
         got, want = mirror._quotient(*key), reference_quotient(*key)
@@ -665,13 +669,15 @@ def test_quotient_matches_the_lowest_bit_reference():
 
 def test_construction_imports_no_module():
     # a stray numpy helper can pull a whole subpackage into every process
-    # (np.setdiff1d loads numpy.ma, about 1.3 MB resident): constructing a
-    # capacity-edge pair that reaches the quotient test and a 13+13 pair
-    # that ends infeasible must leave sys.modules as importing left it
+    # (np.setdiff1d loads numpy.ma, about 1.3 MB resident): constructing the
+    # golden short pair, a capacity-edge pair and a 13+13 pair that ends
+    # infeasible, each through the quotient test, must leave sys.modules as
+    # importing left it
     script = (
         "import sys\n"
         "from qrmirror import mirror\n"
         "before = set(sys.modules)\n"
+        "mirror.construct_double_sided('HARRY', 'BOVIK')\n"
         "mirror.construct_double_sided('T*NH8B/0L', 'WT%5LZ*:2OAS', method='analytic')\n"
         "try:\n"
         "    mirror.construct_double_sided('GI//B-E.9E-B8', '4YDI1R8/%0H95', method='analytic')\n"
@@ -732,9 +738,17 @@ def construction_outcome(construct, msg_a, msg_b):
     return grid.cells.tobytes(), report.to_json()
 
 
+def first_cover_fails(msg_a, msg_b):
+    """Whether the pair's first cover exists and its system has no solution."""
+    partition, conflicts = construction_inputs(msg_a, msg_b)
+    first = next(mirror.enumerate_error_allocations(partition, conflicts=conflicts), None)
+    return first is not None and not solves(*construction_payloads(msg_a, msg_b), first)
+
+
 def test_construction_matches_the_build_every_cover_reference():
-    # deciding covers by the quotient table moves no grid, report or
-    # message; an infeasible message still counts every cover examined
+    # deciding covers by the quotient table, the first one too, moves no
+    # grid, report or message, by either spelling of the analytic method;
+    # an infeasible message still counts every cover examined
     rng = random.Random(14)
     pairs = [("HARRY", "BOVIK"), ("HELLO", "HELLO"), ("12345", "67890"), ("h i", "HELLO")]
     pairs += [seeded_alnum_pair(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(12)]
@@ -744,16 +758,73 @@ def test_construction_matches_the_build_every_cover_reference():
     pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(10)]
     pairs += [seeded_alnum_pair(rng, 10, 12) for _ in range(4)]
     pairs += [seeded_alnum_pair(rng, 13, 13) for _ in range(12)]
+    pairs += [seeded_short_pair(rng) for _ in range(80)]
+    assert sum(first_cover_fails(*pair) for pair in pairs[-80:]) >= 8
     stages = set()
     for pair in pairs:
         want = construction_outcome(reference_construct_analytic, *pair)
-        got = construction_outcome(
-            lambda a, b: mirror.construct_double_sided(a, b, method="analytic"), *pair)
-        assert got == want, pair
+        for method in ("analytic", "auto"):
+            got = construction_outcome(
+                lambda a, b: mirror.construct_double_sided(a, b, method=method), *pair)
+            assert got == want, (pair, method)
         stages.add(want[0] if isinstance(want[0], str) else "solved")
         if "viable allocations" in want[1]:
             stages.add("counted")
     assert stages == {"solved", "system infeasible", "counted"}
+
+
+def test_construction_builds_and_solves_only_the_admitted_cover(monkeypatch):
+    # a solved pair builds and solves exactly one system, an infeasible one
+    # none, also where the first cover has no solution
+    rng = random.Random(19)
+    short = [seeded_short_pair(rng) for _ in range(40)]
+    assert sum(first_cover_fails(*pair) for pair in short) >= 5
+    capacity = [seeded_alnum_pair(rng, 9, 12) for _ in range(8)]
+    infeasible = [seeded_alnum_pair(rng, 13, 13) for _ in range(8)]
+    calls = {"build": 0, "solve": 0, "solved": 0}
+    build, solve = mirror.build_constraint_system, mirror.solve_gf2
+
+    def counting_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        calls["solve"] += 1
+        solution = solve(*args, **kwargs)
+        calls["solved"] += solution is not None
+        return solution
+
+    monkeypatch.setattr(mirror, "build_constraint_system", counting_build)
+    monkeypatch.setattr(mirror, "solve_gf2", counting_solve)
+    outcomes = set()
+    for pair, method in ([(pair, "auto") for pair in short]
+                         + [(pair, "analytic") for pair in capacity + infeasible]):
+        calls.update(build=0, solve=0, solved=0)
+        try:
+            mirror.construct_double_sided(*pair, method=method)
+        except mirror.ConstructionError as exc:
+            assert exc.stage == "system infeasible", pair
+            assert calls == {"build": 0, "solve": 0, "solved": 0}, pair
+            outcomes.add("covers all fail" if "viable allocations" in str(exc) else "no cover")
+        else:
+            assert calls == {"build": 1, "solve": 1, "solved": 1}, pair
+            outcomes.add(f"solved {len(pair[0])}+{len(pair[1])}")
+    assert {"covers all fail", "no cover", "solved 9+12"} <= outcomes
+
+
+def test_an_admitted_cover_without_a_solution_is_an_error(monkeypatch):
+    # a wrong verdict must not let a later cover stand in for the winner
+    rng = random.Random(21)
+    while not first_cover_fails(*(pair := seeded_short_pair(rng))):
+        pass
+    msg_a, msg_b = pair
+    partition, conflicts = construction_inputs(msg_a, msg_b)
+    first = next(mirror.enumerate_error_allocations(partition, conflicts=conflicts))
+    monkeypatch.setattr(mirror, "_admission", lambda *args: lambda alloc: True)
+    with pytest.raises(RuntimeError) as excinfo:
+        mirror.construct_double_sided(msg_a, msg_b)
+    assert not isinstance(excinfo.value, mirror.ConstructionError)
+    assert repr(first) in str(excinfo.value)
 
 
 @pytest.mark.parametrize("msg_a, msg_b, bytes_a, bytes_b", [
