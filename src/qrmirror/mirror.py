@@ -29,12 +29,14 @@ on the cells of S}, all over the 208 cells: g is each side's declared
 bits, zero-filled, encoded and xored with its mask, the mirrored side's
 placed through transpose_permutation(), summed; V is spanned by the
 codewords of both sides' undeclared data bits, placed the same way. V
-depends only on the declared lengths la and lb, so its quotient (of
-dimension k = la + lb - 96 from 8+11 up) is cached per length pair, and
-each verdict eliminates at most 48 reduced cell vectors. Only the first
-admitted allocation is built and solved as above, so every grid and
-report is the one the build-every-allocation search gives, and an
-infeasible pair builds no system at all.
+depends only on the declared lengths la and lb, so every cell's unit
+vector reduced modulo V, an int on the k = la + lb - 96 quotient
+coordinates (from 8+11 up), is cached per length pair. g reduced is the
+xor of its set cells' vectors, and each verdict eliminates at most 48
+allocated cells' vectors. Only the first admitted allocation is built
+and solved as above, so every grid and report is the one the
+build-every-allocation search gives, and an infeasible pair builds no
+system at all.
 
 The randomized baseline (method "brute") is the construction the analytic
 method replaces: randomize the free fill, compute the straight side's
@@ -210,42 +212,38 @@ def _data_bit_codewords():
 
 @lru_cache(maxsize=256)  # every cover needs it; short messages alone give ~170 keys
 def _quotient(la, lb):
-    """V's reduced row echelon form, on its non-pivot cells only.
+    """Every cell's unit vector reduced modulo V, as an int per cell.
 
     V is spanned by the codewords of the straight side's undeclared data
     bits la..151 and of the mirrored side's lb..151, placed on their cells;
     it depends only on the two declared lengths. Its k = 208 - dim V
     non-pivot cells are the coordinates of the quotient by V, k = la + lb
-    - 96 from 8+11 up. Reduced modulo V, a non-pivot cell's unit vector is
-    its own coordinate and a pivot cell's is its row without the pivot.
-    Returns (free, rows), read-only: free marks the non-pivot cells; rows
-    holds the pivot cells' reduced vectors in cell order, coordinate j at
-    bit j % 8 of byte j // 8, (208 - k) x ceil(k/8) bytes. The generators
-    are eliminated as ints with cell c at bit 207 - c.
+    - 96 from 8+11 up, coordinate j at bit j. Returns a tuple of 208 ints
+    in cell order: a non-pivot cell's entry is its own coordinate, 1 << j
+    for the j-th such cell; a pivot cell's is its row of V's reduced row
+    echelon form without the pivot. The generators are eliminated as ints
+    with cell c at bit 207 - c. A pivot row's other cells are all later
+    cells, so a pivot cell's entry is the xor of theirs.
     """
     codewords = _data_bit_codewords()
-    gens = np.concatenate([codewords[0, la:], codewords[1, lb:]])
+    gens = np.packbits(np.concatenate([codewords[0, la:], codewords[1, lb:]]), axis=1).tobytes()
     pivots = [0] * (TOTAL_BITS + 1)
-    _eliminate(pivots, (int.from_bytes(row.tobytes(), "big") for row in np.packbits(gens, axis=1)))
-    lead = [n for n, row in enumerate(pivots) if row]
-    lead_bits = sum(1 << n - 1 for n in lead)
-    for n in lead:  # every higher cell's pivot row is reduced
-        row = pivots[n]
-        later = row & lead_bits & ~(1 << n - 1)
-        while later:
-            m = later.bit_length()
-            row ^= pivots[m]
-            later ^= 1 << m - 1
-        pivots[n] = row
-    rref = np.frombuffer(b"".join(pivots[n].to_bytes(TOTAL_BITS // 8, "big")
-                                  for n in reversed(lead)), dtype=np.uint8)
-    rref = np.unpackbits(rref.reshape(len(lead), TOTAL_BITS // 8), axis=1)
-    free = np.ones(TOTAL_BITS, dtype=bool)
-    free[[TOTAL_BITS - n for n in lead]] = False
-    rows = np.packbits(rref[:, free], axis=1, bitorder="little")
-    free.setflags(write=False)
-    rows.setflags(write=False)
-    return free, rows
+    _eliminate(pivots, (int.from_bytes(gens[i : i + TOTAL_BITS // 8], "big")
+                        for i in range(0, len(gens), TOTAL_BITS // 8)))
+    reduced = [0] * (TOTAL_BITS + 1)  # like pivots: reduced[n] is cell 208 - n's entry
+    j = pivots.count(0) - 1  # k, as pivots[0] is always 0
+    for n in range(1, TOTAL_BITS + 1):  # the last cell first
+        if not pivots[n]:
+            j -= 1
+            reduced[n] = 1 << j
+            continue
+        row, entry = pivots[n] ^ 1 << n - 1, 0
+        while row:  # the pivot row's other cells are all later cells
+            m = row.bit_length()
+            entry ^= reduced[m]
+            row ^= 1 << m - 1
+        reduced[n] = entry
+    return tuple(reduced[:0:-1])
 
 
 def _admission(payload_a, payload_b, fmt, mirrored_fmt):
@@ -257,41 +255,31 @@ def _admission(payload_a, payload_b, fmt, mirrored_fmt):
     xored with its mask; V its undeclared data bits' codewords; U the unit
     vectors on its allocated bytes' cells, all placed on the cells. So
     alloc is solvable iff g = g_a ^ g_b lies in V + U, i.e. iff g reduced
-    modulo V (_quotient) lies in the span of the allocated cells' reduced
-    unit vectors, read from the table a byte at a time on first use. The
-    stream yields covers grouped by straight subset, so admits keeps the
-    last one's pivots for the next cover.
+    modulo V, the xor of its set cells' _quotient entries, lies in the
+    span of the allocated cells' entries. The stream yields covers grouped
+    by straight subset, so admits keeps the last one's pivots for the next
+    cover.
     """
     la, lb = payload_a.bits.size, payload_b.bits.size
-    free, table = _quotient(la, lb)
-    width = table.shape[1]
+    reduced = _quotient(la, lb)
     sigma = transpose_permutation()
     declared = np.zeros((2, DATA_BITS), dtype=bool)  # each side's declared bits that are 1
     declared[0, :la], declared[1, :lb] = payload_a.bits, payload_b.bits
     g = (np.bitwise_xor.reduce(_data_bit_codewords()[declared], axis=0)
-         ^ data_mask(fmt.mask_id) ^ data_mask(mirrored_fmt.mask_id)[sigma]).view(bool)
-    target = (int.from_bytes(np.packbits(g[free], bitorder="little").tobytes(), "little")
-              ^ int.from_bytes(np.bitwise_xor.reduce(table[g[~free]], axis=0).tobytes(), "little"))
-    free_bits = int.from_bytes(np.packbits(free, bitorder="little").tobytes(), "little")
-    packed = table.tobytes()
-    byte_rows = {}  # (side, byte) -> its 8 cells' reduced vectors, in the side's bit order
-
-    def reduced(cell):  # j free cells precede it, so cell - j pivot cells do
-        j = (free_bits & ((1 << cell) - 1)).bit_count()
-        i = (cell - j) * width
-        return 1 << j if free_bits >> cell & 1 else int.from_bytes(packed[i : i + width], "little")
+         ^ data_mask(fmt.mask_id) ^ data_mask(mirrored_fmt.mask_id)[sigma])
+    target = 0
+    for cell in np.flatnonzero(g).tolist():
+        target ^= reduced[cell]
+    cells = range(TOTAL_BITS), sigma.tolist()  # each side's bit k sits on cell cells[side][k]
 
     def rows(side, byte):
-        if (side, byte) not in byte_rows:
-            bits = range(byte * 8, byte * 8 + 8)
-            byte_rows[side, byte] = [reduced(c) for c in (sigma[bits].tolist() if side else bits)]
-        return byte_rows[side, byte]
+        return [reduced[c] for c in cells[side][byte * 8 : byte * 8 + 8]]
 
     straight = [None, None]  # the last straight subset, its pivots
 
     def admits(alloc):
         if straight[0] != alloc.side_a_bytes:
-            pivots = [0] * (width * 8 + 1)
+            pivots = [0] * (TOTAL_BITS + 1)
             _eliminate(pivots, (row for byte in alloc.side_a_bytes for row in rows(0, byte)))
             straight[:] = alloc.side_a_bytes, pivots
         pivots = straight[1].copy()
@@ -516,22 +504,17 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed):
     return BruteForceResult(None, done, best)
 
 
-def _free_value_preference(msg_a, msg_b, straight_fmt):
-    """Preferred free values, as a function of the allocation.
+def _free_value_preference(msg_a, msg_b, straight_fmt, alloc):
+    """Preferred free values for alloc's system.
 
     Free cells default to the straight side's ordinary encoding; aux bytes
-    default to their side's ordinary codeword. The ordinary encodings are
-    computed once per message pair.
+    default to their side's ordinary codeword.
     """
     cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
     data = [codec.assemble_payload(codec.make_segment(msg), pad=True).bits
             for msg in (msg_a, msg_b)]
-
-    def preference(alloc):
-        aux = [data[side][byte * 8 : byte * 8 + 8] for side, byte in _aux_bytes(alloc)]
-        return np.concatenate([cells, *aux])
-
-    return preference
+    aux = [data[side][byte * 8 : byte * 8 + 8] for side, byte in _aux_bytes(alloc)]
+    return np.concatenate([cells, *aux])
 
 
 def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
@@ -574,7 +557,7 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
                                     _infeasible_reason(conflicts, attempted))
         system = build_constraint_system(payload_a, payload_b, straight, alloc,
                                          mirrored_fmt=mirrored)
-        solution = solve_gf2(system, _free_value_preference(msg_a, msg_b, straight)(alloc))
+        solution = solve_gf2(system, _free_value_preference(msg_a, msg_b, straight, alloc))
         if solution is None:  # a wrong verdict: no other cover may stand in for it
             raise RuntimeError(f"the quotient test admitted {alloc}, whose system has no solution")
         grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)

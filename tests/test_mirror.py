@@ -12,10 +12,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qrmirror import codec, encoder, mirror, verify
+from qrmirror import codec, encoder, mirror, rscode, verify
 from qrmirror.formatinfo import FormatWord, select_mirror_format
 from qrmirror.grid import DATA_BITS, TOTAL_BITS, overlap_partition, transpose_permutation
-from qrmirror.masks import symmetric_masks
+from qrmirror.masks import data_mask, symmetric_masks
 
 
 def payload(text, mode="alphanumeric"):
@@ -598,21 +598,31 @@ def test_admission_accepts_allocations_outside_the_candidates(msg_a, msg_b, byte
     assert solves(pa, pb, alloc)
 
 
-@pytest.mark.parametrize("len_a, len_b", [(61, 78), (67, 83), (89, 89), (152, 152)])
-def test_quotient_has_the_kernel_dimension(len_a, len_b):
-    # alnum 8+11, 9+12 and 13+13 terminated payloads, and two full ones
-    free, rows = mirror._quotient(len_a, len_b)
-    k = int(free.sum())
-    assert k == len_a + len_b - 96
-    assert rows.shape == (TOTAL_BITS - k, (k + 7) // 8)
-    assert not free.flags.writeable and not rows.flags.writeable
+@pytest.mark.parametrize("len_a, len_b, k", [
+    (0, 0, 4), (61, 78, 43), (67, 83, 54), (89, 89, 82), (152, 152, 208)],
+    ids=["0-0", "61-78", "67-83", "89-89", "152-152"])
+def test_quotient_has_the_kernel_dimension(len_a, len_b, k):
+    # empty payloads, alnum 8+11, 9+12 and 13+13 terminated payloads, and
+    # two full ones: k = la + lb - 96 from 8+11 up
+    reduced = mirror._quotient(len_a, len_b)
+    assert type(reduced) is tuple and len(reduced) == TOTAL_BITS
+    assert all(type(entry) is int and 0 <= entry < 1 << k for entry in reduced)
+    free, _ = reference_quotient(len_a, len_b)
+    assert [reduced[c] for c in np.flatnonzero(free).tolist()] == [1 << j for j in range(k)]
+
+
+def deep_size(reduced):
+    return sys.getsizeof(reduced) + sum(sys.getsizeof(entry) for entry in reduced)
 
 
 def test_quotient_cache_is_bounded_and_small_per_key():
-    assert mirror._quotient.cache_info().maxsize is not None
-    for len_a in range(0, 153, 19):
-        for len_b in range(0, 153, 19):
-            assert sum(a.nbytes for a in mirror._quotient(len_a, len_b)) <= 3 * 1024
+    # a tuple of 208 ints of up to 208 bits each: 10,000 bytes at k = 208
+    # on 64-bit CPython, so a full cache of 256 keys stays near 2 MB
+    assert mirror._quotient.cache_info().maxsize == 256
+    keys = [(la, lb) for la in range(0, 153, 10) for lb in range(0, 153, 10)]
+    sizes = [deep_size(mirror._quotient(*key)) for key in keys + [(152, 152)]]
+    assert len(keys) == 256 and max(sizes) <= 10 * 1024
+    assert sum(sizes[:-1]) <= 2.25 * 1024 * 1024
 
 
 def reference_quotient(la, lb):
@@ -649,6 +659,16 @@ def reference_quotient(la, lb):
     return free, rows
 
 
+def reference_reduced(la, lb):
+    """reference_quotient's (free, rows) as one int per cell: a free cell's
+    coordinate, 1 << j for the j-th free cell, or a pivot cell's row."""
+    free, rows = reference_quotient(la, lb)
+    pivot_rows = iter(rows)
+    return tuple(1 << int(free[:cell].sum()) if free[cell]
+                 else int.from_bytes(next(pivot_rows).tobytes(), "little")
+                 for cell in range(TOTAL_BITS))
+
+
 def test_quotient_matches_the_lowest_bit_reference():
     # the extreme lengths, the 9+12 and 13+13 keys, and the keys of seeded
     # short alnum, numeric and byte pairs
@@ -660,11 +680,55 @@ def test_quotient_matches_the_lowest_bit_reference():
         pa, pb = construction_payloads(*seeded_short_pair(rng))
         short.add((pa.bits.size, pb.bits.size))
     for key in sorted(keys | short):
-        got, want = mirror._quotient(*key), reference_quotient(*key)
-        for g, w in zip(got, want):
-            assert (g.dtype, g.shape) == (w.dtype, w.shape), key
-            assert g.tobytes() == w.tobytes(), key
-            assert not g.flags.writeable, key
+        assert mirror._quotient(*key) == reference_reduced(*key), key
+
+
+def test_widest_quotient_admits_exactly_the_allocations_holding_the_target():
+    # with all 152 data bits declared on each side V is empty (k = 208), so
+    # an allocation is solvable iff the target g, both sides' codewords
+    # masked, placed on the cells and summed, lies on its cells
+    straight, mirrored = selected_formats()
+    sigma = transpose_permutation()
+
+    def verdicts(pa, pb, allocs):
+        assert pa.bits.size == pb.bits.size == DATA_BITS
+        assert max(mirror._quotient(DATA_BITS, DATA_BITS)) == 1 << TOTAL_BITS - 1
+        parity = [np.unpackbits(np.frombuffer(rscode.rs_encode(np.packbits(p.bits)), np.uint8))
+                  for p in (pa, pb)]
+        physical = [np.concatenate([p.bits, par]) ^ data_mask(fmt.mask_id)
+                    for p, par, fmt in zip((pa, pb), parity, (straight, mirrored))]
+        support = set(np.flatnonzero(physical[0] ^ physical[1][sigma]).tolist())
+        admits = admission(pa, pb)
+        for alloc in allocs:
+            cells = {c for c in range(TOTAL_BITS)
+                     if c // 8 in alloc.side_a_bytes or sigma[c] // 8 in alloc.side_b_bytes}
+            assert admits(alloc) == (support <= cells) == solves(pa, pb, alloc), alloc
+            yield support <= cells, len(support)
+
+    # two all-zero 41-digit numeric messages: g's 58 cells outnumber the 48
+    # any allocation releases, so every one of the 112,104 covers fails
+    msg = "0" * 41
+    partition, conflicts = construction_inputs(msg, msg)
+    covers = list(mirror.enumerate_error_allocations(partition, conflicts=conflicts))
+    assert len(covers) == 112_104
+    sample = random.Random(17).sample(covers, 60)
+    assert set(verdicts(*construction_payloads(msg, msg), sample)) == {(False, 58)}
+
+    # the full data a constructed 9+12 grid decodes to on each side: the
+    # bytes its decoders correct hold g, and dropping any one of them fails
+    grid, _ = mirror.construct_double_sided("T*NH8B/0L", "WT%5LZ*:2OAS", method="analytic")
+    reports = verify.decode_grid(grid, "straight"), verify.decode_grid(grid, "transposed")
+    full = [codec.Payload(np.unpackbits(np.frombuffer(rscode.rs_decode(
+                verify.read_codewords(view, report.mask_id))[0], np.uint8)), 0, True)
+            for view, report in zip((grid, grid.transposed()), reports)]
+    corrected = mirror.ErrorAllocation(*(r.corrected_bytes for r in reports))
+    assert len(corrected.side_a_bytes) == len(corrected.side_b_bytes) == 3
+    dropped = [mirror.ErrorAllocation(corrected.side_a_bytes - {byte}, corrected.side_b_bytes)
+               for byte in corrected.side_a_bytes]
+    dropped += [mirror.ErrorAllocation(corrected.side_a_bytes, corrected.side_b_bytes - {byte})
+                for byte in corrected.side_b_bytes]
+    admitted = [ok for ok, _ in verdicts(*full, [corrected, *dropped])]
+    assert admitted == [True] + [False] * 6
 
 
 def test_construction_imports_no_module():
@@ -702,15 +766,13 @@ def reference_construct_analytic(msg_a, msg_b):
     payload_a, payload_b = construction_payloads(msg_a, msg_b)
     fmt = select_mirror_format()
     partition, conflicts = construction_inputs(msg_a, msg_b)
-    preference = None
     attempted = 0
     for alloc in mirror.enumerate_error_allocations(partition, conflicts=conflicts):
         system = mirror.build_constraint_system(payload_a, payload_b, fmt.straight, alloc,
                                                 mirrored_fmt=fmt.mirrored)
         attempted += 1
-        if preference is None:
-            preference = mirror._free_value_preference(msg_a, msg_b, fmt.straight)
-        solution = mirror.solve_gf2(system, free_values=preference(alloc))
+        solution = mirror.solve_gf2(
+            system, free_values=mirror._free_value_preference(msg_a, msg_b, fmt.straight, alloc))
         if solution is not None:
             break
     else:
