@@ -9,15 +9,13 @@ from qrmirror import codec, encoder, render, rscode, verify
 
 # A payload is mode indicator + length + characters. Alphanumeric packs
 # two characters into eleven bits.
-segment = codec.make_segment("HELLO")
-print("mode:", segment.mode)
-bits = codec.encode_segment(segment)
+print("mode:", codec.pick_mode("HELLO"))
+bits = codec.encode_segment("HELLO")
 print(f"declared bits ({len(bits)}):", "".join(map(str, bits)))
 
 # Padding fills the 152-bit data area: terminator, byte alignment, then
 # the alternating fill bytes 11101100 / 00010001.
-payload = codec.assemble_payload(segment, pad=True)
-data = np.packbits(payload.bits).tobytes()
+data = np.packbits(codec.assemble_payload("HELLO")).tobytes()
 print("data bytes:", data.hex(" "))
 
 # Seven Reed-Solomon parity bytes protect the block; any 3 bytes can fail.

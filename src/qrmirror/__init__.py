@@ -6,7 +6,7 @@ system over the shared data cells; a randomized search is kept as the
 baseline it replaces.
 """
 
-from .codec import CodecError, Payload, Segment, assemble_payload, parse_payload
+from .codec import CodecError, assemble_payload, parse_payload
 from .encoder import encode_single
 from .formatinfo import FormatWord, build_flip_graph, select_mirror_format
 from .grid import ModuleGrid, function_pattern_grid, overlap_partition, transpose_map

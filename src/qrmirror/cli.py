@@ -168,8 +168,7 @@ def _cmd_inspect(args):
     # the bits a construction of the decoded pair pins; a side that reads
     # the terminator first declares none
     declared = [0 if rep.mode == "terminator" else
-                len(codec.terminated_payload(codec.make_segment(rep.text, rep.mode)).bits)
-                for rep in reports]
+                codec.terminated_payload(rep.text, rep.mode).size for rep in reports]
     part = overlap_partition(*declared)
     sizes = {label: len(cells) for label, cells in sorted(part.zones.items())}
     print(f"zones: {sizes}")

@@ -1,9 +1,10 @@
 """Payload bitstream assembly and parsing for Version 1 codes.
 
-Bits are uint8 arrays of 0s and 1s, read-only in a Payload. A padded
-payload is always exactly 152 bits: segment bits, a terminator of up to
-four zeros, zero fill to a byte boundary, then the alternating pad bytes
-11101100 / 00010001.
+Text and mode go in ("auto" picks the thriftiest mode); read-only uint8
+arrays of 0s and 1s come out. A padded payload is always exactly 152
+bits: segment bits, a terminator of up to four zeros, zero fill to a byte
+boundary, then the alternating pad bytes 11101100 / 00010001. A
+terminated payload stops after the terminator.
 """
 
 from dataclasses import dataclass
@@ -36,26 +37,9 @@ class CodecError(ValueError):
 
 
 @dataclass(frozen=True)
-class Segment:
-    mode: str
-    text: str
-
-
-@dataclass(frozen=True, eq=False)
-class Payload:
-    bits: np.ndarray  # read-only uint8 0s and 1s
-    declared_length: int  # characters
-    padded: bool
-
-    def __post_init__(self):
-        self.bits.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class ParsedPayload:
     text: str
     mode: str
-    declared_length: int
 
 
 def pick_mode(text):
@@ -66,85 +50,74 @@ def pick_mode(text):
     raise CodecError(f"text not encodable in byte mode: {text!r}")
 
 
-def make_segment(text, mode="auto"):
+def _bits(value, size):
+    """The size-bit number value as a read-only bit array, most significant
+    bit first."""
+    data = (value << (-size % 8)).to_bytes((size + 7) // 8, "big")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), count=size)
+    bits.setflags(write=False)
+    return bits
+
+
+def _segment_value(text, mode):
+    """Mode indicator + length field + character data as (number, bit count)."""
     if mode == "auto":
         mode = pick_mode(text)
-    return Segment(mode, text)
-
-
-def _bits(value, size):
-    """The size-bit number value as a bit array, most significant bit first."""
-    data = (value << (-size % 8)).to_bytes((size + 7) // 8, "big")
-    return np.unpackbits(np.frombuffer(data, np.uint8), count=size)
-
-
-def _segment_value(seg):
-    """Mode indicator + length field + character data as (number, bit count)."""
-    if seg.mode not in MODES:
-        raise CodecError(f"unknown mode {seg.mode!r}")
-    indicator, width, alphabet, widths = MODES[seg.mode]
-    n = len(seg.text)
+    if mode not in MODES:
+        raise CodecError(f"unknown mode {mode!r}")
+    indicator, width, alphabet, widths = MODES[mode]
+    n = len(text)
     if n >= 1 << width:
         raise CodecError(f"{n} characters overflow the length field")
     base, k = len(alphabet), len(widths)
     value, size = indicator << width | n, 4 + width
     for i in range(0, n, k):
-        group = seg.text[i : i + k]
+        group = text[i : i + k]
         v = 0
         for ch in group:
             digit = alphabet.find(ch)
             if digit < 0:
-                raise CodecError(f"text not encodable in {seg.mode} mode: {seg.text!r}")
+                raise CodecError(f"text not encodable in {mode} mode: {text!r}")
             v = v * base + digit
         w = widths[len(group) - 1]
         value, size = value << w | v, size + w
     return value, size
 
 
-def encode_segment(seg):
+def encode_segment(text, mode="auto"):
     """Mode indicator + length field + character data as a bit array."""
-    return _bits(*_segment_value(seg))
+    return _bits(*_segment_value(text, mode))
 
 
-def _joined(segments):
-    """The segments' bits as (number, bit count), and their characters."""
-    if isinstance(segments, Segment):
-        segments = [segments]
-    value = size = 0
-    for s in segments:
-        v, w = _segment_value(s)
-        value, size = value << w | v, size + w
+def _declared(text, mode):
+    """The segment as (number, bit count), checked against the capacity."""
+    value, size = _segment_value(text, mode)
     if size > DATA_BITS:
         raise CodecError(f"{size} payload bits exceed capacity {DATA_BITS}")
-    return value, size, sum(len(s.text) for s in segments)
+    return value, size
 
 
-def assemble_payload(segments, pad=True):
-    """Concatenate segments and optionally pad to the full 152 bits.
-
-    Without padding the remaining bits stay unspecified, which is what the
-    double-sided construction wants: everything after the declared data is
-    free for the solver.
-    """
-    value, size, declared = _joined(segments)
-    if pad:  # terminator, zero fill to the byte edge, then the pad bytes
-        end = min(size + 4, DATA_BITS)
-        end += -end % 8
-        value, size = value << (DATA_BITS - size) | PAD_VALUE >> end, DATA_BITS
-    return Payload(_bits(value, size), declared, pad)
+def assemble_payload(text, mode="auto"):
+    """The full 152 data bits of an ordinary code: the segment, a
+    terminator, zero fill to the byte edge, then the pad bytes."""
+    value, size = _declared(text, mode)
+    end = min(size + 4, DATA_BITS)
+    end += -end % 8
+    return _bits(value << (DATA_BITS - size) | PAD_VALUE >> end, DATA_BITS)
 
 
-def terminated_payload(segment):
+def terminated_payload(text, mode="auto"):
     """The segment and its terminator, unpadded: the bits a double-sided
-    construction pins for one message.
+    construction pins for one message; every later bit is free for the
+    solver.
 
     Strict readers parse segment after segment, so the nibble right after
     the message must not look like another mode indicator; pinning the
     terminator keeps them from wandering into the free fill.
     """
-    value, size, declared = _joined(segment)
+    value, size = _declared(text, mode)
     end = min(size + 4, DATA_BITS)  # the 0000 terminator, cut short at capacity
-    return Payload(_bits(value << (end - size), end), declared, False)
+    return _bits(value << (end - size), end)
 
 
 def parse_payload(bits):
@@ -161,7 +134,7 @@ def parse_payload(bits):
     rest = size - 4  # bits after the field just read
     indicator = value >> rest
     if indicator == 0:
-        return ParsedPayload("", "terminator", 0)
+        return ParsedPayload("", "terminator")
     mode = MODE_OF_INDICATOR.get(indicator)
     if mode is None:
         raise CodecError(f"unsupported mode indicator {indicator:04b}")
@@ -186,4 +159,4 @@ def parse_payload(bits):
             v, digit = divmod(v, base)
             group = alphabet[digit] + group
         out.append(group)
-    return ParsedPayload("".join(out), mode, n)
+    return ParsedPayload("".join(out), mode)

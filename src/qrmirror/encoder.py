@@ -45,6 +45,6 @@ def standard_physical_bits(text, mode, mask_id):
     Used as the fill preference of the double-sided solver, so free cells
     default to what an ordinary encoder would have printed.
     """
-    data = codec.assemble_payload(codec.make_segment(text, mode), pad=True).bits
+    data = codec.assemble_payload(text, mode)
     parity = np.frombuffer(rscode.rs_encode(np.packbits(data)), np.uint8)
     return np.concatenate([data, np.unpackbits(parity)]) ^ data_mask(mask_id)

@@ -246,7 +246,7 @@ def _quotient(la, lb):
     return tuple(reduced[:0:-1])
 
 
-def _admission(payload_a, payload_b, fmt, mirrored_fmt):
+def _admission(bits_a, bits_b, fmt, mirrored_fmt):
     """admits(alloc): whether build_constraint_system's system for alloc
     has a solution, decided without building it.
 
@@ -260,11 +260,11 @@ def _admission(payload_a, payload_b, fmt, mirrored_fmt):
     by straight subset, so admits keeps the last one's pivots for the next
     cover.
     """
-    la, lb = payload_a.bits.size, payload_b.bits.size
+    la, lb = bits_a.size, bits_b.size
     reduced = _quotient(la, lb)
     sigma = transpose_permutation()
     declared = np.zeros((2, DATA_BITS), dtype=bool)  # each side's declared bits that are 1
-    declared[0, :la], declared[1, :lb] = payload_a.bits, payload_b.bits
+    declared[0, :la], declared[1, :lb] = bits_a, bits_b
     g = (np.bitwise_xor.reduce(_data_bit_codewords()[declared], axis=0)
          ^ data_mask(fmt.mask_id) ^ data_mask(mirrored_fmt.mask_id)[sigma])
     target = 0
@@ -289,7 +289,7 @@ def _admission(payload_a, payload_b, fmt, mirrored_fmt):
     return admits
 
 
-def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None):
+def build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
     """Rows for both sides of the code under one error allocation.
 
     fmt is the straight side's format word; the mirrored side defaults to
@@ -302,9 +302,8 @@ def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None)
     for word in (fmt, mirrored_fmt):
         if word.mask_id not in sym:
             raise ValueError(f"mask {word.mask_id} is not symmetric under transposition")
-    for payload in (payload_a, payload_b):
-        if len(payload.bits) > DATA_BITS:
-            raise ValueError("payload exceeds the 152-bit data capacity")
+    if max(bits_a.size, bits_b.size) > DATA_BITS:
+        raise ValueError("payload exceeds the 152-bit data capacity")
 
     # each side's codeword bit k lives in variable var[side, k]: a grid cell,
     # or for an allocated data byte one of the 8 aux variables holding the
@@ -318,8 +317,8 @@ def build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None)
 
     matrices = []
     rhs = []
-    for side, (declared, alloc_bytes) in enumerate(((payload_a.bits, alloc.side_a_bytes),
-                                                    (payload_b.bits, alloc.side_b_bytes))):
+    for side, (declared, alloc_bytes) in enumerate(((bits_a, alloc.side_a_bytes),
+                                                    (bits_b, alloc.side_b_bytes))):
         # the declared bits' rows, then the parity bytes outside the allocation
         keep = np.ones(TOTAL_BITS, dtype=bool)
         keep[declared.size : DATA_BITS] = False
@@ -397,12 +396,13 @@ def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
                     yield ErrorAllocation(sa, frozenset((*req, *extra)))
 
 
-def _pin_conflict_cells(payload_a, payload_b):
-    """Cells both sides pin to different values: (cell index, a byte, b byte)."""
-    a, b = payload_a.bits, payload_b.bits
-    k = transpose_permutation()[: b.size]
-    j = np.flatnonzero(k < a.size)
-    j = j[a[k[j]] != b[j]]
+def _pin_conflict_cells(bits_a, bits_b, fmt, mirrored_fmt):
+    """Cells both sides pin to different physical values: (cell index, a
+    byte, b byte). A side's declared bit is xored with its own mask."""
+    k = transpose_permutation()[: bits_b.size]
+    delta = data_mask(fmt.mask_id)[k] ^ data_mask(mirrored_fmt.mask_id)[: bits_b.size]
+    j = np.flatnonzero(k < bits_a.size)
+    j = j[bits_a[k[j]] ^ bits_b[j] != delta[j]]
     return list(zip(k[j].tolist(), (k[j] // 8).tolist(), (j // 8).tolist()))
 
 
@@ -440,7 +440,7 @@ class BruteForceResult:
 _BRUTE_BATCH = 1024  # random fills drawn and scored per numpy call
 
 
-def brute_force_search(payload_a, payload_b, fmt, trials, seed):
+def brute_force_search(bits_a, bits_b, fmt, trials, seed):
     """Randomized baseline: try free fills until the mirrored side's damage
     fits the correction budget.
 
@@ -459,17 +459,16 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed):
     mu_a = data_mask(fmt.straight.mask_id)
     mu_b = data_mask(fmt.mirrored.mask_id)
     delta = mu_a[sigma] ^ mu_b
-    a_bits, b_bits = payload_a.bits, payload_b.bits
-    la, lb = len(a_bits), len(b_bits)
+    la, lb = bits_a.size, bits_b.size
     parity = rscode.parity_matrix().astype(np.int32)
 
     base = np.zeros(DATA_BITS, dtype=np.uint8)
     pinned = np.zeros(DATA_BITS, dtype=bool)
-    base[:la] = a_bits
+    base[:la] = bits_a
     pinned[:la] = True
     k = sigma[:lb]
     b_only = (k >= la) & (k < DATA_BITS)  # data cells the straight side leaves free
-    base[k[b_only]] = b_bits[b_only]
+    base[k[b_only]] = (bits_b ^ delta[:lb])[b_only]  # the mirrored side reads cell ^ delta
     pinned[k[b_only]] = True
     free_idx = np.nonzero(~pinned)[0]
 
@@ -486,7 +485,7 @@ def brute_force_search(payload_a, payload_b, fmt, trials, seed):
 
         mirrored = full[:, sigma] ^ delta
         intended = mirrored[:, :DATA_BITS].copy()
-        intended[:, :lb] = b_bits
+        intended[:, :lb] = bits_b
         ipar = (intended.astype(np.int32) @ parity.T % 2).astype(np.uint8)
         diff = np.hstack([mirrored[:, :DATA_BITS] != intended,
                           mirrored[:, DATA_BITS:] != ipar])
@@ -511,8 +510,7 @@ def _free_value_preference(msg_a, msg_b, straight_fmt, alloc):
     default to their side's ordinary codeword.
     """
     cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
-    data = [codec.assemble_payload(codec.make_segment(msg), pad=True).bits
-            for msg in (msg_a, msg_b)]
+    data = [codec.assemble_payload(msg) for msg in (msg_a, msg_b)]
     aux = [data[side][byte * 8 : byte * 8 + 8] for side, byte in _aux_bytes(alloc)]
     return np.concatenate([cells, *aux])
 
@@ -528,13 +526,12 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
     """
     if method not in ("auto", "analytic", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    payload_a, payload_b = (codec.terminated_payload(codec.make_segment(msg))
-                            for msg in (msg_a, msg_b))
+    bits_a, bits_b = codec.terminated_payload(msg_a), codec.terminated_payload(msg_b)
     fmt = select_mirror_format()
     straight, mirrored = fmt.straight, fmt.mirrored
 
     if method == "brute":
-        result = brute_force_search(payload_a, payload_b, fmt, trials, seed)
+        result = brute_force_search(bits_a, bits_b, fmt, trials, seed)
         if result.grid is None:
             raise ConstructionError(
                 "RS budget",
@@ -543,20 +540,19 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
             )
         grid, free_vars, trials_run = result.grid, 0, result.trials_run
     else:
-        partition = overlap_partition(len(payload_a.bits), len(payload_b.bits))
-        conflicts = _pin_conflict_cells(payload_a, payload_b)
+        partition = overlap_partition(bits_a.size, bits_b.size)
+        conflicts = _pin_conflict_cells(bits_a, bits_b, straight, mirrored)
         admits = None
         attempted = 0
         for alloc in enumerate_error_allocations(partition, conflicts=conflicts):
             attempted += 1
-            admits = admits or _admission(payload_a, payload_b, straight, mirrored)
+            admits = admits or _admission(bits_a, bits_b, straight, mirrored)
             if admits(alloc):
                 break
         else:
             raise ConstructionError("system infeasible",
                                     _infeasible_reason(conflicts, attempted))
-        system = build_constraint_system(payload_a, payload_b, straight, alloc,
-                                         mirrored_fmt=mirrored)
+        system = build_constraint_system(bits_a, bits_b, straight, alloc, mirrored_fmt=mirrored)
         solution = solve_gf2(system, _free_value_preference(msg_a, msg_b, straight, alloc))
         if solution is None:  # a wrong verdict: no other cover may stand in for it
             raise RuntimeError(f"the quotient test admitted {alloc}, whose system has no solution")

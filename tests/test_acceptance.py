@@ -45,7 +45,7 @@ def conflicting_pins(system):
 
 
 def test_criterion_1_payload_bit_exactness():
-    bits = "".join(map(str, codec.encode_segment(codec.Segment("alphanumeric", "HELLO"))))
+    bits = "".join(map(str, codec.encode_segment("HELLO", "alphanumeric")))
     expected = "0010" + "000000101" + "01100001011" + "01111000110" + "011000"
     assert bits == expected
     assert len(bits) == 41
@@ -98,9 +98,10 @@ def test_criterion_4_overlap_numbers():
     assert len(full.zones["a"]) == 100
     short = overlap_partition(41, 41)
     assert len(short.zones["a"]) == 4
+    # the published numbers are for the 41-bit segments, without terminators
     system = mirror.build_constraint_system(
-        codec.assemble_payload(codec.Segment("alphanumeric", "HELLO"), pad=False),
-        codec.assemble_payload(codec.Segment("alphanumeric", "WORLD"), pad=False),
+        codec.encode_segment("HELLO", "alphanumeric"),
+        codec.encode_segment("WORLD", "alphanumeric"),
         fi.FormatWord("L", 3),
         mirror.EMPTY_ALLOCATION,
     )
@@ -295,8 +296,7 @@ def test_criterion_8_determinism():
     assert runs[0] == runs[1]
 
     fmt = fi.select_mirror_format()
-    pa = codec.assemble_payload(codec.Segment("alphanumeric", "A"), pad=False)
-    pb = codec.assemble_payload(codec.Segment("alphanumeric", "B"), pad=False)
+    pa, pb = codec.terminated_payload("A"), codec.terminated_payload("B")
     b1 = mirror.brute_force_search(pa, pb, fmt, trials=2000, seed=5)
     b2 = mirror.brute_force_search(pa, pb, fmt, trials=2000, seed=5)
     assert (b1.trials_run, b1.best_damage) == (b2.trials_run, b2.best_damage)

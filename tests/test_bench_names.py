@@ -45,7 +45,7 @@ def test_every_result_counter_reads_a_real_result_of_its_layer():
     assert set(counts) == {"mirror.build_constraint_system", "mirror.solve_gf2",
                            "verify.decode_grid", "rscode.rs_decode"}
     fmt = select_mirror_format()
-    pa, pb = (codec.terminated_payload(codec.make_segment(m)) for m in ("HARRY", "BOVIK"))
+    pa, pb = codec.terminated_payload("HARRY"), codec.terminated_payload("BOVIK")
     alloc = mirror.ErrorAllocation(frozenset(), frozenset({0}))
     system = mirror.build_constraint_system(pa, pb, fmt.straight, alloc,
                                             mirrored_fmt=fmt.mirrored)

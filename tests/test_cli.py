@@ -148,8 +148,7 @@ def test_inspect_zones_are_the_constructions(tmp_path, capsys):
     code, stdout, _ = run(capsys, "inspect", str(out))
     assert code == 0
     # the construction pins each message's segment and its 4-bit terminator
-    part = overlap_partition(*(len(codec.encode_segment(codec.make_segment(m))) + 4
-                               for m in ("HARRY", "BOVIK")))
+    part = overlap_partition(*(len(codec.encode_segment(m)) + 4 for m in ("HARRY", "BOVIK")))
     sizes = {label: len(cells) for label, cells in sorted(part.zones.items())}
     assert f"zones: {sizes}" in stdout
     assert f"conflict bytes straight: {list(part.conflict_bytes_a())}" in stdout

@@ -1,7 +1,6 @@
 """Bitstream assembly and parsing."""
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -26,43 +25,42 @@ def as_string(bits):
 
 
 def test_hello_exact_bits():
-    seg = codec.Segment("alphanumeric", "HELLO")
-    assert as_string(codec.encode_segment(seg)) == HELLO_BITS
+    assert as_string(codec.encode_segment("HELLO", "alphanumeric")) == HELLO_BITS
     assert len(HELLO_BITS) == 41
 
 
 def test_empty_alphanumeric_segment():
-    bits = codec.encode_segment(codec.Segment("alphanumeric", ""))
+    bits = codec.encode_segment("", "alphanumeric")
     assert as_string(bits) == "0010" + "0" * 9
 
 
 def test_ab_pair_value():
     # A=10, B=11 in the 45-character table
     assert codec.ALPHANUMERIC.index("A") * 45 + codec.ALPHANUMERIC.index("B") == 461
-    bits = codec.encode_segment(codec.Segment("alphanumeric", "AB"))
+    bits = codec.encode_segment("AB", "alphanumeric")
     assert as_string(bits[13:]) == format(461, "011b")
 
 
 def test_alphanumeric_length_formula():
     for n in range(0, 20):
         text = "ABCDEFGHIJKLMNOPQRST"[:n]
-        bits = codec.encode_segment(codec.Segment("alphanumeric", text))
+        bits = codec.encode_segment(text, "alphanumeric")
         assert len(bits) == 4 + 9 + 11 * (n // 2) + 6 * (n % 2)
 
 
 def test_alphanumeric_rejects_lowercase():
     with pytest.raises(codec.CodecError):
-        codec.encode_segment(codec.Segment("alphanumeric", "hello"))
+        codec.encode_segment("hello", "alphanumeric")
 
 
 def test_numeric_segment():
-    bits = codec.encode_segment(codec.Segment("numeric", "12345"))
+    bits = codec.encode_segment("12345", "numeric")
     assert as_string(bits) == ("0001" + format(5, "010b") + format(123, "010b")
                                + format(45, "07b"))
 
 
 def test_byte_segment():
-    bits = codec.encode_segment(codec.Segment("byte", "Hi!"))
+    bits = codec.encode_segment("Hi!", "byte")
     assert as_string(bits) == "0100" + format(3, "08b") + "010010000110100100100001"
 
 
@@ -74,53 +72,42 @@ def test_pick_mode():
 
 
 def test_padded_payload_is_152_bits_with_fill_pattern():
-    payload = codec.assemble_payload(codec.make_segment("HELLO"), pad=True)
-    assert payload.padded
-    assert len(payload.bits) == 152
+    payload = codec.assemble_payload("HELLO")
+    assert len(payload) == 152
     # terminator, zero fill to the byte edge, then alternating pad bytes
-    tail = as_string(payload.bits[48:])
+    tail = as_string(payload[48:])
     expected = ("11101100" + "00010001") * 7
     assert tail == expected[: len(tail)]
 
 
 def test_padded_empty_payload():
-    payload = codec.assemble_payload(codec.make_segment(""), pad=True)
-    bits = as_string(payload.bits)
+    bits = as_string(codec.assemble_payload(""))
     assert len(bits) == 152
     assert bits[:13] == "0010" + "0" * 9
     assert bits[13:17] == "0000"  # terminator
     assert bits[17:24] == "0" * 7  # fill to the byte boundary
 
 
-def test_unpadded_payload_is_raw_bits():
-    payload = codec.assemble_payload(codec.make_segment("HELLO"), pad=False)
-    assert as_string(payload.bits) == HELLO_BITS
-    assert not payload.padded
-    assert payload.declared_length == 5
-
-
 def test_payload_bits_are_read_only_uint8():
-    seg = codec.make_segment("HELLO")
-    for payload in (codec.assemble_payload(seg, pad=True),
-                    codec.assemble_payload(seg, pad=False),
-                    codec.terminated_payload(seg)):
-        assert payload.bits.dtype == np.uint8
-        assert set(payload.bits.tolist()) <= {0, 1}
+    for bits in (codec.encode_segment("HELLO"), codec.assemble_payload("HELLO"),
+                 codec.terminated_payload("HELLO")):
+        assert bits.dtype == np.uint8
+        assert set(bits.tolist()) <= {0, 1}
         with pytest.raises(ValueError):
-            payload.bits[0] = 1
-        assert as_string(payload.bits[:41]) == HELLO_BITS
+            bits[0] = 1
+        assert as_string(bits[:41]) == HELLO_BITS
+    assert as_string(codec.terminated_payload("HELLO")) == HELLO_BITS + "0000"
 
 
 def test_assemble_rejects_overflow():
     with pytest.raises(codec.CodecError):
-        codec.assemble_payload(codec.Segment("byte", "x" * 20), pad=True)
+        codec.assemble_payload("x" * 20, "byte")
 
 
 def test_parse_ignores_trailing_bits():
     parsed = codec.parse_payload(as_array(HELLO_BITS + "10110100101011"))
     assert parsed.text == "HELLO"
     assert parsed.mode == "alphanumeric"
-    assert parsed.declared_length == 5
 
 
 def test_parse_empty_message():
@@ -149,8 +136,7 @@ def test_round_trip_alphanumeric_up_to_18():
     for _ in range(40):
         n = rng.randrange(0, 19)
         text = "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n))
-        payload = codec.assemble_payload(codec.make_segment(text, "alphanumeric"))
-        assert codec.parse_payload(payload.bits).text == text
+        assert codec.parse_payload(codec.assemble_payload(text, "alphanumeric")).text == text
 
 
 def test_round_trip_byte_up_to_17():
@@ -158,8 +144,7 @@ def test_round_trip_byte_up_to_17():
     for _ in range(40):
         n = rng.randrange(0, 18)
         text = "".join(chr(rng.randrange(32, 256)) for _ in range(n))
-        payload = codec.assemble_payload(codec.make_segment(text, "byte"))
-        assert codec.parse_payload(payload.bits).text == text
+        assert codec.parse_payload(codec.assemble_payload(text, "byte")).text == text
 
 
 def test_round_trip_numeric():
@@ -167,8 +152,7 @@ def test_round_trip_numeric():
     for _ in range(40):
         n = rng.randrange(0, 42)
         text = "".join(rng.choice("0123456789") for _ in range(n))
-        payload = codec.assemble_payload(codec.make_segment(text, "numeric"))
-        assert codec.parse_payload(payload.bits).text == text
+        assert codec.parse_payload(codec.assemble_payload(text, "numeric")).text == text
 
 
 def test_bits_bytes_helpers():
@@ -207,13 +191,6 @@ REFERENCE_GROUP_TEXT = {mode: {bits: text for text, bits in table.items()}
 REFERENCE_PAD_BYTES = ("11101100", "00010001")
 
 
-@dataclass(frozen=True)
-class ReferencePayload:
-    bits: str
-    declared_length: int  # characters
-    padded: bool
-
-
 def reference_bits_to_bytes(bits):
     if len(bits) % 8:
         raise CodecError(f"bit count {len(bits)} not a multiple of 8")
@@ -224,64 +201,43 @@ def reference_bytes_to_bits(data):
     return "".join(format(b, "08b") for b in data)
 
 
-def reference_string_encode_segment(seg):
+def reference_string_encode_segment(text, mode):
     """Mode indicator + length field + character data as a bit string."""
-    if seg.mode not in REFERENCE_MODES:
-        raise CodecError(f"unknown mode {seg.mode!r}")
-    indicator, width, _, widths = REFERENCE_MODES[seg.mode]
-    n = len(seg.text)
+    if mode == "auto":
+        mode = reference_pick_mode(text)
+    if mode not in REFERENCE_MODES:
+        raise CodecError(f"unknown mode {mode!r}")
+    indicator, width, _, widths = REFERENCE_MODES[mode]
+    n = len(text)
     if n >= 1 << width:
         raise CodecError(f"{n} characters overflow the length field")
-    table, k = REFERENCE_GROUP_BITS[seg.mode], len(widths)
+    table, k = REFERENCE_GROUP_BITS[mode], len(widths)
     try:
-        groups = [table[seg.text[i : i + k]] for i in range(0, n, k)]
+        groups = [table[text[i : i + k]] for i in range(0, n, k)]
     except KeyError:
-        raise CodecError(f"text not encodable in {seg.mode} mode: {seg.text!r}")
+        raise CodecError(f"text not encodable in {mode} mode: {text!r}")
     return indicator + format(n, f"0{width}b") + "".join(groups)
 
 
-def reference_string_assemble_payload(segments, pad=True):
-    """Concatenate segments and optionally pad to the full 152 bits.
-
-    Without padding the remaining bits stay unspecified, which is what the
-    double-sided construction wants: everything after the declared data is
-    free for the solver.
-    """
-    if isinstance(segments, codec.Segment):
-        segments = [segments]
-    bits = "".join(reference_string_encode_segment(s) for s in segments)
+def reference_string_terminated_payload(text, mode):
+    """The segment and its 0000 terminator, the terminator cut short at the
+    152-bit capacity."""
+    bits = reference_string_encode_segment(text, mode)
     if len(bits) > DATA_BITS:
         raise CodecError(f"{len(bits)} payload bits exceed capacity {DATA_BITS}")
-    declared = sum(len(s.text) for s in segments)
-    if not pad:
-        return ReferencePayload(bits, declared, False)
+    return bits + "0" * min(4, DATA_BITS - len(bits))
 
-    bits = _reference_terminated(bits)
+
+def reference_string_assemble_payload(text, mode):
+    """The terminated segment padded to the full 152 bits."""
+    bits = reference_string_terminated_payload(text, mode)
     if len(bits) % 8:
         bits += "0" * (8 - len(bits) % 8)
     k = 0
     while len(bits) < DATA_BITS:
         bits += REFERENCE_PAD_BYTES[k % 2]
         k += 1
-    return ReferencePayload(bits, declared, True)
-
-
-def _reference_terminated(bits):
-    """bits and the 0000 terminator, cut short at the 152-bit capacity."""
-    return bits + "0" * min(4, DATA_BITS - len(bits))
-
-
-def reference_string_terminated_payload(segment):
-    """The segment and its terminator, unpadded: the bits a double-sided
-    construction pins for one message.
-
-    Strict readers parse segment after segment, so the nibble right after
-    the message must not look like another mode indicator; pinning the
-    terminator keeps them from wandering into the free fill.
-    """
-    payload = reference_string_assemble_payload(segment, pad=False)
-    return ReferencePayload(_reference_terminated(payload.bits), payload.declared_length,
-                            False)
+    return bits
 
 
 def reference_string_parse_payload(bits):
@@ -295,7 +251,7 @@ def reference_string_parse_payload(bits):
         raise CodecError("payload shorter than a mode indicator")
     indicator = bits[:4]
     if indicator == "0000":
-        return ParsedPayload("", "terminator", 0)
+        return ParsedPayload("", "terminator")
     mode = REFERENCE_MODE_OF_INDICATOR.get(indicator)
     if mode is None:
         raise CodecError(f"unsupported mode indicator {indicator}")
@@ -315,7 +271,7 @@ def reference_string_parse_payload(bits):
             raise CodecError(f"{mode} group value {int(bits[pos:end], 2)} out of range")
         out.append(group)
         pos = end
-    return ParsedPayload("".join(out), mode, n)
+    return ParsedPayload("".join(out), mode)
 
 
 # The per-mode codec the mode table replaced, kept verbatim as the reference
@@ -347,36 +303,36 @@ def _alnum_value(ch):
     return v
 
 
-def reference_encode_segment(seg):
+def reference_encode_segment(text, mode):
     """Mode indicator + length field + character data as a bit string."""
-    if seg.mode not in MODE_INDICATOR:
-        raise CodecError(f"unknown mode {seg.mode!r}")
-    n = len(seg.text)
-    if n >= 1 << LENGTH_FIELD[seg.mode]:
+    if mode not in MODE_INDICATOR:
+        raise CodecError(f"unknown mode {mode!r}")
+    n = len(text)
+    if n >= 1 << LENGTH_FIELD[mode]:
         raise CodecError(f"{n} characters overflow the length field")
-    bits = MODE_INDICATOR[seg.mode] + format(n, f"0{LENGTH_FIELD[seg.mode]}b")
+    bits = MODE_INDICATOR[mode] + format(n, f"0{LENGTH_FIELD[mode]}b")
 
-    if seg.mode == "alphanumeric":
+    if mode == "alphanumeric":
         for i in range(0, n - 1, 2):
-            pair = _alnum_value(seg.text[i]) * 45 + _alnum_value(seg.text[i + 1])
+            pair = _alnum_value(text[i]) * 45 + _alnum_value(text[i + 1])
             bits += format(pair, "011b")
         if n % 2:
-            bits += format(_alnum_value(seg.text[-1]), "06b")
-    elif seg.mode == "numeric":
-        if not all(ch in "0123456789" for ch in seg.text):
+            bits += format(_alnum_value(text[-1]), "06b")
+    elif mode == "numeric":
+        if not all(ch in "0123456789" for ch in text):
             raise CodecError("numeric mode requires digits only")
         for i in range(0, n - n % 3, 3):
-            bits += format(int(seg.text[i : i + 3]), "010b")
+            bits += format(int(text[i : i + 3]), "010b")
         rest = n % 3
         if rest == 1:
-            bits += format(int(seg.text[-1]), "04b")
+            bits += format(int(text[-1]), "04b")
         elif rest == 2:
-            bits += format(int(seg.text[-2:]), "07b")
+            bits += format(int(text[-2:]), "07b")
     else:  # byte
         try:
-            raw = seg.text.encode("latin-1")
+            raw = text.encode("latin-1")
         except UnicodeEncodeError:
-            raise CodecError(f"text not encodable in byte mode: {seg.text!r}")
+            raise CodecError(f"text not encodable in byte mode: {text!r}")
         bits += reference_bytes_to_bits(raw)
     return bits
 
@@ -392,7 +348,7 @@ def reference_parse_payload(bits):
         raise CodecError("payload shorter than a mode indicator")
     indicator = bits[:4]
     if indicator == "0000":
-        return ParsedPayload("", "terminator", 0)
+        return ParsedPayload("", "terminator")
     mode = MODE_OF_INDICATOR.get(indicator)
     if mode is None:
         raise CodecError(f"unsupported mode indicator {indicator}")
@@ -439,7 +395,7 @@ def reference_parse_payload(bits):
     text = "".join(out)
     if len(text) != n:
         raise CodecError("decoded character count mismatch")
-    return ParsedPayload(text, mode, n)
+    return ParsedPayload(text, mode)
 
 
 def outcome(fn, *args):
@@ -459,9 +415,6 @@ def exact_outcome(fn, *args):
         return type(exc), str(exc)
     if isinstance(result, np.ndarray):
         return as_string(result)
-    if isinstance(result, (codec.Payload, ReferencePayload)):
-        bits = result.bits if isinstance(result.bits, str) else as_string(result.bits)
-        return bits, result.declared_length, result.padded
     return result
 
 
@@ -493,11 +446,10 @@ def test_encode_and_pick_mode_match_per_mode_reference():
     for text in sample_texts(rng):
         assert outcome(codec.pick_mode, text) == outcome(reference_pick_mode, text)
         for mode in MODES_TRIED:
-            seg = codec.Segment(mode, text)
-            got = outcome(codec.encode_segment, seg)
+            got = outcome(codec.encode_segment, text, mode)
             if isinstance(got, np.ndarray):
                 got = as_string(got)
-            assert got == outcome(reference_encode_segment, seg), (mode, text)
+            assert got == outcome(reference_encode_segment, text, mode), (mode, text)
 
 
 def test_parse_matches_per_mode_reference_on_random_bits():
@@ -522,7 +474,7 @@ def test_parse_matches_per_mode_reference_on_cut_and_flipped_encodings():
     for text in sample_texts(rng):
         for mode in MODES_TRIED[:3]:
             try:
-                bits = reference_encode_segment(codec.Segment(mode, text))
+                bits = reference_encode_segment(text, mode)
             except CodecError:
                 continue
             variants = [bits, bits[: rng.randrange(0, len(bits) + 1)]]
@@ -540,9 +492,8 @@ def test_parse_matches_per_mode_reference_on_cut_and_flipped_encodings():
 def reference_string_physical_bits(text, mode, mask_id):
     """The string pipeline's single-sided physical bits: padded payload,
     bytes, Reed-Solomon parity, bits again, then the mask."""
-    payload = reference_string_assemble_payload(codec.make_segment(text, mode), pad=True)
-    data = reference_bits_to_bytes(payload.bits)
-    logical = payload.bits + reference_bytes_to_bits(rscode.rs_encode(data))
+    bits = reference_string_assemble_payload(text, mode)
+    logical = bits + reference_bytes_to_bits(rscode.rs_encode(reference_bits_to_bytes(bits)))
     return as_array(logical) ^ data_mask(mask_id)
 
 
@@ -552,15 +503,13 @@ def test_bit_codec_matches_string_codec_on_seeded_messages():
     rng = random.Random(74)
     physical_checked = 0
     for text in sample_texts(rng):
-        for mode in MODES_TRIED:
-            seg = codec.Segment(mode, text)
-            assert exact_outcome(codec.encode_segment, seg) == exact_outcome(
-                reference_string_encode_segment, seg), (mode, text)
-            for pad in (True, False):
-                assert exact_outcome(codec.assemble_payload, seg, pad) == exact_outcome(
-                    reference_string_assemble_payload, seg, pad), (mode, text, pad)
-            assert exact_outcome(codec.terminated_payload, seg) == exact_outcome(
-                reference_string_terminated_payload, seg), (mode, text)
+        for mode in ("auto", *MODES_TRIED):
+            for fn, reference in ((codec.encode_segment, reference_string_encode_segment),
+                                  (codec.assemble_payload, reference_string_assemble_payload),
+                                  (codec.terminated_payload,
+                                   reference_string_terminated_payload)):
+                assert exact_outcome(fn, text, mode) == exact_outcome(
+                    reference, text, mode), (fn.__name__, mode, text)
         for mode in ("auto", *MODES_TRIED[:3]):
             want = exact_outcome(reference_string_physical_bits, text, mode, 0)
             if isinstance(want, tuple):  # an error, masks aside

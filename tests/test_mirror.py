@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from qrmirror.masks import data_mask, symmetric_masks
 
 
 def payload(text, mode="alphanumeric"):
-    return codec.assemble_payload(codec.Segment(mode, text), pad=False)
+    """The bits construct_double_sided pins for text: segment and terminator."""
+    return codec.terminated_payload(text, mode)
 
 
 def conflicting_pins(system):
@@ -103,7 +105,7 @@ def test_rows_are_each_sides_declared_bits_then_kept_checks():
     alloc = mirror.ErrorAllocation(frozenset({0}), frozenset({19}))
     pa, pb = payload("HI"), payload("YO")
     system = mirror.build_constraint_system(pa, pb, FMT, alloc)
-    la, lb = len(pa.bits), len(pb.bits)
+    la, lb = pa.size, pb.size
     # side B dropped parity byte 19, side A keeps all seven
     assert system.matrix.shape[0] == la + 56 + lb + 48
     # a declared bit's row is a unit row, a parity check reads data bits too
@@ -300,6 +302,57 @@ def test_brute_force_rejects_empty_budget_and_negative_seed():
                                       **{"trials": 10, "seed": 0, **kwargs})
 
 
+def reference_brute_force_best_damage(bits_a, bits_b, fmt, trials, seed):
+    """brute_force_search's best damage, scored one trial at a time from the
+    physical cells: the same pins and the same random fills in the same
+    order, each straight codeword rs-encoded, masked, read back through the
+    transposition and the mirrored mask, and compared byte by byte with the
+    codeword the mirrored decoder should correct it to."""
+    sigma = transpose_permutation()
+    mu_a, mu_b = data_mask(fmt.straight.mask_id), data_mask(fmt.mirrored.mask_id)
+    base = np.zeros(DATA_BITS, dtype=np.uint8)
+    pinned = np.zeros(DATA_BITS, dtype=bool)
+    base[: bits_a.size], pinned[: bits_a.size] = bits_a, True
+    for j in range(bits_b.size):
+        cell = int(sigma[j])
+        if cell < DATA_BITS and not pinned[cell]:
+            # the mirrored reader sees physical cell ^ mu_b[j] as its bit j
+            base[cell] = bits_b[j] ^ mu_b[j] ^ mu_a[cell]
+            pinned[cell] = True
+    free = np.flatnonzero(~pinned)
+
+    def codeword(data):
+        return np.concatenate([data, np.unpackbits(np.frombuffer(
+            rscode.rs_encode(np.packbits(data)), np.uint8))])
+
+    rng = np.random.default_rng(seed)
+    best, done = rscode.BLOCK_BYTES, 0
+    while done < trials:
+        n = min(mirror._BRUTE_BATCH, trials - done)
+        for fill in rng.integers(0, 2, size=(n, free.size), dtype=np.uint8):
+            data = base.copy()
+            data[free] = fill
+            read = (codeword(data) ^ mu_a)[sigma] ^ mu_b
+            intended = read[:DATA_BITS].copy()
+            intended[: bits_b.size] = bits_b
+            wrong = (read != codeword(intended)).reshape(rscode.BLOCK_BYTES, 8).any(axis=1)
+            best = min(best, int(wrong.sum()))
+        done += n
+    return 0, best
+
+
+@pytest.mark.parametrize("straight, mirrored", [(3, 3), (0, 7), (5, 6)])
+def test_brute_force_pins_the_mirrored_bits_through_both_masks(straight, mirrored):
+    # under different masks a straight-free cell must hold the mirrored bit
+    # xor both masks; A/KLMNOPQRSTUV leaves 55 such cells
+    fmt = replace(select_mirror_format(), straight=FormatWord("L", straight),
+                  mirrored=FormatWord("L", mirrored))
+    pa, pb = payload("A"), payload("KLMNOPQRSTUV")
+    result = mirror.brute_force_search(pa, pb, fmt, trials=400, seed=3)
+    assert result.grid is None and result.trials_run == 400
+    assert result.best_damage == reference_brute_force_best_damage(pa, pb, fmt, 400, seed=3)
+
+
 def reference_build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored_fmt=None):
     """The per-row loop construction the vectorized builder replaced."""
     from qrmirror import rscode
@@ -310,8 +363,8 @@ def reference_build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored
         return np.array([mask_bit(mask_id, cell) for cell in data_placement_order()],
                         dtype=np.uint8)
 
-    def payload_bits(p):
-        return np.array([int(ch) for ch in p.bits], dtype=np.uint8)
+    def payload_bits(bits):
+        return np.array([int(ch) for ch in bits], dtype=np.uint8)
 
     mirrored_fmt = mirrored_fmt or fmt
     sigma = np.array(transpose_permutation(), dtype=np.intp)
@@ -423,15 +476,16 @@ def reference_allocation_resolves_pins(conflicts, alloc):
 
 def construction_payloads(msg_a, msg_b):
     """The declared payloads construct_double_sided pins on each side."""
-    return tuple(codec.terminated_payload(codec.make_segment(m, "auto"))
-                 for m in (msg_a, msg_b))
+    return codec.terminated_payload(msg_a), codec.terminated_payload(msg_b)
 
 
-def construction_inputs(msg_a, msg_b):
-    """The partition and pin conflicts construct_double_sided searches over."""
+def construction_inputs(msg_a, msg_b, formats=None):
+    """The partition and pin conflicts construct_double_sided searches over,
+    at the selected witness's masks or at the given (straight, mirrored)
+    format words."""
     pa, pb = construction_payloads(msg_a, msg_b)
-    return (overlap_partition(len(pa.bits), len(pb.bits)),
-            mirror._pin_conflict_cells(pa, pb))
+    return (overlap_partition(pa.size, pb.size),
+            mirror._pin_conflict_cells(pa, pb, *(formats or selected_formats())))
 
 
 def seeded_alnum_pair(rng, len_a, len_b):
@@ -480,6 +534,30 @@ def test_uncoverable_conflicts_are_named():
     assert "viable allocations" not in message
     for _, ba, bb in conflicts:
         assert f"({ba}, {bb})" in message
+
+
+def test_pin_conflicts_are_the_contradictory_pins_under_every_mask_pair():
+    # a cell is in conflict iff the two sides' declared bits, each xored
+    # with its own mask, differ there: exactly the variables the empty
+    # allocation's system pins both ways, for all 25 ordered pairs of the
+    # 5 transposition-symmetric masks
+    rng = random.Random(23)
+    pairs = [seeded_short_pair(rng) for _ in range(6)]
+    pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(3)]
+    sigma = transpose_permutation()
+    inverse = np.argsort(sigma)
+    masks = sorted(symmetric_masks())
+    assert len(masks) == 5
+    for pair in pairs:
+        pa, pb = construction_payloads(*pair)
+        for straight, mirrored in itertools.product(masks, repeat=2):
+            fmts = FormatWord("L", straight), FormatWord("L", mirrored)
+            got = mirror._pin_conflict_cells(pa, pb, *fmts)
+            system = mirror.build_constraint_system(pa, pb, fmts[0], mirror.EMPTY_ALLOCATION,
+                                                    mirrored_fmt=fmts[1])
+            want = sorted(conflicting_pins(system))
+            assert sorted(cell for cell, _, _ in got) == want, (pair, straight, mirrored)
+            assert all((ba, bb) == (cell // 8, inverse[cell] // 8) for cell, ba, bb in got)
 
 
 SINGLE_BYTE_ALLOCATIONS = [mirror.ErrorAllocation(a, b)
@@ -536,7 +614,7 @@ def test_admission_matches_build_and_solve_on_every_cover(formats):
     checked = {True: 0, False: 0}
     for pair in cases:
         pa, pb = construction_payloads(*pair)
-        partition, conflicts = construction_inputs(*pair)
+        partition, conflicts = construction_inputs(*pair, formats)
         admits = admission(pa, pb, formats)
         for alloc in mirror.enumerate_error_allocations(partition, conflicts=conflicts):
             verdict = solves(pa, pb, alloc, formats)
@@ -678,7 +756,7 @@ def test_quotient_matches_the_lowest_bit_reference():
     short = set()
     while len(short) < 40:
         pa, pb = construction_payloads(*seeded_short_pair(rng))
-        short.add((pa.bits.size, pb.bits.size))
+        short.add((pa.size, pb.size))
     for key in sorted(keys | short):
         assert mirror._quotient(*key) == reference_reduced(*key), key
 
@@ -691,11 +769,11 @@ def test_widest_quotient_admits_exactly_the_allocations_holding_the_target():
     sigma = transpose_permutation()
 
     def verdicts(pa, pb, allocs):
-        assert pa.bits.size == pb.bits.size == DATA_BITS
+        assert pa.size == pb.size == DATA_BITS
         assert max(mirror._quotient(DATA_BITS, DATA_BITS)) == 1 << TOTAL_BITS - 1
-        parity = [np.unpackbits(np.frombuffer(rscode.rs_encode(np.packbits(p.bits)), np.uint8))
+        parity = [np.unpackbits(np.frombuffer(rscode.rs_encode(np.packbits(p)), np.uint8))
                   for p in (pa, pb)]
-        physical = [np.concatenate([p.bits, par]) ^ data_mask(fmt.mask_id)
+        physical = [np.concatenate([p, par]) ^ data_mask(fmt.mask_id)
                     for p, par, fmt in zip((pa, pb), parity, (straight, mirrored))]
         support = set(np.flatnonzero(physical[0] ^ physical[1][sigma]).tolist())
         admits = admission(pa, pb)
@@ -718,8 +796,8 @@ def test_widest_quotient_admits_exactly_the_allocations_holding_the_target():
     # bytes its decoders correct hold g, and dropping any one of them fails
     grid, _ = mirror.construct_double_sided("T*NH8B/0L", "WT%5LZ*:2OAS", method="analytic")
     reports = verify.decode_grid(grid, "straight"), verify.decode_grid(grid, "transposed")
-    full = [codec.Payload(np.unpackbits(np.frombuffer(rscode.rs_decode(
-                verify.read_codewords(view, report.mask_id))[0], np.uint8)), 0, True)
+    full = [np.unpackbits(np.frombuffer(rscode.rs_decode(
+                verify.read_codewords(view, report.mask_id))[0], np.uint8))
             for view, report in zip((grid, grid.transposed()), reports)]
     corrected = mirror.ErrorAllocation(*(r.corrected_bytes for r in reports))
     assert len(corrected.side_a_bytes) == len(corrected.side_b_bytes) == 3
@@ -899,7 +977,7 @@ def test_allocation_outside_the_candidates_can_solve(msg_a, msg_b, bytes_a, byte
     # offers, yet it reads both texts after exactly those corrections
     fmt = select_mirror_format()
     pa, pb = construction_payloads(msg_a, msg_b)
-    partition = overlap_partition(len(pa.bits), len(pb.bits))
+    partition = overlap_partition(pa.size, pb.size)
     assert not (bytes_a <= set(partition.conflict_bytes_a())
                 and bytes_b <= set(partition.conflict_bytes_b()))
     alloc = mirror.ErrorAllocation(frozenset(bytes_a), frozenset(bytes_b))

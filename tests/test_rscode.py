@@ -67,8 +67,7 @@ def test_zero_data_zero_parity():
 
 
 def test_hello_parity_and_syndromes():
-    payload = codec.assemble_payload(codec.make_segment("HELLO"), pad=True)
-    data = np.packbits(payload.bits).tobytes()
+    data = np.packbits(codec.assemble_payload("HELLO")).tobytes()
     assert list(data[:6]) == [0x20, 0x2B, 0x0B, 0x78, 0xCC, 0x00]
     parity = rscode.rs_encode(data)
     assert list(parity) == [110, 57, 221, 152, 142, 219, 31]
@@ -140,10 +139,9 @@ def test_parity_matrix_zero_vector():
 
 
 def test_parity_matrix_matches_encoder_on_hello():
-    payload = codec.assemble_payload(codec.make_segment("HELLO"), pad=True)
-    parity_bits = rscode.parity_matrix().astype(np.int32) @ payload.bits % 2
-    expected = np.unpackbits(np.frombuffer(rscode.rs_encode(np.packbits(payload.bits)),
-                                           np.uint8))
+    payload = codec.assemble_payload("HELLO")
+    parity_bits = rscode.parity_matrix().astype(np.int32) @ payload % 2
+    expected = np.unpackbits(np.frombuffer(rscode.rs_encode(np.packbits(payload)), np.uint8))
     assert parity_bits.tolist() == expected.tolist()
 
 

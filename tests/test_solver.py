@@ -186,11 +186,12 @@ def reference_gf2_row_reduce(matrix, rhs):
 
 def seeded_covers(rng, lengths):
     """A seeded alphanumeric pair's payloads and its pin-conflict covers."""
-    pa, pb = (codec.terminated_payload(codec.make_segment(
-                  "".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n))))
+    fmt = select_mirror_format()
+    pa, pb = (codec.terminated_payload("".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n)))
               for n in lengths)
     covers = mirror.enumerate_error_allocations(
-        overlap_partition(len(pa.bits), len(pb.bits)), 3, mirror._pin_conflict_cells(pa, pb))
+        overlap_partition(pa.size, pb.size), 3,
+        mirror._pin_conflict_cells(pa, pb, fmt.straight, fmt.mirrored))
     return pa, pb, list(covers)
 
 
