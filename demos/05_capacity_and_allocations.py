@@ -15,6 +15,7 @@ cases = [
     ("ABCDEFGH", "IJKLMNOPQRS"),    # the 8+11 target
     ("ABCDEFGHI", "JKLMNOPQRSTU"),  # beyond it
     ("ABCDEFGHIJ", "KLMNOPQRSTUV"),  # infeasible among the offered allocations
+    ("0" * 41, "0" * 41),            # full length: its forced cells leave no cover
 ]
 for a, b in cases:
     label = f"{len(a)}+{len(b)} {a[:9]:>9}/{b[:12]:<12}"
@@ -27,6 +28,10 @@ for a, b in cases:
     except mirror.ConstructionError as exc:
         print(f"{label} infeasible ({exc})")
 
+# A forced cell is one both sides fix to different values where no
+# undeclared bit reaches: a pin conflict, or near full length a parity
+# cell. Every allocation must release each one, so the all-zero pair is
+# refused in milliseconds, naming the byte pairs no 3+3 allocation covers.
 # The enumerator offers only conflict-zone bytes; at 3 bytes per side a
 # byte outside them can solve (tests/test_mirror.py::
 # test_allocation_outside_the_candidates_can_solve builds this pair).

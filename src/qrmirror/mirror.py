@@ -14,13 +14,11 @@ get eight auxiliary variables holding the intended (post-correction)
 byte so the parity checks can still refer to it. _aux_bytes fixes their
 order for both the system and the free-value preference. That
 preference, which picks the solution among many, starts from both
-messages' ordinary encodings. Only allocations that release every cell
-the two sides pin to different values are considered at all. A system is
-solved by substituting the message pins into the parity rows and
-eliminating those on bit-packed rows. Every elimination here packs a row
-into a Python int with its lowest column at its highest bit and files
-its pivots in a list indexed by int.bit_length() (_eliminate), so the
-pivot order is lowest column first.
+messages' ordinary encodings. A system is solved by substituting the
+message pins into the parity rows and eliminating those on bit-packed
+rows; every elimination here packs a row into a Python int with its
+lowest column at its highest bit and files its pivots in a list indexed
+by int.bit_length() (_eliminate), lowest column first.
 
 Most allocations at the capacity edge have no solution, so every
 allocation, the first one too, is decided without building a system. An
@@ -33,8 +31,11 @@ depends only on the declared lengths la and lb, so every cell's unit
 vector reduced modulo V, an int on the k = la + lb - 96 quotient
 coordinates (from 8+11 up), is cached per length pair. g reduced is the
 xor of its set cells' vectors, and each verdict eliminates at most 48
-allocated cells' vectors. Only the first admitted allocation is built
-and solved as above, so every grid and report is the one the
+allocated cells' vectors. Where g is 1 on a cell V does not touch,
+every solvable allocation holds one of the cell's two bytes, so only
+covers of these forced cells are tried; they include every cell the two
+sides pin to different values. Only the first admitted allocation is
+built and solved as above, so every grid and report is the one the
 build-every-allocation search gives, and an infeasible pair builds no
 system at all.
 
@@ -55,12 +56,7 @@ import numpy as np
 
 from . import codec, encoder, rscode
 from .formatinfo import select_mirror_format
-from .grid import (
-    DATA_BITS,
-    TOTAL_BITS,
-    overlap_partition,
-    transpose_permutation,
-)
+from .grid import DATA_BITS, TOTAL_BITS, overlap_partition, transpose_permutation
 from .masks import data_mask, symmetric_masks
 from .verify import decode_grid
 
@@ -201,11 +197,11 @@ def _codeword_checks():
 
 @lru_cache(maxsize=1)
 def _data_bit_codewords():
-    """Read-only 2 x 152 x 208: each data bit's codeword on the 208 cells,
-    [0] as the straight side places it, [1] as the mirrored side does
-    (through transpose_permutation())."""
-    straight = _codeword_checks()[:, :DATA_BITS].T
-    codewords = np.stack([straight, straight[:, transpose_permutation()]])
+    """Read-only 304 x 208, one row per data bit: its codeword on the 208
+    cells, rows 0-151 as the straight side places bits 0-151, rows 152-303
+    as the mirrored side does (through transpose_permutation())."""
+    straight = np.ascontiguousarray(_codeword_checks()[:, :DATA_BITS].T)
+    codewords = np.concatenate([straight, straight[:, transpose_permutation()]])
     codewords.setflags(write=False)
     return codewords
 
@@ -226,7 +222,8 @@ def _quotient(la, lb):
     cells, so a pivot cell's entry is the xor of theirs.
     """
     codewords = _data_bit_codewords()
-    gens = np.packbits(np.concatenate([codewords[0, la:], codewords[1, lb:]]), axis=1).tobytes()
+    gens = np.packbits(np.concatenate([codewords[la:DATA_BITS], codewords[DATA_BITS + lb :]]),
+                       axis=1).tobytes()
     pivots = [0] * (TOTAL_BITS + 1)
     _eliminate(pivots, (int.from_bytes(gens[i : i + TOTAL_BITS // 8], "big")
                         for i in range(0, len(gens), TOTAL_BITS // 8)))
@@ -246,9 +243,19 @@ def _quotient(la, lb):
     return tuple(reduced[:0:-1])
 
 
+@lru_cache(maxsize=256)  # keyed like _quotient
+def _untouched(la, lb):
+    """Read-only mask of the cells where every generator of V, a codeword
+    of a bit la..151 straight or lb..151 mirrored, is 0."""
+    codewords = _data_bit_codewords()
+    untouched = ~(codewords[la:DATA_BITS].any(axis=0) | codewords[DATA_BITS + lb :].any(axis=0))
+    untouched.setflags(write=False)
+    return untouched
+
+
 def _admission(bits_a, bits_b, fmt, mirrored_fmt):
-    """admits(alloc): whether build_constraint_system's system for alloc
-    has a solution, decided without building it.
+    """(admits, forced): admits(alloc) is whether build_constraint_system's
+    system for alloc has a solution, decided without building it.
 
     A grid satisfies both sides iff it lies in g_a + V_a + U_a and in
     g_b + V_b + U_b: g is a side's declared bits, zero-filled, encoded and
@@ -256,37 +263,42 @@ def _admission(bits_a, bits_b, fmt, mirrored_fmt):
     vectors on its allocated bytes' cells, all placed on the cells. So
     alloc is solvable iff g = g_a ^ g_b lies in V + U, i.e. iff g reduced
     modulo V, the xor of its set cells' _quotient entries, lies in the
-    span of the allocated cells' entries. The stream yields covers grouped
-    by straight subset, so admits keeps the last one's pivots for the next
-    cover.
+    span of the allocated cells' entries. Where g is 1 on a cell V does
+    not touch, U alone must supply it: forced lists those cells as (cell,
+    straight byte, mirrored byte) triples, and every cell both sides pin
+    to different values is one. g reduced waits for the first verdict;
+    covers come grouped by straight subset, so admits keeps the last one's
+    pivots.
     """
     la, lb = bits_a.size, bits_b.size
-    reduced = _quotient(la, lb)
     sigma = transpose_permutation()
-    declared = np.zeros((2, DATA_BITS), dtype=bool)  # each side's declared bits that are 1
-    declared[0, :la], declared[1, :lb] = bits_a, bits_b
+    declared = np.zeros(2 * DATA_BITS, dtype=bool)  # _data_bit_codewords() rows that are 1
+    declared[:la], declared[DATA_BITS : DATA_BITS + lb] = bits_a, bits_b
     g = (np.bitwise_xor.reduce(_data_bit_codewords()[declared], axis=0)
          ^ data_mask(fmt.mask_id) ^ data_mask(mirrored_fmt.mask_id)[sigma])
-    target = 0
-    for cell in np.flatnonzero(g).tolist():
-        target ^= reduced[cell]
-    cells = range(TOTAL_BITS), sigma.tolist()  # each side's bit k sits on cell cells[side][k]
-
-    def rows(side, byte):
-        return [reduced[c] for c in cells[side][byte * 8 : byte * 8 + 8]]
-
+    cells = np.flatnonzero(g & _untouched(la, lb))  # the forced cells
+    reduced = target = placed = None  # set by the first verdict
     straight = [None, None]  # the last straight subset, its pivots
 
+    def rows(side, bytes_):
+        return (reduced[c] for byte in bytes_ for c in placed[side][byte * 8 : byte * 8 + 8])
+
     def admits(alloc):
+        nonlocal reduced, target, placed
+        if reduced is None:
+            reduced, target = _quotient(la, lb), 0
+            for cell in np.flatnonzero(g).tolist():
+                target ^= reduced[cell]
+            placed = range(TOTAL_BITS), sigma.tolist()  # side's bit k sits on placed[side][k]
         if straight[0] != alloc.side_a_bytes:
             pivots = [0] * (TOTAL_BITS + 1)
-            _eliminate(pivots, (row for byte in alloc.side_a_bytes for row in rows(0, byte)))
+            _eliminate(pivots, rows(0, alloc.side_a_bytes))
             straight[:] = alloc.side_a_bytes, pivots
         pivots = straight[1].copy()
-        _eliminate(pivots, (row for byte in alloc.side_b_bytes for row in rows(1, byte)))
+        _eliminate(pivots, rows(1, alloc.side_b_bytes))
         return not _eliminate(pivots, [target])
 
-    return admits
+    return admits, list(zip(cells.tolist(), (cells // 8).tolist(), (sigma[cells] // 8).tolist()))
 
 
 def build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
@@ -338,7 +350,7 @@ def build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
 
 
 def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
-    """Allocations over conflict-zone bytes that cover every pin conflict.
+    """Allocations over conflict-zone bytes that cover every conflict.
 
     The stream offers only bytes whose cells sit in zones a, c, e or i,
     deduplicated and exhausted up to max_per_side bytes on each side. That
@@ -346,9 +358,9 @@ def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
     unties its cells from that side's parity rows, so at 3 bytes per side
     an allocation outside the candidates can solve where every candidate
     allocation fails, and the restriction loses it. conflicts holds
-    (cell, straight byte, mirrored byte) triples of cells the two sides pin
-    to different values; an allocation must sacrifice one byte of each
-    pair, so it is a vertex cover of the bipartite conflict graph.
+    (cell, straight byte, mirrored byte) triples, such as _admission's
+    forced cells; an allocation must sacrifice one byte of each pair, so
+    it is a vertex cover of the bipartite conflict graph.
 
     Order: smallest total first, then fewest straight bytes, then
     lexicographic straight subsets, then lexicographic mirrored subsets.
@@ -396,23 +408,13 @@ def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
                     yield ErrorAllocation(sa, frozenset((*req, *extra)))
 
 
-def _pin_conflict_cells(bits_a, bits_b, fmt, mirrored_fmt):
-    """Cells both sides pin to different physical values: (cell index, a
-    byte, b byte). A side's declared bit is xored with its own mask."""
-    k = transpose_permutation()[: bits_b.size]
-    delta = data_mask(fmt.mask_id)[k] ^ data_mask(mirrored_fmt.mask_id)[: bits_b.size]
-    j = np.flatnonzero(k < bits_a.size)
-    j = j[bits_a[k[j]] ^ bits_b[j] != delta[j]]
-    return list(zip(k[j].tolist(), (k[j] // 8).tolist(), (j // 8).tolist()))
-
-
 def _infeasible_reason(conflicts, attempted):
     """Why the analytic search came back empty-handed."""
     if attempted:
         return f"no solvable system among {attempted} viable allocations"
     pairs = ", ".join(f"({ba}, {bb})" for ba, bb in sorted({c[1:] for c in conflicts}))
-    return (f"pin conflicts between (straight byte, mirrored byte) pairs {pairs}: "
-            "no allocation of at most 3 bytes per side covers them")
+    return (f"the two sides fix different values on cells of (straight byte, mirrored byte) "
+            f"pairs {pairs}: no allocation of at most 3 bytes per side covers them")
 
 
 @dataclass(frozen=True)
@@ -518,11 +520,11 @@ def _free_value_preference(msg_a, msg_b, straight_fmt, alloc):
 def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
     """Build a grid reading msg_a straight and msg_b mirrored.
 
-    method "analytic" (also spelled "auto", the default) walks error
-    allocations in increasing size, deciding each by _admission; only the
-    first admitted one has its system built, solved and materialized.
-    method "brute" runs the randomized baseline for trials fills from
-    seed. Either grid is self-verified before it is returned.
+    method "analytic" (also spelled "auto", the default) walks the covers
+    of the forced cells in increasing size, deciding each by _admission;
+    only the first admitted one has its system built, solved and
+    materialized. method "brute" runs the randomized baseline for trials
+    fills from seed. Either grid is self-verified before it is returned.
     """
     if method not in ("auto", "analytic", "brute"):
         raise ValueError(f"unknown method {method!r}")
@@ -541,12 +543,10 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
         grid, free_vars, trials_run = result.grid, 0, result.trials_run
     else:
         partition = overlap_partition(bits_a.size, bits_b.size)
-        conflicts = _pin_conflict_cells(bits_a, bits_b, straight, mirrored)
-        admits = None
+        admits, conflicts = _admission(bits_a, bits_b, straight, mirrored)
         attempted = 0
         for alloc in enumerate_error_allocations(partition, conflicts=conflicts):
             attempted += 1
-            admits = admits or _admission(bits_a, bits_b, straight, mirrored)
             if admits(alloc):
                 break
         else:

@@ -71,6 +71,17 @@ def test_mirror_infeasible_exits_1_with_diagnostic(tmp_path, capsys):
         assert err.startswith("error (system infeasible): no solvable system")
 
 
+@pytest.mark.parametrize("text_a, text_b", [("0" * 41, "0" * 41), ("0" * 40, "0" * 39)],
+                         ids=["41+41", "40+39"])
+def test_mirror_all_zero_pair_names_the_forced_bytes(tmp_path, capsys, text_a, text_b):
+    # the forced cells leave no cover, so the verdict comes before any search
+    code, _, err = run(capsys, "mirror", text_a, text_b, "-o", str(tmp_path / "x.pbm"))
+    assert code == 1
+    assert err.startswith("error (system infeasible): the two sides fix different values")
+    assert "at most 3 bytes per side" in err and "viable allocations" not in err
+    assert not (tmp_path / "x.pbm").exists()
+
+
 def test_mirror_brute_budget_exhausted(tmp_path, capsys):
     code, _, err = run(capsys, "mirror", "AA", "BB", "--method", "brute",
                        "--trials", "50", "-o", str(tmp_path / "x.pbm"))

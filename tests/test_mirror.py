@@ -479,13 +479,32 @@ def construction_payloads(msg_a, msg_b):
     return codec.terminated_payload(msg_a), codec.terminated_payload(msg_b)
 
 
+def reference_pin_conflict_cells(bits_a, bits_b, fmt, mirrored_fmt):
+    """Cells both sides pin to different physical values: (cell index, a
+    byte, b byte). A side's declared bit is xored with its own mask. These
+    were the construction's conflicts before it took the forced cells."""
+    k = transpose_permutation()[: bits_b.size]
+    delta = data_mask(fmt.mask_id)[k] ^ data_mask(mirrored_fmt.mask_id)[: bits_b.size]
+    j = np.flatnonzero(k < bits_a.size)
+    j = j[bits_a[k[j]] ^ bits_b[j] != delta[j]]
+    return list(zip(k[j].tolist(), (k[j] // 8).tolist(), (j // 8).tolist()))
+
+
 def construction_inputs(msg_a, msg_b, formats=None):
-    """The partition and pin conflicts construct_double_sided searches over,
+    """The partition and forced cells construct_double_sided searches over,
     at the selected witness's masks or at the given (straight, mirrored)
     format words."""
     pa, pb = construction_payloads(msg_a, msg_b)
     return (overlap_partition(pa.size, pb.size),
-            mirror._pin_conflict_cells(pa, pb, *(formats or selected_formats())))
+            mirror._admission(pa, pb, *(formats or selected_formats()))[1])
+
+
+def pin_only_inputs(msg_a, msg_b):
+    """construction_inputs with the pin conflicts in place of the forced
+    cells."""
+    pa, pb = construction_payloads(msg_a, msg_b)
+    return (overlap_partition(pa.size, pb.size),
+            reference_pin_conflict_cells(pa, pb, *selected_formats()))
 
 
 def seeded_alnum_pair(rng, len_a, len_b):
@@ -536,28 +555,46 @@ def test_uncoverable_conflicts_are_named():
         assert f"({ba}, {bb})" in message
 
 
-def test_pin_conflicts_are_the_contradictory_pins_under_every_mask_pair():
-    # a cell is in conflict iff the two sides' declared bits, each xored
-    # with its own mask, differ there: exactly the variables the empty
-    # allocation's system pins both ways, for all 25 ordered pairs of the
-    # 5 transposition-symmetric masks
+def test_forced_cells_hold_the_contradictory_pins_under_every_mask_pair():
+    # for all 25 ordered pairs of the 5 transposition-symmetric masks, the
+    # forced cells hold every variable the empty allocation's system pins
+    # both ways, and on short and 9+12 pairs nothing else (near full length
+    # they hold more); they are exactly the cells where the target g is 1
+    # and every undeclared data bit's codeword on either side is 0, read
+    # off the check matrix and the masks
     rng = random.Random(23)
     pairs = [seeded_short_pair(rng) for _ in range(6)]
     pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(3)]
+    near_full = [("0" * 41, "0" * 41), ("0" * 40, "0" * 39), ("9" * 41, "0" * 40)]
+    checks = mirror._codeword_checks()
     sigma = transpose_permutation()
-    inverse = np.argsort(sigma)
+    inverse = np.argsort(sigma)  # cell -> the mirrored codeword bit on it
     masks = sorted(symmetric_masks())
     assert len(masks) == 5
-    for pair in pairs:
+    supersets = 0
+    for pair in pairs + near_full:
         pa, pb = construction_payloads(*pair)
+        data = np.zeros((2, DATA_BITS), dtype=np.uint8)
+        data[0, : pa.size], data[1, : pb.size] = pa, pb
+        codewords = data.astype(int) @ checks[:, :DATA_BITS].T % 2
+        untouched = ~checks[:, pa.size : DATA_BITS].any(axis=1)
+        untouched &= ~checks[inverse, pb.size : DATA_BITS].any(axis=1)
         for straight, mirrored in itertools.product(masks, repeat=2):
             fmts = FormatWord("L", straight), FormatWord("L", mirrored)
-            got = mirror._pin_conflict_cells(pa, pb, *fmts)
+            _, got = mirror._admission(pa, pb, *fmts)
+            cells = sorted(cell for cell, _, _ in got)
+            g = (codewords[0] ^ data_mask(straight)) ^ (codewords[1] ^ data_mask(mirrored))[inverse]
+            assert cells == np.flatnonzero(g & untouched).tolist(), (pair, straight, mirrored)
+            assert all((ba, bb) == (cell // 8, inverse[cell] // 8) for cell, ba, bb in got)
             system = mirror.build_constraint_system(pa, pb, fmts[0], mirror.EMPTY_ALLOCATION,
                                                     mirrored_fmt=fmts[1])
-            want = sorted(conflicting_pins(system))
-            assert sorted(cell for cell, _, _ in got) == want, (pair, straight, mirrored)
-            assert all((ba, bb) == (cell // 8, inverse[cell] // 8) for cell, ba, bb in got)
+            pins = sorted(conflicting_pins(system))
+            assert set(pins) <= set(cells), (pair, straight, mirrored)
+            if pair in near_full:
+                supersets += pins != cells
+            else:
+                assert pins == cells, (pair, straight, mirrored)
+    assert supersets == 3 * 25  # every near-full pair, under every mask pair
 
 
 SINGLE_BYTE_ALLOCATIONS = [mirror.ErrorAllocation(a, b)
@@ -599,7 +636,7 @@ def test_cover_stream_verdict_matches_exhaustive_search():
 
 def admission(pa, pb, formats=None):
     straight, mirrored = formats or selected_formats()
-    return mirror._admission(pa, pb, straight, mirrored)
+    return mirror._admission(pa, pb, straight, mirrored)[0]
 
 
 @pytest.mark.parametrize("formats", [None, (FormatWord("L", 0), FormatWord("L", 5))])
@@ -784,9 +821,10 @@ def test_widest_quotient_admits_exactly_the_allocations_holding_the_target():
             yield support <= cells, len(support)
 
     # two all-zero 41-digit numeric messages: g's 58 cells outnumber the 48
-    # any allocation releases, so every one of the 112,104 covers fails
+    # any allocation releases, so every one of the 112,104 covers of their
+    # pin conflicts fails (their forced cells leave no cover at all)
     msg = "0" * 41
-    partition, conflicts = construction_inputs(msg, msg)
+    partition, conflicts = pin_only_inputs(msg, msg)
     covers = list(mirror.enumerate_error_allocations(partition, conflicts=conflicts))
     assert len(covers) == 112_104
     sample = random.Random(17).sample(covers, 60)
@@ -838,12 +876,13 @@ def test_construction_imports_no_module():
 
 
 def reference_construct_analytic(msg_a, msg_b):
-    """The analytic construction that builds and solves every cover in
-    stream order until one solves, as construct_double_sided did before it
-    decided covers from the quotient table."""
+    """The analytic construction that builds and solves every cover of the
+    pin conflicts in stream order until one solves, as construct_double_sided
+    did before it decided covers from the quotient table and took the
+    forced cells."""
     payload_a, payload_b = construction_payloads(msg_a, msg_b)
     fmt = select_mirror_format()
-    partition, conflicts = construction_inputs(msg_a, msg_b)
+    partition, conflicts = pin_only_inputs(msg_a, msg_b)
     attempted = 0
     for alloc in mirror.enumerate_error_allocations(partition, conflicts=conflicts):
         system = mirror.build_constraint_system(payload_a, payload_b, fmt.straight, alloc,
@@ -913,6 +952,62 @@ def test_construction_matches_the_build_every_cover_reference():
     assert stages == {"solved", "system infeasible", "counted"}
 
 
+def near_full_pairs():
+    """Seeded numeric 25-41-digit pairs, and byte-mode 12-17-character
+    pairs over the bytes 0 and 1, whose pin conflicts are few enough to
+    leave covers."""
+    rng = random.Random(5)
+    return ([tuple("".join(rng.choice("0123456789") for _ in range(rng.randint(25, 41)))
+                   for _ in "ab") for _ in range(30)]
+            + [tuple("".join(rng.choice("\x00\x01") for _ in range(rng.randint(12, 17)))
+                     for _ in "ab") for _ in range(30)])
+
+
+def test_forced_cells_drop_only_unsolvable_covers_near_full_length():
+    # near full length the forced cells reach parity cells no undeclared
+    # bit touches, so they can outnumber the pin conflicts; every cover
+    # they drop from the pin-only stream has no solution, so the outcome
+    # is the pin-only build-every-cover reference's, and so is the message
+    # wherever the forced cells are the pin conflicts
+    strict = dropped = 0
+    for pair in near_full_pairs():
+        pa, pb = construction_payloads(*pair)
+        partition, forced = construction_inputs(*pair)
+        _, pins = pin_only_inputs(*pair)
+        assert set(pins) <= set(forced), pair
+        strict += set(pins) != set(forced)
+        kept = set(mirror.enumerate_error_allocations(partition, conflicts=forced))
+        for alloc in mirror.enumerate_error_allocations(partition, conflicts=pins):
+            if alloc not in kept:
+                dropped += 1
+                assert not solves(pa, pb, alloc), (pair, alloc)
+        want = construction_outcome(reference_construct_analytic, *pair)
+        got = construction_outcome(mirror.construct_double_sided, *pair)
+        assert got[0] == want[0], pair
+        if not isinstance(want[0], str) or set(pins) == set(forced):
+            assert got == want, pair
+    assert strict >= 10 and dropped >= 100
+
+
+@pytest.mark.parametrize("msg_a, msg_b", [("0" * 41, "0" * 41), ("0" * 40, "0" * 39)],
+                         ids=["41+41", "40+39"])
+def test_all_zero_near_full_pairs_have_no_cover(msg_a, msg_b):
+    # V is empty or nearly so: the forced cells name more byte pairs than
+    # 3+3 bytes can cover, so the stream is empty where the pin conflicts
+    # alone leave over 100,000 covers that all fail
+    partition, conflicts = construction_inputs(msg_a, msg_b)
+    assert not list(mirror.enumerate_error_allocations(partition, conflicts=conflicts))
+    assert len(conflicts) > len(pin_only_inputs(msg_a, msg_b)[1])
+    with pytest.raises(mirror.ConstructionError) as excinfo:
+        mirror.construct_double_sided(msg_a, msg_b)
+    assert excinfo.value.stage == "system infeasible"
+    message = str(excinfo.value)
+    assert "at most 3 bytes per side" in message
+    assert "viable allocations" not in message
+    for _, ba, bb in conflicts:
+        assert f"({ba}, {bb})" in message
+
+
 def test_construction_builds_and_solves_only_the_admitted_cover(monkeypatch):
     # a solved pair builds and solves exactly one system, an infeasible one
     # none, also where the first cover has no solution
@@ -960,7 +1055,9 @@ def test_an_admitted_cover_without_a_solution_is_an_error(monkeypatch):
     msg_a, msg_b = pair
     partition, conflicts = construction_inputs(msg_a, msg_b)
     first = next(mirror.enumerate_error_allocations(partition, conflicts=conflicts))
-    monkeypatch.setattr(mirror, "_admission", lambda *args: lambda alloc: True)
+    real_admission = mirror._admission
+    monkeypatch.setattr(mirror, "_admission",
+                        lambda *args: (lambda alloc: True, real_admission(*args)[1]))
     with pytest.raises(RuntimeError) as excinfo:
         mirror.construct_double_sided(msg_a, msg_b)
     assert not isinstance(excinfo.value, mirror.ConstructionError)

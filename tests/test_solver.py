@@ -185,13 +185,14 @@ def reference_gf2_row_reduce(matrix, rhs):
 
 
 def seeded_covers(rng, lengths):
-    """A seeded alphanumeric pair's payloads and its pin-conflict covers."""
+    """A seeded alphanumeric pair's payloads and the covers of its forced
+    cells."""
     fmt = select_mirror_format()
     pa, pb = (codec.terminated_payload("".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n)))
               for n in lengths)
     covers = mirror.enumerate_error_allocations(
         overlap_partition(pa.size, pb.size), 3,
-        mirror._pin_conflict_cells(pa, pb, fmt.straight, fmt.mirrored))
+        mirror._admission(pa, pb, fmt.straight, fmt.mirrored)[1])
     return pa, pb, list(covers)
 
 
