@@ -1,7 +1,8 @@
 """Command-line surface: encode, mirror, flipgraph, verify, inspect.
 
 Exit codes: 0 success, 1 construction or verification failure, 2 usage
-errors. With --json, failure diagnostics go to stderr as one JSON object.
+errors. Only verify takes --json: its reports go to stdout and a failure
+diagnostic to stderr, each as one JSON object.
 """
 
 import argparse
@@ -191,7 +192,7 @@ def build_parser():
     enc.add_argument("-o", "--output", required=True)
     enc.add_argument("--scale", type=_at_least(1), default=1)
     enc.add_argument("--quiet", type=_at_least(0), default=4)
-    enc.set_defaults(func=_cmd_encode, json=False)
+    enc.set_defaults(func=_cmd_encode)
 
     mir = sub.add_parser("mirror", help="double-sided code for two messages")
     mir.add_argument("text_a")
@@ -204,12 +205,12 @@ def build_parser():
     mir.add_argument("-o", "--output", required=True)
     mir.add_argument("--scale", type=_at_least(1), default=1)
     mir.add_argument("--quiet", type=_at_least(0), default=4)
-    mir.set_defaults(func=_cmd_mirror, json=False)
+    mir.set_defaults(func=_cmd_mirror)
 
     fg = sub.add_parser("flipgraph", help="export the control-code flip graph")
     fg.add_argument("--domain", choices=("grid", "raw"), default="grid")
     fg.add_argument("--dot", required=True)
-    fg.set_defaults(func=_cmd_flipgraph, json=False)
+    fg.set_defaults(func=_cmd_flipgraph)
 
     ver = sub.add_parser("verify", help="decode a PBM, optionally both sides")
     ver.add_argument("input")
@@ -220,7 +221,7 @@ def build_parser():
 
     ins = sub.add_parser("inspect", help="dump format words, codewords, zones")
     ins.add_argument("input")
-    ins.set_defaults(func=_cmd_inspect, json=False)
+    ins.set_defaults(func=_cmd_inspect)
     return parser
 
 

@@ -243,14 +243,17 @@ def _quotient(la, lb):
     return tuple(reduced[:0:-1])
 
 
-@lru_cache(maxsize=256)  # keyed like _quotient
-def _untouched(la, lb):
-    """Read-only mask of the cells where every generator of V, a codeword
-    of a bit la..151 straight or lb..151 mirrored, is 0."""
-    codewords = _data_bit_codewords()
-    untouched = ~(codewords[la:DATA_BITS].any(axis=0) | codewords[DATA_BITS + lb :].any(axis=0))
-    untouched.setflags(write=False)
-    return untouched
+@lru_cache(maxsize=1)
+def _reach():
+    """Read-only 2 x 208: row 0 holds each cell's reach, one past the last
+    data bit whose straight codeword is 1 on it (c + 1 for data cell c,
+    148-152 for a parity cell), and row 1 the reach of the cell the
+    mirrored side places there. No generator of V touches a cell iff
+    reach[0] <= la and reach[1] <= lb."""
+    reach = DATA_BITS - _codeword_checks()[:, DATA_BITS - 1 :: -1].argmax(axis=1)
+    reach = np.stack([reach, reach[transpose_permutation()]])
+    reach.setflags(write=False)
+    return reach
 
 
 def _admission(bits_a, bits_b, fmt, mirrored_fmt):
@@ -266,9 +269,7 @@ def _admission(bits_a, bits_b, fmt, mirrored_fmt):
     span of the allocated cells' entries. Where g is 1 on a cell V does
     not touch, U alone must supply it: forced lists those cells as (cell,
     straight byte, mirrored byte) triples, and every cell both sides pin
-    to different values is one. g reduced waits for the first verdict;
-    covers come grouped by straight subset, so admits keeps the last one's
-    pivots.
+    to different values is one. g reduced waits for the first verdict.
     """
     la, lb = bits_a.size, bits_b.size
     sigma = transpose_permutation()
@@ -276,26 +277,23 @@ def _admission(bits_a, bits_b, fmt, mirrored_fmt):
     declared[:la], declared[DATA_BITS : DATA_BITS + lb] = bits_a, bits_b
     g = (np.bitwise_xor.reduce(_data_bit_codewords()[declared], axis=0)
          ^ data_mask(fmt.mask_id) ^ data_mask(mirrored_fmt.mask_id)[sigma])
-    cells = np.flatnonzero(g & _untouched(la, lb))  # the forced cells
-    reduced = target = placed = None  # set by the first verdict
-    straight = [None, None]  # the last straight subset, its pivots
-
-    def rows(side, bytes_):
-        return (reduced[c] for byte in bytes_ for c in placed[side][byte * 8 : byte * 8 + 8])
+    reach = _reach()
+    cells = np.flatnonzero(g & (reach[0] <= la) & (reach[1] <= lb))  # the forced cells
+    placed = sigma.tolist()  # the mirrored side's bit k sits on cell placed[k]
+    target = None  # g reduced, set by the first verdict
 
     def admits(alloc):
-        nonlocal reduced, target, placed
-        if reduced is None:
-            reduced, target = _quotient(la, lb), 0
+        nonlocal target
+        reduced = _quotient(la, lb)
+        if target is None:
+            target = 0
             for cell in np.flatnonzero(g).tolist():
                 target ^= reduced[cell]
-            placed = range(TOTAL_BITS), sigma.tolist()  # side's bit k sits on placed[side][k]
-        if straight[0] != alloc.side_a_bytes:
-            pivots = [0] * (TOTAL_BITS + 1)
-            _eliminate(pivots, rows(0, alloc.side_a_bytes))
-            straight[:] = alloc.side_a_bytes, pivots
-        pivots = straight[1].copy()
-        _eliminate(pivots, rows(1, alloc.side_b_bytes))
+        pivots = [0] * (TOTAL_BITS + 1)
+        for byte in alloc.side_a_bytes:  # the straight side's bit k sits on cell k
+            _eliminate(pivots, reduced[byte * 8 : byte * 8 + 8])
+        _eliminate(pivots, [reduced[c] for byte in alloc.side_b_bytes
+                            for c in placed[byte * 8 : byte * 8 + 8]])
         return not _eliminate(pivots, [target])
 
     return admits, list(zip(cells.tolist(), (cells // 8).tolist(), (sigma[cells] // 8).tolist()))

@@ -1,7 +1,9 @@
 """The double-sided constraint system, allocations, and construction."""
 
+import importlib
 import itertools
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import qrmirror
 from qrmirror import codec, encoder, mirror, rscode, verify
 from qrmirror.formatinfo import FormatWord, select_mirror_format
 from qrmirror.grid import DATA_BITS, TOTAL_BITS, overlap_partition, transpose_permutation
@@ -597,6 +600,30 @@ def test_forced_cells_hold_the_contradictory_pins_under_every_mask_pair():
     assert supersets == 3 * 25  # every near-full pair, under every mask pair
 
 
+def test_forced_cells_are_the_untouched_cells_at_every_length_pair(monkeypatch):
+    # with g 1 on every cell (all-zero payloads, masks 0 and all ones) the
+    # forced cells are the cells no generator of V touches, for every pair
+    # of declared lengths: those 0 in every straight codeword of the data
+    # bits la..151 and in every mirrored one of lb..151, read off the check
+    # matrix and placed through the transposition
+    straight = mirror._codeword_checks()[:, :DATA_BITS].T.astype(bool)  # bit -> its codeword
+    mirrored = np.zeros_like(straight)
+    mirrored[:, transpose_permutation()] = straight
+    touched = [np.concatenate([np.logical_or.accumulate(codewords[::-1])[::-1],
+                               np.zeros((1, TOTAL_BITS), dtype=bool)])  # row l: bits l..151
+               for codewords in (straight, mirrored)]
+    ones = np.ones(TOTAL_BITS, dtype=np.uint8)
+    monkeypatch.setattr(mirror, "data_mask", lambda mask_id: ones if mask_id else ones ^ 1)
+    fmts = FormatWord("L", 0), FormatWord("L", 1)
+    got = np.zeros((DATA_BITS + 1, DATA_BITS + 1, TOTAL_BITS), dtype=bool)
+    for la, lb in itertools.product(range(DATA_BITS + 1), repeat=2):
+        _, forced = mirror._admission(np.zeros(la, np.uint8), np.zeros(lb, np.uint8), *fmts)
+        got[la, lb, [cell for cell, _, _ in forced]] = True
+    want = ~(touched[0][:, None] | touched[1][None, :])
+    assert np.array_equal(got, want)
+    assert want[DATA_BITS, DATA_BITS].all() and not want[0, 0].any()
+
+
 SINGLE_BYTE_ALLOCATIONS = [mirror.ErrorAllocation(a, b)
                            for a in [frozenset()] + [frozenset({b}) for b in range(26)]
                            for b in [frozenset()] + [frozenset({b}) for b in range(26)]]
@@ -660,7 +687,7 @@ def test_admission_matches_build_and_solve_on_every_cover(formats):
     assert checked[True] >= 2 and checked[False] >= 100
 
 
-def test_admission_reuses_straight_pivots_only_for_the_same_straight_bytes():
+def test_admission_verdicts_do_not_depend_on_the_order_covers_arrive():
     # one admits per pair sees its covers shuffled, each twice in a row,
     # and interleaved so the straight subset changes on every call
     rng = random.Random(16)
@@ -738,6 +765,21 @@ def test_quotient_cache_is_bounded_and_small_per_key():
     sizes = [deep_size(mirror._quotient(*key)) for key in keys + [(152, 152)]]
     assert len(keys) == 256 and max(sizes) <= 10 * 1024
     assert sum(sizes[:-1]) <= 2.25 * 1024 * 1024
+
+
+def test_caches_are_bounded():
+    # every lru_cache in the package has a finite size, and only the
+    # quotient table, keyed by length pair, holds more than 8 entries
+    large = []
+    for info in pkgutil.iter_modules(qrmirror.__path__):
+        module = importlib.import_module(f"qrmirror.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                maxsize = value.cache_parameters()["maxsize"]
+                assert maxsize is not None, f"{info.name}.{name}"
+                if maxsize > 8:
+                    large.append(f"{info.name}.{name}")
+    assert large == ["mirror._quotient"]
 
 
 def reference_quotient(la, lb):
@@ -987,6 +1029,30 @@ def test_forced_cells_drop_only_unsolvable_covers_near_full_length():
         if not isinstance(want[0], str) or set(pins) == set(forced):
             assert got == want, pair
     assert strict >= 10 and dropped >= 100
+
+
+class QuotientRead(Exception):
+    pass
+
+
+def test_pairs_without_a_cover_never_read_the_quotient_table(monkeypatch):
+    # the target is reduced at the first verdict, so a pair whose forced
+    # cells leave no cover ends without the quotient table: the all-zero
+    # 41+41 pair and a seeded 13+13 one; a pair with a cover reads it
+    def quotient(la, lb):
+        raise QuotientRead(la, lb)
+
+    monkeypatch.setattr(mirror, "_quotient", quotient)
+    coverless = [("0" * 41, "0" * 41), seeded_alnum_pair(random.Random(0), 13, 13)]
+    for pair in coverless:
+        partition, conflicts = construction_inputs(*pair)
+        assert not list(mirror.enumerate_error_allocations(partition, conflicts=conflicts))
+        with pytest.raises(mirror.ConstructionError) as excinfo:
+            mirror.construct_double_sided(*pair)
+        assert excinfo.value.stage == "system infeasible"
+        assert "no allocation of at most 3 bytes per side covers them" in str(excinfo.value)
+    with pytest.raises(QuotientRead):
+        mirror.construct_double_sided(*seeded_alnum_pair(random.Random(1), 13, 13))
 
 
 @pytest.mark.parametrize("msg_a, msg_b", [("0" * 41, "0" * 41), ("0" * 40, "0" * 39)],
