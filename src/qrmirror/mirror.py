@@ -1,43 +1,33 @@
 """Double-sided construction.
 
 The physical values of the 208 data-region cells are the variables of a
-GF(2) linear system. Every row is a row of one cached 208x208 check
-matrix: unit rows on the 152 data bits stacked on the parity-check matrix
-H = [P | I] of the systematic Reed-Solomon code. Each side selects the
-rows of its declared bits and of its parity bytes outside the error
-allocation, and one index array places each codeword bit in its variable
-column; the right-hand side is the target (declared bits, then zeros)
-xor the rows applied to the mask. A byte listed in the allocation gives
-no rows for its side, and the damage this leaves on the grid is later
-absorbed by the decoder's 3-byte correction budget. Allocated data bytes
-get eight auxiliary variables holding the intended (post-correction)
-byte so the parity checks can still refer to it. _aux_bytes fixes their
-order for both the system and the free-value preference. That
-preference, which picks the solution among many, starts from both
-messages' ordinary encodings. A system is solved by substituting the
-message pins into the parity rows and eliminating those on bit-packed
-rows; every elimination here packs a row into a Python int with its
-lowest column at its highest bit and files its pivots in a list indexed
-by int.bit_length() (_eliminate), lowest column first.
+GF(2) linear system, built straight into Python ints with a row's lowest
+column at its highest bit. Each side's declared bits are pins, one
+(columns, values) int pair; its rows are the parity checks H = [P | I]
+of the systematic Reed-Solomon code outside the error allocation, cached
+once per placement, with the mask and the pins substituted at build
+time. A byte listed in the allocation gives no rows for its side, and the
+damage this leaves on the grid is later absorbed by the decoder's 3-byte
+correction budget. Allocated data bytes get eight auxiliary variables
+holding the intended (post-correction) byte so the parity checks can
+still refer to it. _aux_bytes fixes their order for both the system and
+the free-value preference. That preference, which picks the solution
+among many, starts from both messages' ordinary encodings. Every
+elimination here files its pivots in a list indexed by int.bit_length()
+(_eliminate), lowest column first.
 
 Most allocations at the capacity edge have no solution, so every
-allocation, the first one too, is decided without building a system. An
-allocation S is solvable iff the target g lies in V + span{unit vectors
-on the cells of S}, all over the 208 cells: g is each side's declared
-bits, zero-filled, encoded and xored with its mask, the mirrored side's
-placed through transpose_permutation(), summed; V is spanned by the
-codewords of both sides' undeclared data bits, placed the same way. V
-depends only on the declared lengths la and lb, so every cell's unit
-vector reduced modulo V, an int on the k = la + lb - 96 quotient
-coordinates (from 8+11 up), is cached per length pair. g reduced is the
-xor of its set cells' vectors, and each verdict eliminates at most 48
-allocated cells' vectors. Where g is 1 on a cell V does not touch,
-every solvable allocation holds one of the cell's two bytes, so only
-covers of these forced cells are tried; they include every cell the two
-sides pin to different values. Only the first admitted allocation is
-built and solved as above, so every grid and report is the one the
-build-every-allocation search gives, and an infeasible pair builds no
-system at all.
+allocation, the first one too, is decided without building a system
+(_admission): it is solvable iff the target g, both sides' declared
+bits encoded, masked and placed on the cells, lies in V + span{unit
+vectors on its cells}, V spanned by both sides' undeclared data bits'
+codewords. V depends only on the declared lengths, so every cell's unit
+vector reduced modulo V is cached per length pair (_quotient). Where g
+is 1 on a cell V does not touch, every solvable allocation holds one of
+the cell's two bytes, so only covers of these forced cells are tried.
+Only the first admitted allocation is built and solved, so every grid
+and report is the one the build-every-allocation search gives, and an
+infeasible pair builds no system at all.
 
 The randomized baseline (method "brute") is the construction the analytic
 method replaces: randomize the free fill, compute the straight side's
@@ -82,16 +72,22 @@ class ErrorAllocation:
                 raise ValueError(f"{name} allocation has byte indices outside 0..25")
 
 
-EMPTY_ALLOCATION = ErrorAllocation(frozenset(), frozenset())
-
-
-@dataclass
+@dataclass(frozen=True)
 class LinearSystem:
-    """GF(2) rows over the shared cell variables (plus any auxiliaries):
-    each side's declared-bit rows, then its kept parity checks."""
+    """GF(2) constraints over the cells (plus any aux variables) as ints,
+    column c at bit cols - c, the right-hand side at bit 0: each side's
+    pins as a (columns, values) pair, then the kept parity checks with the
+    pins substituted. matrix is a dense view for counting: pins as unit rows."""
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    cols: int
+    pins: tuple
+    rows: tuple
+
+    @property
+    def matrix(self):
+        pinned = np.flatnonzero(_unpack([columns for columns, _ in self.pins], self.cols)[:, :-1])
+        return np.concatenate([np.eye(self.cols, dtype=np.uint8)[pinned % self.cols],
+                               _unpack(self.rows, self.cols)[:, :-1]])
 
 
 @dataclass(frozen=True)
@@ -102,11 +98,24 @@ class Solution:
 
     assignment: np.ndarray
     free_columns: tuple
-    rank: int
 
     @property
     def free_variable_count(self):
         return len(self.free_columns)
+
+
+def _ints(rows):
+    """Each row of a 2-D 0/1 array as an int, its first entry highest."""
+    packed = np.packbits(rows, axis=1)
+    width, pad, data = packed.shape[1], -np.shape(rows)[1] % 8, packed.tobytes()
+    return [int.from_bytes(data[i : i + width], "big") >> pad for i in range(0, len(data), width)]
+
+
+def _unpack(rows, cols):
+    """Int rows (column c at bit cols - c, b at bit 0) as a 0/1 array [A | b]."""
+    width = cols // 8 + 1
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "big") for row in rows), np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1)[:, 8 * width - 1 - cols :]
 
 
 def _eliminate(pivots, rows):
@@ -130,50 +139,27 @@ def solve_gf2(system, free_values=None):
     """Solve the system, or return None when it has no solution.
 
     Free variables default to zero; free_values supplies preferred values
-    (indexed like the system's variables).
-    Rows are ints, column c at bit cols - c and the right-hand side at
-    bit 0, so a row's leading bit is its lowest column and a row reduced
-    to bit 0 alone reads 0 = 1. The pinned columns and the leading bits
-    of the substituted rows' echelon are the pivots of the unique RREF,
-    so the free columns and the assignment are those of full row
-    reduction.
+    (indexed like the system's variables). The pinned columns and the
+    rows' leading bits are the pivots of the unique RREF, so the free
+    columns and the assignment are those of full row reduction.
     """
-    matrix, rhs = system.matrix, system.rhs
-    cols = matrix.shape[1]
-    width = (cols + 8) // 8  # bytes per row: zero padding, the columns, the right-hand side
-    pad = 8 * width - 1 - cols
-    packed = np.packbits(np.column_stack([np.zeros((rhs.size, pad), dtype=np.uint8), matrix, rhs]),
-                         axis=1).tobytes()
-    rows = [int.from_bytes(packed[i : i + width], "big") for i in range(0, len(packed), width)]
-    pinned = {}  # column bit of each single-coefficient row -> its value
-    others = []
-    for row in rows:
-        if (row >> 1).bit_count() != 1:
-            others.append(row)
-        elif pinned.setdefault(row & ~1, row & 1) != row & 1:
-            return None
-    pin_mask = sum(pinned)
-    x_pinned = sum(bit for bit, v in pinned.items() if v)
-    pivots = [0] * (cols + 2)
-    rank = _eliminate(pivots, [(row & ~pin_mask) ^ ((row & x_pinned).bit_count() & 1)
-                               for row in others])
-    if pivots[1]:
+    (pins_a, values_a), (pins_b, values_b) = system.pins
+    if pins_a & pins_b & (values_a ^ values_b):  # a cell pinned both ways
         return None
-
-    def columns(bits):
-        return np.unpackbits(np.frombuffer(bits.to_bytes(width, "big"), dtype=np.uint8))[pad:-1]
-
-    pivot_mask = pin_mask | sum(1 << n - 1 for n, row in enumerate(pivots) if row)
-    free_idx = np.flatnonzero(columns(pivot_mask) == 0)
-    x = np.zeros(8 * width, dtype=np.uint8)
+    pivots = [0] * (system.cols + 2)
+    _eliminate(pivots, system.rows)
+    if pivots[1]:  # a row reduced to 0 = 1
+        return None
+    pivot_mask, xs = pins_a | pins_b, values_a | values_b | 1  # xs bit 0: the right-hand side
     if free_values is not None:
-        x[pad + free_idx] = np.asarray(free_values, dtype=np.uint8)[free_idx]
-    x[-1] = 1  # bit 0: the right-hand side
-    xs = int.from_bytes(np.packbits(x).tobytes(), "big") | x_pinned
-    for n, row in enumerate(pivots):  # every higher column is known
-        if row and (row & xs).bit_count() & 1:
-            xs |= 1 << n - 1
-    return Solution(columns(xs), tuple(free_idx.tolist()), len(pinned) + rank)
+        xs |= _ints([free_values])[0] << 1 & ~pivot_mask
+    for row in filter(None, pivots):  # highest column first: each row fixes its leading bit
+        lead = 1 << row.bit_length() - 1
+        pivot_mask |= lead
+        if (row & xs).bit_count() & 1:
+            xs ^= lead
+    assignment, pivot = _unpack([xs, pivot_mask], system.cols)[:, :-1]
+    return Solution(assignment, tuple(np.flatnonzero(pivot == 0).tolist()))
 
 
 def _aux_bytes(alloc):
@@ -193,6 +179,18 @@ def _codeword_checks():
     checks[DATA_BITS:, :DATA_BITS] = rscode.parity_matrix()
     checks.setflags(write=False)
     return checks
+
+
+@lru_cache(maxsize=1)
+def _placed_checks():
+    """Per side, its 56 parity checks of H = [P | I] placed on its cells,
+    as ints with cell c at bit 208 - c; and per check, its coefficients on
+    each data byte, data bit 8b + i at bit 7 - i."""
+    checks = np.zeros((TOTAL_BITS - DATA_BITS, TOTAL_BITS + 1), np.uint8)  # bit 0 stays 0
+    checks[:, :TOTAL_BITS] = _codeword_checks()[DATA_BITS:]
+    mirrored = np.append(transpose_permutation(), TOTAL_BITS)  # an involution: its own inverse
+    return ([_ints(checks), _ints(checks[:, mirrored])],
+            np.packbits(rscode.parity_matrix(), axis=1).tolist())
 
 
 @lru_cache(maxsize=1)
@@ -221,12 +219,9 @@ def _quotient(la, lb):
     with cell c at bit 207 - c. A pivot row's other cells are all later
     cells, so a pivot cell's entry is the xor of theirs.
     """
-    codewords = _data_bit_codewords()
-    gens = np.packbits(np.concatenate([codewords[la:DATA_BITS], codewords[DATA_BITS + lb :]]),
-                       axis=1).tobytes()
+    straight, mirrored = np.split(_data_bit_codewords(), [DATA_BITS])
     pivots = [0] * (TOTAL_BITS + 1)
-    _eliminate(pivots, (int.from_bytes(gens[i : i + TOTAL_BITS // 8], "big")
-                        for i in range(0, len(gens), TOTAL_BITS // 8)))
+    _eliminate(pivots, _ints(np.concatenate([straight[la:], mirrored[lb:]])))
     reduced = [0] * (TOTAL_BITS + 1)  # like pivots: reduced[n] is cell 208 - n's entry
     j = pivots.count(0) - 1  # k, as pivots[0] is always 0
     for n in range(1, TOTAL_BITS + 1):  # the last cell first
@@ -318,33 +313,37 @@ def build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
     # each side's codeword bit k lives in variable var[side, k]: a grid cell,
     # or for an allocated data byte one of the 8 aux variables holding the
     # intended byte the decoder will restore (mask 0: aux bits are logical)
-    var = np.stack([np.arange(TOTAL_BITS), transpose_permutation()])
-    mask = np.stack([data_mask(fmt.mask_id), data_mask(mirrored_fmt.mask_id)])
+    var = np.array([np.arange(TOTAL_BITS), transpose_permutation()])
+    mask = np.array([data_mask(fmt.mask_id), data_mask(mirrored_fmt.mask_id)])
     aux = _aux_bytes(alloc)
+    cols, shift = TOTAL_BITS + 8 * len(aux), 8 * len(aux)
+    at = np.zeros((8, cols + 1), dtype=np.uint8)  # per side: released cells, pins, values, mask
     for k, (side, byte) in enumerate(aux):
+        at[4 * side][var[side, byte * 8 : byte * 8 + 8]] = 1
         var[side, byte * 8 : byte * 8 + 8] = np.arange(8) + TOTAL_BITS + 8 * k
         mask[side, byte * 8 : byte * 8 + 8] = 0
+    for side, declared in enumerate((bits_a, bits_b)):
+        at[4 * side + 1][var[side, : declared.size]] = 1
+        at[4 * side + 2][var[side, : declared.size]] = declared ^ mask[side, : declared.size]
+        at[4 * side + 3][var[side]] = mask[side]
+    released_a, pins_a, values_a, mask_a, released_b, pins_b, values_b, mask_b = _ints(at)
 
-    matrices = []
-    rhs = []
-    for side, (declared, alloc_bytes) in enumerate(((bits_a, alloc.side_a_bytes),
-                                                    (bits_b, alloc.side_b_bytes))):
-        # the declared bits' rows, then the parity bytes outside the allocation
-        keep = np.ones(TOTAL_BITS, dtype=bool)
-        keep[declared.size : DATA_BITS] = False
-        for byte in alloc_bytes:
-            if byte >= rscode.DATA_BYTES:
-                keep[byte * 8 : byte * 8 + 8] = False
-        rows = _codeword_checks()[keep]
-        placed = np.zeros((rows.shape[0], TOTAL_BITS + 8 * len(aux)), dtype=np.uint8)
-        placed[:, var[side]] = rows
-        matrices.append(placed)
-        # target (declared bits, then zeros) xor rows . mask mod 2
-        target = np.zeros(rows.shape[0], dtype=np.uint8)
-        target[: declared.size] = declared
-        rhs.append(target ^ np.bitwise_xor.reduce(rows & mask[side], axis=1))
-
-    return LinearSystem(np.concatenate(matrices), np.concatenate(rhs))
+    # the kept checks: the cells an aux byte releases leave the rows and its
+    # coefficients go to its aux columns; the right-hand side is the row
+    # applied to the mask, and the pins are substituted
+    placed, coefficients = _placed_checks()
+    checks = [[check << shift & kept for check in placed[side]]
+              for side, kept in enumerate((~released_a, ~released_b))]
+    for low, (side, byte) in zip(range(shift - 7, 0, -8), aux):  # aux byte k: its lowest bit
+        checks[side] = [check | c[byte] << low for check, c in zip(checks[side], coefficients)]
+    unpinned, values = ~(pins_a | pins_b), values_a | values_b
+    sides = zip(checks, (alloc.side_a_bytes, alloc.side_b_bytes),
+                (mask_a ^ values, mask_b ^ values))
+    rows = tuple([row & unpinned | (row & substitute).bit_count() & 1
+                  for side_checks, alloc_bytes, substitute in sides
+                  for p in range(rscode.PARITY_BYTES) if rscode.DATA_BYTES + p not in alloc_bytes
+                  for row in side_checks[8 * p : 8 * p + 8]])
+    return LinearSystem(cols, ((pins_a, values_a), (pins_b, values_b)), rows)
 
 
 def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
@@ -507,12 +506,13 @@ def _free_value_preference(msg_a, msg_b, straight_fmt, alloc):
     """Preferred free values for alloc's system.
 
     Free cells default to the straight side's ordinary encoding; aux bytes
-    default to their side's ordinary codeword.
+    default to their side's ordinary codeword, assembled at most once.
     """
     cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
-    data = [codec.assemble_payload(msg) for msg in (msg_a, msg_b)]
-    aux = [data[side][byte * 8 : byte * 8 + 8] for side, byte in _aux_bytes(alloc)]
-    return np.concatenate([cells, *aux])
+    aux = _aux_bytes(alloc)
+    data = (cells[:DATA_BITS] ^ data_mask(straight_fmt.mask_id)[:DATA_BITS],
+            codec.assemble_payload(msg_b) if any(side for side, _ in aux) else None)
+    return np.concatenate([cells, *(data[side][byte * 8 : byte * 8 + 8] for side, byte in aux)])
 
 
 def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):

@@ -25,23 +25,14 @@ from qrmirror.grid import (
 )
 from qrmirror.masks import mask_bit, symmetric_masks
 
+from gf2_reference import conflicting_pins, int_system
+
+EMPTY_ALLOCATION = mirror.ErrorAllocation(frozenset(), frozenset())
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def report(line):
     print(f"\n[acceptance] {line}")
-
-
-def conflicting_pins(system):
-    """Variables that two single-coefficient rows pin to different values."""
-    seen = {}
-    conflicts = set()
-    pins = np.count_nonzero(system.matrix, axis=1) == 1
-    for var, value in zip(system.matrix[pins].argmax(axis=1).tolist(),
-                          system.rhs[pins].tolist()):
-        if seen.setdefault(var, value) != value:
-            conflicts.add(var)
-    return conflicts
 
 
 def test_criterion_1_payload_bit_exactness():
@@ -103,7 +94,7 @@ def test_criterion_4_overlap_numbers():
         codec.encode_segment("HELLO", "alphanumeric"),
         codec.encode_segment("WORLD", "alphanumeric"),
         fi.FormatWord("L", 3),
-        mirror.EMPTY_ALLOCATION,
+        EMPTY_ALLOCATION,
     )
     conflicts = conflicting_pins(system)
     assert len(conflicts) == 2
@@ -227,7 +218,7 @@ def test_criterion_7_property_suites():
         rows = int(nrng.integers(1, n + 4))
         matrix = nrng.integers(0, 2, (rows, n), dtype=np.uint8)
         rhs = nrng.integers(0, 2, rows, dtype=np.uint8)
-        sys_ = mirror.LinearSystem(matrix, rhs)
+        sys_ = int_system(matrix, rhs)
         sol = mirror.solve_gf2(sys_)
         counts = np.arange(1 << n, dtype=np.uint32)
         bits = ((counts[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
@@ -241,7 +232,7 @@ def test_criterion_7_property_suites():
     for _ in range(4):  # a few at the full 20 variables
         matrix = nrng.integers(0, 2, (24, 20), dtype=np.uint8)
         rhs = nrng.integers(0, 2, 24, dtype=np.uint8)
-        sys_ = mirror.LinearSystem(matrix, rhs)
+        sys_ = int_system(matrix, rhs)
         sol = mirror.solve_gf2(sys_)
         counts = np.arange(1 << 20, dtype=np.uint32)
         bits = ((counts[:, None] >> np.arange(20, dtype=np.uint32)) & 1).astype(np.uint8)

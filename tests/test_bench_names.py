@@ -57,7 +57,7 @@ def test_every_result_counter_reads_a_real_result_of_its_layer():
     assert counts["mirror.solve_gf2"](solution) == {
         "feasible": 1, "free_vars": solution.free_variable_count}
     contradiction = mirror.build_constraint_system(pa, pa, fmt.straight,
-                                                   mirror.EMPTY_ALLOCATION)
+                                                   mirror.ErrorAllocation(frozenset(), frozenset()))
     assert mirror.solve_gf2(contradiction) is None
     assert counts["mirror.solve_gf2"](None) == {"infeasible": 1}
 

@@ -21,32 +21,21 @@ from qrmirror.formatinfo import FormatWord, select_mirror_format
 from qrmirror.grid import DATA_BITS, TOTAL_BITS, overlap_partition, transpose_permutation
 from qrmirror.masks import data_mask, symmetric_masks
 
+from gf2_reference import conflicting_pins, dense_form, pinned_columns, reference_solve_gf2
+
+EMPTY_ALLOCATION = mirror.ErrorAllocation(frozenset(), frozenset())
+
 
 def payload(text, mode="alphanumeric"):
     """The bits construct_double_sided pins for text: segment and terminator."""
     return codec.terminated_payload(text, mode)
 
 
-def conflicting_pins(system):
-    """Variables pinned to contradictory constants, with their rows.
-
-    Returns {var index: sorted row indices} for every variable that two
-    single-coefficient rows force to different values.
-    """
-    seen = {}
-    conflicts = {}
-    pin_rows = np.flatnonzero(np.count_nonzero(system.matrix, axis=1) == 1)
-    pins = pin_rows, system.matrix[pin_rows].argmax(axis=1), system.rhs[pin_rows]
-    for row, var, value in zip(*(a.tolist() for a in pins)):
-        prev = seen.setdefault(var, (value, row))
-        if prev[0] != value:
-            conflicts.setdefault(var, {prev[1]}).add(row)
-    return {v: sorted(rows) for v, rows in conflicts.items()}
-
-
 def satisfies(solution, system):
-    lhs = (system.matrix.astype(np.int32) @ solution.assignment.astype(np.int32)) % 2
-    return bool(np.array_equal(lhs.astype(np.uint8), system.rhs))
+    """Whether the assignment meets each side's pins and every kept check."""
+    x = int("".join(map(str, solution.assignment)), 2) << 1 | 1  # bit 0: the right-hand side
+    return (all(x & columns == values for columns, values in system.pins)
+            and not any((row & x).bit_count() & 1 for row in system.rows))
 
 
 def allocation_total(alloc):
@@ -60,7 +49,7 @@ def test_same_alphanumeric_messages_conflict_in_two_mode_bits():
     # both sides demand the 0010 indicator, which reads 0100 through the
     # mirror, so two of the four shared cells are pinned both ways
     system = mirror.build_constraint_system(
-        payload("HELLO"), payload("HELLO"), FMT, mirror.EMPTY_ALLOCATION
+        payload("HELLO"), payload("HELLO"), FMT, EMPTY_ALLOCATION
     )
     conflicts = conflicting_pins(system)
     assert sorted(conflicts) == [1, 2]  # placement indices of (20,19), (19,20)
@@ -89,7 +78,7 @@ def test_numeric_pair_solvable_without_any_allocation():
     # the numeric indicator 0001 is symmetric in the contested middle bits
     system = mirror.build_constraint_system(
         payload("12345", "numeric"), payload("67890", "numeric"),
-        FMT, mirror.EMPTY_ALLOCATION,
+        FMT, EMPTY_ALLOCATION,
     )
     assert not conflicting_pins(system)
     solution = mirror.solve_gf2(system)
@@ -100,7 +89,7 @@ def test_numeric_pair_solvable_without_any_allocation():
 def test_system_rejects_asymmetric_mask():
     with pytest.raises(ValueError):
         mirror.build_constraint_system(
-            payload("A"), payload("B"), FormatWord("L", 2), mirror.EMPTY_ALLOCATION
+            payload("A"), payload("B"), FormatWord("L", 2), EMPTY_ALLOCATION
         )
 
 
@@ -109,12 +98,13 @@ def test_rows_are_each_sides_declared_bits_then_kept_checks():
     pa, pb = payload("HI"), payload("YO")
     system = mirror.build_constraint_system(pa, pb, FMT, alloc)
     la, lb = pa.size, pb.size
-    # side B dropped parity byte 19, side A keeps all seven
+    # each side pins its declared bits; side B dropped parity byte 19, side
+    # A keeps all seven checks
+    (pins_a, _), (pins_b, _) = system.pins
+    assert (pins_a.bit_count(), pins_b.bit_count(), len(system.rows)) == (la, lb, 56 + 48)
     assert system.matrix.shape[0] == la + 56 + lb + 48
-    # a declared bit's row is a unit row, a parity check reads data bits too
-    weights = np.count_nonzero(system.matrix, axis=1)
-    assert (weights[:la] == 1).all() and (weights[la + 56 : la + 56 + lb] == 1).all()
-    assert (weights[la : la + 56] > 1).all() and (weights[la + 56 + lb :] > 1).all()
+    # the pins are substituted: no kept check reads a pinned column
+    assert not any(row & (pins_a | pins_b) for row in system.rows)
 
 
 def test_allocated_data_byte_moves_pins_to_aux_variables():
@@ -122,14 +112,14 @@ def test_allocated_data_byte_moves_pins_to_aux_variables():
     system = mirror.build_constraint_system(payload("HELLO"), payload("WORLD"),
                                             FMT, alloc)
     assert system.matrix.shape[1] == 208 + 8
-    # side A's first 8 message rows now pin the aux byte, not the grid
-    for row in range(8):
-        assert np.flatnonzero(system.matrix[row]).tolist() == [208 + row]
+    # side A's first 8 declared bits now pin the aux byte, not the grid
+    pinned = pinned_columns(system.pins[0][0], system.cols)
+    assert pinned[-8:] == list(range(208, 216)) and min(pinned) == 8
 
 
 def test_every_solution_satisfies_all_rows():
     rng = np.random.default_rng(2)
-    for alloc in (mirror.EMPTY_ALLOCATION,
+    for alloc in (EMPTY_ALLOCATION,
                   mirror.ErrorAllocation(frozenset({2}), frozenset({0, 21}))):
         system = mirror.build_constraint_system(payload("AB"), payload("XY"),
                                                 FMT, alloc)
@@ -142,7 +132,7 @@ def test_every_solution_satisfies_all_rows():
 def test_enumerate_allocations_ordering_and_bounds():
     part = overlap_partition(41, 41)
     allocations = list(mirror.enumerate_error_allocations(part))
-    assert allocations[0] == mirror.EMPTY_ALLOCATION
+    assert allocations[0] == EMPTY_ALLOCATION
     totals = [allocation_total(a) for a in allocations]
     assert totals == sorted(totals)
     assert max(len(a.side_a_bytes) for a in allocations) == 3
@@ -158,7 +148,7 @@ def test_enumerate_allocations_empty_conflicts():
     part = overlap_partition(0, 0)
     allocations = list(mirror.enumerate_error_allocations(part))
     # zone i is always conflicting, so byte 19 remains the one candidate
-    assert allocations[0] == mirror.EMPTY_ALLOCATION
+    assert allocations[0] == EMPTY_ALLOCATION
     assert all(a.side_a_bytes <= {19} and a.side_b_bytes <= {19}
                for a in allocations)
 
@@ -413,7 +403,7 @@ def reference_build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored
                 row[bitvar[DATA_BITS + r]] ^= 1
                 rows.append(row)
                 rhs.append(int(data_mu[nz].sum() + mu[DATA_BITS + r]) % 2)
-    return mirror.LinearSystem(np.array(rows, dtype=np.uint8), np.array(rhs, dtype=np.uint8))
+    return np.array(rows, dtype=np.uint8), np.array(rhs, dtype=np.uint8)
 
 
 def test_constraint_system_matches_per_row_reference():
@@ -443,13 +433,79 @@ def test_constraint_system_matches_per_row_reference():
             cases.append((*construction_payloads(*pair), witness.straight, alloc,
                           {"mirrored_fmt": witness.mirrored}))
     assert len(cases) == 60 + 5 * len(lengths)
+    conflicts = 0
     for pa, pb, fmt, alloc, kwargs in cases:
         got = mirror.build_constraint_system(pa, pb, fmt, alloc, **kwargs)
-        want = reference_build_constraint_system(pa, pb, fmt, alloc, **kwargs)
-        assert got.matrix.dtype == want.matrix.dtype == np.uint8
-        assert got.rhs.dtype == want.rhs.dtype == np.uint8
-        assert np.array_equal(got.matrix, want.matrix)
-        assert np.array_equal(got.rhs, want.rhs)
+        matrix, rhs = reference_build_constraint_system(pa, pb, fmt, alloc, **kwargs)
+        assert got.matrix.dtype == np.uint8 and got.matrix.shape == matrix.shape
+        assert np.array_equal(got.matrix, dense_form(got)[0])
+        pins, rows = reference_int_form(matrix, rhs, pa.size, pb.size, alloc)
+        assert got.cols == matrix.shape[1]
+        assert got.pins == pins and got.rows == rows
+        if conflicting_pins(got):
+            conflicts += 1
+            assert mirror.solve_gf2(got) is None
+    assert 0 < conflicts < len(cases)
+
+
+def test_int_build_and_solve_match_the_dense_reference_on_every_cover():
+    # on every cover of 40 seeded pairs the int form, pins substituted at
+    # build time, solves to the per-row dense reference's assignment and
+    # free columns, or to its None: 8+11 and 10+13 pairs at the witness and
+    # 10+13 pairs under four other mask pairs, with aux bytes on both sides
+    # and allocated parity bytes
+    rng = random.Random(41)
+    witness = selected_formats()
+    other = [(FormatWord("L", a), FormatWord("L", b)) for a, b in ((0, 7), (5, 6), (6, 0), (7, 5))]
+    cases = [(seeded_alnum_pair(rng, 8, 11), witness) for _ in range(8)]
+    cases += [(seeded_alnum_pair(rng, 10, 13), witness) for _ in range(24)]
+    cases += [(seeded_alnum_pair(rng, 10, 13), formats) for formats in other for _ in range(2)]
+    seen = {"pairs": 0, "covers": 0, "aux on both sides": 0, "parity byte": 0, "solved": 0}
+    for pair, formats in cases:
+        pa, pb = construction_payloads(*pair)
+        partition, forced = construction_inputs(*pair, formats=formats)
+        covers = list(mirror.enumerate_error_allocations(partition, conflicts=forced))
+        seen["pairs"] += bool(covers)
+        for alloc in covers:
+            kwargs = {"mirrored_fmt": formats[1]}
+            free = mirror._free_value_preference(*pair, formats[0], alloc)
+            got = mirror.solve_gf2(mirror.build_constraint_system(pa, pb, formats[0], alloc,
+                                                                  **kwargs), free)
+            want = reference_solve_gf2(*reference_build_constraint_system(
+                pa, pb, formats[0], alloc, **kwargs), free)
+            assert (got is None) == (want is None), (pair, formats, alloc)
+            if want is not None:
+                assert np.array_equal(got.assignment, want.assignment), (pair, formats, alloc)
+                assert got.free_columns == want.free_columns, (pair, formats, alloc)
+            aux_sides = {side for side, _ in mirror._aux_bytes(alloc)}
+            seen["covers"] += 1
+            seen["aux on both sides"] += aux_sides == {0, 1}
+            seen["parity byte"] += max(alloc.side_a_bytes | alloc.side_b_bytes) >= rscode.DATA_BYTES
+            seen["solved"] += want is not None
+    assert seen["pairs"] >= 40
+    assert 100 <= seen["solved"] < seen["covers"]
+    assert seen["aux on both sides"] and seen["parity byte"]
+
+
+def reference_int_form(matrix, rhs, la, lb, alloc):
+    """The per-row reference's system in the int form: each side's
+    declared-bit rows, unit rows, as its (columns, values) pins, and its
+    check rows with the pins of both sides substituted (column c at bit
+    cols - c, the right-hand side at bit 0). A cell both sides pin is
+    substituted with the or of their values, as the build does; a
+    system with such a conflict has no solution either way."""
+    ints = [int("".join(map(str, row)), 2) << 1 | b
+            for row, b in zip(matrix.tolist(), rhs.tolist())]
+    split = la + 8 * (rscode.PARITY_BYTES - sum(b >= rscode.DATA_BYTES for b in alloc.side_a_bytes))
+    assert len(ints) - split >= lb
+    pins, checks = [], []
+    for rows, declared in ((ints[:split], la), (ints[split:], lb)):
+        assert all((row >> 1).bit_count() == 1 for row in rows[:declared])
+        pins.append((sum(row & ~1 for row in rows[:declared]),
+                     sum(row & ~1 for row in rows[:declared] if row & 1)))
+        checks += rows[declared:]
+    pinned, values = pins[0][0] | pins[1][0], pins[0][1] | pins[1][1]
+    return tuple(pins), tuple(row & ~pinned ^ (row & values).bit_count() & 1 for row in checks)
 
 
 def reference_enumerate_error_allocations(partition, max_per_side=3):
@@ -589,7 +645,7 @@ def test_forced_cells_hold_the_contradictory_pins_under_every_mask_pair():
             g = (codewords[0] ^ data_mask(straight)) ^ (codewords[1] ^ data_mask(mirrored))[inverse]
             assert cells == np.flatnonzero(g & untouched).tolist(), (pair, straight, mirrored)
             assert all((ba, bb) == (cell // 8, inverse[cell] // 8) for cell, ba, bb in got)
-            system = mirror.build_constraint_system(pa, pb, fmts[0], mirror.EMPTY_ALLOCATION,
+            system = mirror.build_constraint_system(pa, pb, fmts[0], EMPTY_ALLOCATION,
                                                     mirrored_fmt=fmts[1])
             pins = sorted(conflicting_pins(system))
             assert set(pins) <= set(cells), (pair, straight, mirrored)

@@ -8,65 +8,14 @@ import pytest
 from qrmirror import codec, mirror, rscode
 from qrmirror.formatinfo import select_mirror_format
 from qrmirror.grid import overlap_partition
-from qrmirror.mirror import LinearSystem, Solution, solve_gf2
+from qrmirror.mirror import solve_gf2
+
+from gf2_reference import dense_form, gf2_row_reduce, int_system, reference_solve_gf2
 
 
-def satisfies(solution, system):
-    lhs = (system.matrix.astype(np.int32) @ solution.assignment.astype(np.int32)) % 2
-    return bool(np.array_equal(lhs.astype(np.uint8), system.rhs))
-
-
-def gf2_row_reduce(matrix, rhs):
-    """Full RREF over GF(2) of the augmented array [A | b], eliminating the
-    right-hand side along with the matrix; returns (A, b, pivot_cols)."""
-    rows, cols = matrix.shape
-    ab = np.empty((rows, cols + 1), dtype=np.uint8)
-    ab[:, :cols] = matrix
-    ab[:, cols] = rhs
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.flatnonzero(ab[r:, c])
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            ab[[r, p]] = ab[[p, r]]
-        sel = ab[:, c].astype(bool)
-        sel[r] = False
-        if sel.any():
-            ab[sel] ^= ab[r]
-        pivot_cols.append(c)
-        r += 1
-    return ab[:, :cols], ab[:, cols], pivot_cols
-
-
-def reference_solve_gf2(system, free_values=None):
-    """The dense solver the bit-packed one replaced: full RREF, then the
-    pivots from the free values."""
-    a, b, pivot_cols = gf2_row_reduce(system.matrix, system.rhs)
-    r = len(pivot_cols)
-    if b[r:].any():
-        return None
-    cols = a.shape[1]
-    pivot_set = set(pivot_cols)
-    free_cols = tuple(c for c in range(cols) if c not in pivot_set)
-    x = np.zeros(cols, dtype=np.uint8)
-    free_idx = np.array(free_cols, dtype=np.intp)
-    if free_idx.size and free_values is not None:
-        x[free_idx] = np.asarray(free_values, dtype=np.uint8)[free_idx]
-    if r:
-        vals = (b[:r].astype(np.int32) + a[:r].astype(np.int32) @ x.astype(np.int32)) % 2
-        x[np.array(pivot_cols, dtype=np.intp)] = vals.astype(np.uint8)
-    return Solution(x, free_cols, r)
-
-
-def make_system(matrix, rhs):
-    matrix = np.array(matrix, dtype=np.uint8)
-    rhs = np.array(rhs, dtype=np.uint8)
-    return LinearSystem(matrix, rhs)
+def satisfies(solution, matrix, rhs):
+    lhs = (np.asarray(matrix, np.int32) @ solution.assignment.astype(np.int32)) % 2
+    return bool(np.array_equal(lhs.astype(np.uint8), np.asarray(rhs, np.uint8)))
 
 
 def oracle_solutions(matrix, rhs):
@@ -81,25 +30,23 @@ def oracle_solutions(matrix, rhs):
 
 
 def test_identity_system():
-    sys_ = make_system(np.eye(5, dtype=np.uint8), [1, 0, 1, 1, 0])
-    sol = solve_gf2(sys_)
+    matrix, rhs = np.eye(5, dtype=np.uint8), [1, 0, 1, 1, 0]
+    sol = solve_gf2(int_system(matrix, rhs))
     assert sol is not None
     assert list(sol.assignment) == [1, 0, 1, 1, 0]
     assert sol.free_variable_count == 0
-    assert satisfies(sol, sys_)
+    assert satisfies(sol, matrix, rhs)
 
 
 def test_contradiction():
-    sys_ = make_system([[1, 1], [1, 1]], [0, 1])
-    assert solve_gf2(sys_) is None
+    assert solve_gf2(int_system([[1, 1], [1, 1]], [0, 1])) is None
 
 
 def test_underdetermined_uses_free_values():
-    sys_ = make_system([[1, 1, 0]], [1])
-    sol = solve_gf2(sys_, free_values=np.array([0, 1, 1], dtype=np.uint8))
+    sol = solve_gf2(int_system([[1, 1, 0]], [1]), free_values=np.array([0, 1, 1], dtype=np.uint8))
     assert sol is not None
     assert sol.free_variable_count == 2
-    assert satisfies(sol, sys_)
+    assert satisfies(sol, [[1, 1, 0]], [1])
     # the non-pivot columns hold exactly their preferred values
     for c in sol.free_columns:
         assert sol.assignment[c] == [0, 1, 1][c]
@@ -123,8 +70,7 @@ def test_solver_matches_oracle_randomized(seed):
         rows = int(rng.integers(1, n + 4))
         matrix = rng.integers(0, 2, (rows, n), dtype=np.uint8)
         rhs = rng.integers(0, 2, rows, dtype=np.uint8)
-        sys_ = make_system(matrix, rhs)
-        sol = solve_gf2(sys_)
+        sol = solve_gf2(int_system(matrix, rhs))
         solutions = oracle_solutions(matrix, rhs)
         if sol is None:
             assert solutions.shape[0] == 0
@@ -138,8 +84,7 @@ def test_solver_matches_oracle_at_20_variables():
     for _ in range(3):
         matrix = rng.integers(0, 2, (24, 20), dtype=np.uint8)
         rhs = rng.integers(0, 2, 24, dtype=np.uint8)
-        sys_ = make_system(matrix, rhs)
-        sol = solve_gf2(sys_)
+        sol = solve_gf2(int_system(matrix, rhs))
         solutions = oracle_solutions(matrix, rhs)
         if sol is None:
             assert solutions.shape[0] == 0
@@ -151,10 +96,10 @@ def test_random_fill_policy_still_satisfies():
     rng = np.random.default_rng(5)
     matrix = rng.integers(0, 2, (6, 14), dtype=np.uint8)
     rhs = (matrix.astype(np.int32) @ rng.integers(0, 2, 14).astype(np.int32)) % 2
-    sys_ = make_system(matrix, rhs.astype(np.uint8))
+    sys_ = int_system(matrix, rhs)
     for seed in range(5):
         sol = solve_gf2(sys_, free_values=np.random.default_rng(seed).integers(0, 2, 14))
-        assert sol is not None and satisfies(sol, sys_)
+        assert sol is not None and satisfies(sol, matrix, rhs)
 
 
 def reference_gf2_row_reduce(matrix, rhs):
@@ -198,9 +143,7 @@ def seeded_covers(rng, lengths):
 
 def constraint_system(pa, pb, alloc):
     fmt = select_mirror_format()
-    system = mirror.build_constraint_system(pa, pb, fmt.straight, alloc,
-                                            mirrored_fmt=fmt.mirrored)
-    return system.matrix, system.rhs
+    return mirror.build_constraint_system(pa, pb, fmt.straight, alloc, mirrored_fmt=fmt.mirrored)
 
 
 def seeded_constraint_systems(count, seed=9, lengths=(9, 12)):
@@ -242,7 +185,7 @@ def test_row_reduce_matches_two_array_reference():
         density = rng.uniform(0.05, 0.95)
         systems.append(((rng.random((rows, cols)) < density).astype(np.uint8),
                         rng.integers(0, 2, rows, dtype=np.uint8)))
-    systems += seeded_constraint_systems(24)
+    systems += [dense_form(system) for system in seeded_constraint_systems(24)]
     feasible = 0
     for matrix, rhs in systems:
         before = matrix.copy(), rhs.copy()
@@ -276,25 +219,26 @@ def test_solver_matches_dense_reference():
         if rng.random() < 0.1:
             matrix = np.vstack([matrix, np.zeros(cols, dtype=np.uint8)])
             rhs = np.append(rhs, np.uint8(1))
-        systems.append((matrix, rhs))
-    systems += seeded_constraint_systems(24)
-    systems += seeded_constraint_systems(12, seed=3, lengths=(3, 5))
-    systems += seeded_constraint_systems(12, seed=4, lengths=(6, 2))
-    systems += later_cover_systems()
+        systems.append((int_system(matrix, rhs), matrix, rhs))
+    # built systems against the dense reference on their dense form
+    built = seeded_constraint_systems(24)
+    built += seeded_constraint_systems(12, seed=3, lengths=(3, 5))
+    built += seeded_constraint_systems(12, seed=4, lengths=(6, 2))
+    built += later_cover_systems()
+    systems += [(system, *dense_form(system)) for system in built]
     feasible = 0
-    for matrix, rhs in systems:
-        system = make_system(matrix, rhs)
+    for system, matrix, rhs in systems:
         fills = rng.integers(0, 2, matrix.shape[1], dtype=np.uint8)
         wide_fills = rng.integers(0, 2, matrix.shape[1])  # int64, as rng.integers gives
         for kwargs in ({}, {"free_values": fills}, {"free_values": wide_fills}):
             got = solve_gf2(system, **kwargs)
-            want = reference_solve_gf2(system, **kwargs)
+            want = reference_solve_gf2(matrix, rhs, **kwargs)
             assert (got is None) == (want is None)
             if want is None:
                 continue
             assert got.assignment.dtype == np.uint8
             assert np.array_equal(got.assignment, want.assignment)
             assert got.free_columns == want.free_columns
-            assert got.rank == want.rank
+            assert matrix.shape[1] - got.free_variable_count == want.rank
         feasible += want is not None
     assert 0 < feasible < len(systems)
