@@ -42,8 +42,8 @@ def encode_single(text, mode="auto", mask_id=0):
 def standard_physical_bits(text, mode, mask_id):
     """Physical bits of the plain single-sided encoding of a message.
 
-    Used as the fill preference of the double-sided solver, so free cells
-    default to what an ordinary encoder would have printed.
+    The cells encode_single prints, parity by the GF(256) encoder. Not the
+    double-sided fill preference, which xors mirror's generator rows.
     """
     data = codec.assemble_payload(text, mode)
     parity = np.frombuffer(rscode.rs_encode(np.packbits(data)), np.uint8)

@@ -6,15 +6,18 @@ column at its highest bit. Each side's declared bits are pins, one
 (columns, values) int pair; its rows are the parity checks H = [P | I]
 of the systematic Reed-Solomon code outside the error allocation, cached
 once per placement, with the mask and the pins substituted at build
-time. A byte listed in the allocation gives no rows for its side, and the
-damage this leaves on the grid is later absorbed by the decoder's 3-byte
-correction budget. Allocated data bytes get eight auxiliary variables
-holding the intended (post-correction) byte so the parity checks can
-still refer to it. _aux_bytes fixes their order for both the system and
-the free-value preference. That preference, which picks the solution
-among many, starts from both messages' ordinary encodings. Every
-elimination here files its pivots in a list indexed by int.bit_length()
-(_eliminate), lowest column first.
+time. Both code tables, these check ints and the generator table
+[I | P^T], come from P = rscode.parity_matrix(). A byte listed in the
+allocation gives no rows for its side, and the damage this leaves on the
+grid is later absorbed by the decoder's 3-byte correction budget.
+Allocated data bytes get eight auxiliary variables holding the intended
+(post-correction) byte so the parity checks can still refer to it.
+_aux_bytes fixes their order for both the system and the free-value
+preference. That preference, which picks the solution among many, starts
+from both messages' ordinary encodings, the straight one the xor of the
+generator rows its padded payload selects. Every elimination here files
+its pivots in a list indexed by int.bit_length() (_eliminate), lowest
+column first.
 
 Most allocations at the capacity edge have no solution, so every
 allocation, the first one too, is decided without building a system
@@ -51,6 +54,9 @@ from .masks import data_mask, symmetric_masks
 from .verify import decode_grid
 
 
+_BUDGET = rscode.PARITY_BYTES // 2  # the byte errors each side's decoder corrects
+
+
 class ConstructionError(RuntimeError):
     def __init__(self, stage, message):
         super().__init__(f"{stage}: {message}")
@@ -66,8 +72,8 @@ class ErrorAllocation:
 
     def __post_init__(self):
         for name, bytes_ in (("side_a", self.side_a_bytes), ("side_b", self.side_b_bytes)):
-            if len(bytes_) > 3:
-                raise ValueError(f"{name} allocation exceeds the 3-byte budget")
+            if len(bytes_) > _BUDGET:
+                raise ValueError(f"{name} allocation exceeds the {_BUDGET}-byte budget")
             if any(not 0 <= b < 26 for b in bytes_):
                 raise ValueError(f"{name} allocation has byte indices outside 0..25")
 
@@ -171,34 +177,23 @@ def _aux_bytes(alloc):
 
 
 @lru_cache(maxsize=1)
-def _codeword_checks():
-    """208x208 GF(2) rows over a codeword's bits: the identity with the
-    parity matrix P in rows 152-207, columns 0-151. Row i < 152 picks
-    data bit i; row 152 + j is the check of parity bit j, H = [P | I]."""
-    checks = np.eye(TOTAL_BITS, dtype=np.uint8)
-    checks[DATA_BITS:, :DATA_BITS] = rscode.parity_matrix()
-    checks.setflags(write=False)
-    return checks
-
-
-@lru_cache(maxsize=1)
 def _placed_checks():
-    """Per side, its 56 parity checks of H = [P | I] placed on its cells,
-    as ints with cell c at bit 208 - c; and per check, its coefficients on
-    each data byte, data bit 8b + i at bit 7 - i."""
+    """Per side, its 56 parity checks H = [P | I], P = rscode.parity_matrix(),
+    placed on its cells, as ints with cell c at bit 208 - c; and per check,
+    its coefficients on each data byte, data bit 8b + i at bit 7 - i."""
+    parity = rscode.parity_matrix()
     checks = np.zeros((TOTAL_BITS - DATA_BITS, TOTAL_BITS + 1), np.uint8)  # bit 0 stays 0
-    checks[:, :TOTAL_BITS] = _codeword_checks()[DATA_BITS:]
+    checks[:, :DATA_BITS], checks[:, DATA_BITS:TOTAL_BITS] = parity, np.eye(len(parity))
     mirrored = np.append(transpose_permutation(), TOTAL_BITS)  # an involution: its own inverse
-    return ([_ints(checks), _ints(checks[:, mirrored])],
-            np.packbits(rscode.parity_matrix(), axis=1).tolist())
+    return [_ints(checks), _ints(checks[:, mirrored])], np.packbits(parity, axis=1).tolist()
 
 
 @lru_cache(maxsize=1)
 def _data_bit_codewords():
-    """Read-only 304 x 208, one row per data bit: its codeword on the 208
-    cells, rows 0-151 as the straight side places bits 0-151, rows 152-303
-    as the mirrored side does (through transpose_permutation())."""
-    straight = np.ascontiguousarray(_codeword_checks()[:, :DATA_BITS].T)
+    """Read-only 304 x 208 generator table, one row per data bit: its
+    codeword on the 208 cells, rows 0-151 [I | P^T] for the straight side,
+    rows 152-303 as the mirrored side places them (transpose_permutation())."""
+    straight = np.concatenate([np.eye(DATA_BITS, dtype=np.uint8), rscode.parity_matrix().T], 1)
     codewords = np.concatenate([straight, straight[:, transpose_permutation()]])
     codewords.setflags(write=False)
     return codewords
@@ -245,7 +240,7 @@ def _reach():
     148-152 for a parity cell), and row 1 the reach of the cell the
     mirrored side places there. No generator of V touches a cell iff
     reach[0] <= la and reach[1] <= lb."""
-    reach = DATA_BITS - _codeword_checks()[:, DATA_BITS - 1 :: -1].argmax(axis=1)
+    reach = DATA_BITS - _data_bit_codewords()[DATA_BITS - 1 :: -1].argmax(axis=0)
     reach = np.stack([reach, reach[transpose_permutation()]])
     reach.setflags(write=False)
     return reach
@@ -346,11 +341,11 @@ def build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
     return LinearSystem(cols, ((pins_a, values_a), (pins_b, values_b)), rows)
 
 
-def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
+def enumerate_error_allocations(partition, conflicts=()):
     """Allocations over conflict-zone bytes that cover every conflict.
 
     The stream offers only bytes whose cells sit in zones a, c, e or i,
-    deduplicated and exhausted up to max_per_side bytes on each side. That
+    deduplicated and exhausted up to the decoder's 3 bytes on each side. That
     is a search restriction, not a theorem: sacrificing any other byte
     unties its cells from that side's parity rows, so at 3 bytes per side
     an allocation outside the candidates can solve where every candidate
@@ -368,8 +363,8 @@ def enumerate_error_allocations(partition, max_per_side=3, conflicts=()):
     """
     cand_a = partition.conflict_bytes_a()
     cand_b = partition.conflict_bytes_b()
-    max_a = min(max_per_side, len(cand_a))
-    max_b = min(max_per_side, len(cand_b))
+    max_a = min(_BUDGET, len(cand_a))
+    max_b = min(_BUDGET, len(cand_b))
     # mirrored-byte bitmasks: bit j is cand_b[j]; a byte outside cand_b
     # sets the top bit, which no allocation can cover
     bit_b = {bb: 1 << j for j, bb in enumerate(cand_b)}
@@ -411,7 +406,7 @@ def _infeasible_reason(conflicts, attempted):
         return f"no solvable system among {attempted} viable allocations"
     pairs = ", ".join(f"({ba}, {bb})" for ba, bb in sorted({c[1:] for c in conflicts}))
     return (f"the two sides fix different values on cells of (straight byte, mirrored byte) "
-            f"pairs {pairs}: no allocation of at most 3 bytes per side covers them")
+            f"pairs {pairs}: no allocation of at most {_BUDGET} bytes per side covers them")
 
 
 @dataclass(frozen=True)
@@ -505,14 +500,16 @@ def brute_force_search(bits_a, bits_b, fmt, trials, seed):
 def _free_value_preference(msg_a, msg_b, straight_fmt, alloc):
     """Preferred free values for alloc's system.
 
-    Free cells default to the straight side's ordinary encoding; aux bytes
-    default to their side's ordinary codeword, assembled at most once.
+    Free cells default to the straight side's ordinary encoding: the xor of
+    the generator rows its padded payload selects, masked. Aux bytes
+    default to their side's padded payload, each assembled at most once.
     """
-    cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
+    data = codec.assemble_payload(msg_a)
+    cells = np.bitwise_xor.reduce(_data_bit_codewords()[:DATA_BITS][data == 1], axis=0)
     aux = _aux_bytes(alloc)
-    data = (cells[:DATA_BITS] ^ data_mask(straight_fmt.mask_id)[:DATA_BITS],
-            codec.assemble_payload(msg_b) if any(side for side, _ in aux) else None)
-    return np.concatenate([cells, *(data[side][byte * 8 : byte * 8 + 8] for side, byte in aux)])
+    payloads = (data, codec.assemble_payload(msg_b) if any(side for side, _ in aux) else None)
+    return np.concatenate([cells ^ data_mask(straight_fmt.mask_id),
+                           *(payloads[side][byte * 8 : byte * 8 + 8] for side, byte in aux)])
 
 
 def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):

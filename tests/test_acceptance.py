@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from qrmirror import codec, encoder, mirror, render, rscode, verify
 from qrmirror import formatinfo as fi

@@ -428,7 +428,7 @@ def test_constraint_system_matches_per_row_reference():
     for la, lb in lengths:
         pair = seeded_alnum_pair(rng, la, lb)
         partition, conflicts = construction_inputs(*pair)
-        covers = mirror.enumerate_error_allocations(partition, 3, conflicts)
+        covers = mirror.enumerate_error_allocations(partition, conflicts)
         for alloc in itertools.islice(covers, 5):
             cases.append((*construction_payloads(*pair), witness.straight, alloc,
                           {"mirrored_fmt": witness.mirrored}))
@@ -582,12 +582,9 @@ def seeded_short_pair(rng):
 
 def test_cover_stream_matches_filtered_reference():
     def check(partition, conflicts, label):
-        for max_per_side in range(4):
-            want = [alloc
-                    for alloc in reference_enumerate_error_allocations(partition, max_per_side)
-                    if reference_allocation_resolves_pins(conflicts, alloc)]
-            got = list(mirror.enumerate_error_allocations(partition, max_per_side, conflicts))
-            assert got == want, (label, max_per_side)
+        want = [alloc for alloc in reference_enumerate_error_allocations(partition)
+                if reference_allocation_resolves_pins(conflicts, alloc)]
+        assert list(mirror.enumerate_error_allocations(partition, conflicts)) == want, label
 
     rng = random.Random(47)
     pairs = [("HELLO", "HELLO"), ("", ""), ("12345", "abc"), ("h i", "HELLO")]
@@ -603,7 +600,7 @@ def test_cover_stream_matches_filtered_reference():
 def test_uncoverable_conflicts_are_named():
     msg_a, msg_b = seeded_alnum_pair(random.Random(0), 13, 13)
     partition, conflicts = construction_inputs(msg_a, msg_b)
-    assert not list(mirror.enumerate_error_allocations(partition, 3, conflicts))
+    assert not list(mirror.enumerate_error_allocations(partition, conflicts))
     with pytest.raises(mirror.ConstructionError) as excinfo:
         mirror.construct_double_sided(msg_a, msg_b, method="analytic")
     assert excinfo.value.stage == "system infeasible"
@@ -612,6 +609,14 @@ def test_uncoverable_conflicts_are_named():
     assert "viable allocations" not in message
     for _, ba, bb in conflicts:
         assert f"({ba}, {bb})" in message
+
+
+def codeword_checks():
+    """208 x 208 [I 0; P I] over a codeword's bits, P the parity matrix:
+    row i < 152 picks data bit i, row 152 + j is the check of parity bit j."""
+    checks = np.eye(TOTAL_BITS, dtype=np.uint8)
+    checks[DATA_BITS:, :DATA_BITS] = rscode.parity_matrix()
+    return checks
 
 
 def test_forced_cells_hold_the_contradictory_pins_under_every_mask_pair():
@@ -625,7 +630,7 @@ def test_forced_cells_hold_the_contradictory_pins_under_every_mask_pair():
     pairs = [seeded_short_pair(rng) for _ in range(6)]
     pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(3)]
     near_full = [("0" * 41, "0" * 41), ("0" * 40, "0" * 39), ("9" * 41, "0" * 40)]
-    checks = mirror._codeword_checks()
+    checks = codeword_checks()
     sigma = transpose_permutation()
     inverse = np.argsort(sigma)  # cell -> the mirrored codeword bit on it
     masks = sorted(symmetric_masks())
@@ -662,7 +667,7 @@ def test_forced_cells_are_the_untouched_cells_at_every_length_pair(monkeypatch):
     # of declared lengths: those 0 in every straight codeword of the data
     # bits la..151 and in every mirrored one of lb..151, read off the check
     # matrix and placed through the transposition
-    straight = mirror._codeword_checks()[:, :DATA_BITS].T.astype(bool)  # bit -> its codeword
+    straight = codeword_checks()[:, :DATA_BITS].T.astype(bool)  # bit -> its codeword
     mirrored = np.zeros_like(straight)
     mirrored[:, transpose_permutation()] = straight
     touched = [np.concatenate([np.logical_or.accumulate(codewords[::-1])[::-1],
@@ -705,12 +710,19 @@ def solves(pa, pb, alloc, formats=None):
 def test_cover_stream_verdict_matches_exhaustive_search():
     # restricting allocations to conflict-zone bytes and pin-conflict
     # covers loses no solvable system: for one byte per side, every one of
-    # the 27 x 27 allocations over all 26 bytes gives the same verdict
+    # the 27 x 27 allocations over all 26 bytes gives the same verdict as
+    # the stream's covers of at most one byte per side, which come among
+    # its covers of at most two bytes in all
+    def single_byte(alloc):
+        return max(len(alloc.side_a_bytes), len(alloc.side_b_bytes)) <= 1
+
     verdicts = []
     for pair in exhaustive_search_pairs():
         pa, pb = construction_payloads(*pair)
         partition, conflicts = construction_inputs(*pair)
-        covers = mirror.enumerate_error_allocations(partition, 1, conflicts)
+        covers = filter(single_byte, itertools.takewhile(
+            lambda alloc: len(alloc.side_a_bytes) + len(alloc.side_b_bytes) <= 2,
+            mirror.enumerate_error_allocations(partition, conflicts)))
         verdicts.append(any(solves(pa, pb, alloc) for alloc in covers))
         assert verdicts[-1] == any(solves(pa, pb, alloc)
                                    for alloc in SINGLE_BYTE_ALLOCATIONS), pair
@@ -841,7 +853,7 @@ def test_caches_are_bounded():
 def reference_quotient(la, lb):
     """mirror._quotient as it eliminated rows with cell c at bit c, keeping
     its pivots in a dict keyed by each row's lowest bit."""
-    checks = mirror._codeword_checks()
+    checks = codeword_checks()
     gens = np.zeros((2 * DATA_BITS - la - lb, TOTAL_BITS), dtype=np.uint8)
     gens[: DATA_BITS - la] = checks[:, la:DATA_BITS].T
     gens[DATA_BITS - la :, transpose_permutation()] = checks[:, lb:DATA_BITS].T
@@ -971,6 +983,62 @@ def test_construction_imports_no_module():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+def test_free_value_preference_is_the_ordinary_encoding():
+    # the preference xors generator rows, yet equals what the GF(256)
+    # encoder gives: msg_a's ordinary physical bits on the cells, then each
+    # aux byte of the side's padded payload; seeded short and 9+12 pairs
+    # under all 5 symmetric straight masks, with aux bytes on neither side
+    # (none, or parity bytes only), on each side and on both
+    rng = random.Random(53)
+    pairs = [seeded_short_pair(rng) for _ in range(30)]
+    pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(12)]
+    allocations = [mirror.ErrorAllocation(frozenset(a), frozenset(b)) for a, b in (
+        ((), ()), ((20,), (19, 25)), ((0, 7), ()), ((), (3, 18, 22)), ((1, 19), (4,)),
+        ((2, 5, 11), (0, 9, 24)))]
+    masks = sorted(symmetric_masks())
+    assert len(masks) == 5
+    for pair, mask_id, alloc in itertools.product(pairs, masks, allocations):
+        payloads = [codec.assemble_payload(msg) for msg in pair]
+        want = np.concatenate([encoder.standard_physical_bits(pair[0], "auto", mask_id), *(
+            payloads[side][8 * byte : 8 * byte + 8] for side, byte in mirror._aux_bytes(alloc))])
+        got = mirror._free_value_preference(*pair, FormatWord("L", mask_id), alloc)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), (pair, mask_id, alloc)
+    assert {frozenset(side for side, _ in mirror._aux_bytes(alloc))
+            for alloc in allocations} == {frozenset(), frozenset({0}), frozenset({1}),
+                                          frozenset({0, 1})}
+
+
+def test_analytic_constructions_never_call_the_gf256_encoder(monkeypatch):
+    # once P is cached the construction reads the code from it alone:
+    # short pairs, 9+12 pairs and a 13+13 pair construct (or end
+    # infeasible) without rscode.rs_encode or encoder.standard_physical_bits,
+    # which the counters do see when a single-sided code is encoded
+    rng = random.Random(59)
+    pairs = [("HARRY", "BOVIK")] + [seeded_short_pair(rng) for _ in range(8)]
+    pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(3)]
+    pairs += [("GI//B-E.9E-B8", "4YDI1R8/%0H95")]
+    rscode.parity_matrix()  # its 152 columns are rs_encode's one use, cached
+    calls = []
+    for module, name in ((rscode, "rs_encode"), (encoder, "standard_physical_bits")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    outcomes = []
+    for pair in pairs:
+        try:
+            mirror.construct_double_sided(*pair, method="analytic")
+        except mirror.ConstructionError as exc:
+            outcomes.append(exc.stage)
+        else:
+            outcomes.append("solved")
+    assert calls == []
+    assert outcomes[:9] == ["solved"] * 9 and outcomes[-1] == "system infeasible"
+    assert "solved" in outcomes[9:12]
+    encoder.encode_single("HELLO")
+    assert calls == ["standard_physical_bits", "rs_encode"]
 
 
 def reference_construct_analytic(msg_a, msg_b):

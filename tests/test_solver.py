@@ -136,7 +136,7 @@ def seeded_covers(rng, lengths):
     pa, pb = (codec.terminated_payload("".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n)))
               for n in lengths)
     covers = mirror.enumerate_error_allocations(
-        overlap_partition(pa.size, pb.size), 3,
+        overlap_partition(pa.size, pb.size),
         mirror._admission(pa, pb, fmt.straight, fmt.mirrored)[1])
     return pa, pb, list(covers)
 
