@@ -6,7 +6,8 @@ bits are two error-correction level bits followed by three mask bits; the
 published XOR pattern 101010000010010 is applied before a word goes on the
 grid, so the flip graph exists in two flavours: over raw codewords and over
 their on-grid forms. Real readers see the on-grid form, which is the one
-the mirror construction trusts.
+the mirror construction trusts. One table holds the code's radius-3 ball
+(_ball): bch_decode looks words up in it, the flip graph walks its view.
 """
 
 import itertools
@@ -43,16 +44,26 @@ def codewords():
 def bch_decode(word):
     """Nearest codeword within Hamming distance 3, as (info, distance).
 
-    Returns None when every codeword is further away; unique because the
-    code's minimum distance is 7.
+    Returns None when every codeword is further away: one lookup in the
+    radius-3 ball, unique because the code's minimum distance is 7.
     """
     if not 0 <= word < 1 << 15:
         raise ValueError(f"word {word} is not a 15-bit value")
-    for info, cw in enumerate(codewords()):
-        d = (cw ^ word).bit_count()
-        if d <= 3:
-            return info, d
-    return None
+    return _ball()[word]
+
+
+@lru_cache(maxsize=1)
+def _ball():
+    """Read-only table over all 32,768 raw words: a word's (info, distance)
+    if within 3 of a codeword, else None; one shared tuple per pair."""
+    flips = [sum(1 << p for p in positions)
+             for w in range(4) for positions in itertools.combinations(range(15), w)]
+    table = [None] * (1 << 15)
+    for info, word in enumerate(codewords()):
+        hits = [(info, d) for d in range(4)]
+        for e in flips:
+            table[word ^ e] = hits[e.bit_count()]
+    return tuple(table)
 
 
 def apply_format_mask(word):
@@ -120,29 +131,11 @@ class FlipGraph:
     candidate_unique_size: int
 
 
-def _domain_word(info, domain):
-    word = bch_encode(info)
-    return apply_format_mask(word) if domain == "grid" else word
-
-
 def _radius3_ball_index(domain):
-    """string -> (info, distance) over all strings within 3 of any code.
-
-    Well defined because radius-3 balls around codewords are disjoint.
-    """
-    flips = [0]
-    for w in range(1, 4):
-        for positions in itertools.combinations(range(15), w):
-            e = 0
-            for p in positions:
-                e |= 1 << p
-            flips.append(e)
-    index = {}
-    for info in range(32):
-        base = _domain_word(info, domain)
-        for e in flips:
-            index[base ^ e] = (info, e.bit_count())
-    return index
+    """string -> (info, distance) over all strings within 3 of any code, a
+    dict view of _ball() with grid keys xored with FORMAT_XOR."""
+    xor = FORMAT_XOR if domain == "grid" else 0
+    return {word ^ xor: hit for word, hit in enumerate(_ball()) if hit}
 
 
 def _mirror_readings(index):

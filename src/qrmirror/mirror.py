@@ -179,13 +179,13 @@ def _aux_bytes(alloc):
 @lru_cache(maxsize=1)
 def _placed_checks():
     """Per side, its 56 parity checks H = [P | I], P = rscode.parity_matrix(),
-    placed on its cells, as ints with cell c at bit 208 - c; and per check,
-    its coefficients on each data byte, data bit 8b + i at bit 7 - i."""
+    placed on its cells, as ints with cell c at bit 208 - c: a straight
+    check's coefficients on data byte b are check >> 201 - 8b & 0xFF."""
     parity = rscode.parity_matrix()
     checks = np.zeros((TOTAL_BITS - DATA_BITS, TOTAL_BITS + 1), np.uint8)  # bit 0 stays 0
     checks[:, :DATA_BITS], checks[:, DATA_BITS:TOTAL_BITS] = parity, np.eye(len(parity))
     mirrored = np.append(transpose_permutation(), TOTAL_BITS)  # an involution: its own inverse
-    return [_ints(checks), _ints(checks[:, mirrored])], np.packbits(parity, axis=1).tolist()
+    return _ints(checks), _ints(checks[:, mirrored])
 
 
 @lru_cache(maxsize=1)
@@ -326,11 +326,12 @@ def build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
     # the kept checks: the cells an aux byte releases leave the rows and its
     # coefficients go to its aux columns; the right-hand side is the row
     # applied to the mask, and the pins are substituted
-    placed, coefficients = _placed_checks()
+    placed = _placed_checks()
     checks = [[check << shift & kept for check in placed[side]]
               for side, kept in enumerate((~released_a, ~released_b))]
     for low, (side, byte) in zip(range(shift - 7, 0, -8), aux):  # aux byte k: its lowest bit
-        checks[side] = [check | c[byte] << low for check, c in zip(checks[side], coefficients)]
+        checks[side] = [check | (straight >> 201 - 8 * byte & 0xFF) << low
+                        for check, straight in zip(checks[side], placed[0])]
     unpinned, values = ~(pins_a | pins_b), values_a | values_b
     sides = zip(checks, (alloc.side_a_bytes, alloc.side_b_bytes),
                 (mask_a ^ values, mask_b ^ values))
@@ -485,7 +486,7 @@ def brute_force_search(bits_a, bits_b, fmt, trials, seed):
                           mirrored[:, DATA_BITS:] != ipar])
         damage = diff.reshape(n, rscode.BLOCK_BYTES, 8).any(axis=2).sum(axis=1)
 
-        hit = np.nonzero(damage <= 3)[0]
+        hit = np.nonzero(damage <= _BUDGET)[0]
         if hit.size:
             i = int(hit[0])
             physical = full[i] ^ mu_a

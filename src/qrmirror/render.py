@@ -44,8 +44,8 @@ def to_pbm(grid, scale=1, quiet=0):
 
 
 def parse_pbm(data):
-    """Recover a ModuleGrid from a P1 stream written by to_pbm (or any
-    square P1 whose module size is inferable)."""
+    """Recover a ModuleGrid from a P1 stream written by to_pbm, or from any
+    square P1 scan without metadata, whatever its margins (_infer_geometry)."""
     text = data.decode("ascii", errors="replace")
     meta = {}
     for comment in _COMMENT.findall(text):  # later comments win
@@ -73,32 +73,32 @@ def parse_pbm(data):
             raise RenderError("metadata scale or quiet is not an integer")
         if scale < 1 or quiet < 0 or (SIZE + 2 * quiet) * scale != width:
             raise RenderError("metadata disagrees with the image dimensions")
+        top = left = quiet * scale
     else:
-        scale, quiet = _infer_geometry(img)
+        scale, top, left = _infer_geometry(img)
 
-    start = quiet * scale
-    core = img[start : start + SIZE * scale, start : start + SIZE * scale]
+    core = img[top : top + SIZE * scale, left : left + SIZE * scale]
     blocks = core.reshape(SIZE, scale, SIZE, scale).swapaxes(1, 2)
     counts = blocks.reshape(SIZE, SIZE, scale * scale).sum(axis=2)
     return ModuleGrid((counts * 2 > scale * scale).astype(np.uint8))
 
 
 def _infer_geometry(img):
+    """(scale, top, left) from the content box: its size, and its top-left
+    corner, where every QR code has a finder pattern."""
     n = img.shape[0]
     rows = np.nonzero(img.any(axis=1))[0]
     cols = np.nonzero(img.any(axis=0))[0]
     if rows.size == 0:
         if n % SIZE:
             raise RenderError(f"{n} pixels not divisible into 21 modules")
-        return n // SIZE, 0
+        return n // SIZE, 0, 0
     side = max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
     if side % SIZE:
         raise RenderError(f"content box of {side} pixels not divisible by 21")
-    scale = side // SIZE
-    quiet, rem = divmod(n - SIZE * scale, 2 * scale)  # margins may be uneven
-    if rem:
-        raise RenderError("cannot reconcile quiet zone with image size")
-    return scale, quiet
+    if max(rows[0], cols[0]) + side > n:
+        raise RenderError("content box runs past the image edge")
+    return side // SIZE, rows[0], cols[0]
 
 
 def to_svg(grid, quiet=4):

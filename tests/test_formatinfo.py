@@ -84,6 +84,26 @@ def test_decode_fails_beyond_radius_3():
     assert fi.bch_decode(outside) is None
 
 
+def reference_bch_decode(word):
+    """The nearest-codeword scan the ball lookup replaced."""
+    for info, cw in enumerate(fi.codewords()):
+        d = (cw ^ word).bit_count()
+        if d <= 3:
+            return info, d
+    return None
+
+
+def test_decode_matches_codeword_scan_on_every_word():
+    decoded = [fi.bch_decode(w) for w in range(1 << 15)]
+    assert decoded == [reference_bch_decode(w) for w in range(1 << 15)]
+    for domain, xor in (("raw", 0), ("grid", fi.FORMAT_XOR)):  # the ball's dict views
+        assert fi._radius3_ball_index(domain) == {
+            w ^ xor: hit for w, hit in enumerate(decoded) if hit is not None}
+    for word in (-1, 1 << 15):
+        with pytest.raises(ValueError):
+            fi.bch_decode(word)
+
+
 def test_format_mask_involution():
     for w in (0, 0x5412, 0x7FFF, 0x1234):
         assert fi.apply_format_mask(fi.apply_format_mask(w)) == w
@@ -247,8 +267,9 @@ def test_shared_walk_matches_separate_walks(domain):
 
 
 def test_selection_keeps_no_ball_alive():
-    # the radius-3 ball (18,432 entries) is built per call, not cached:
-    # after selection only its small result stays resident
+    # the radius-3 ball's dict view (18,432 entries) is built per call, not
+    # cached: after selection only the ball's ~0.26 MB table of shared
+    # tuples and the small result stay resident
     script = (
         "import gc, tracemalloc\n"
         "import qrmirror.formatinfo as fi\n"

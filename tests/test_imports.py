@@ -1,15 +1,17 @@
-"""Every name a module imports is read in that module.
+"""Every name a module imports is read in that module, and every
+top-level function or class of the package is read somewhere.
 
-An import left behind by a refactor costs load time and misleads the
-reader about what a module depends on. The check parses each module of
-the package and of the test suite with ast; the package's __init__.py is
-exempt, as its imports are its re-exports.
+An import or a helper left behind by a refactor costs load time and
+misleads the reader about what a module depends on. The checks parse each
+module with ast; the package's __init__.py is exempt, as its imports are
+its re-exports, and its re-exports do not count as reads.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unread_imports(source):
@@ -38,3 +40,43 @@ def test_every_import_is_read():
 def test_an_unread_import_is_caught():
     source = "import os\nimport numpy as np\nfrom a.b import c, d\nimport x.y\nprint(np, d, x.y)\n"
     assert unread_imports(source) == [(1, "os"), (3, "c")]
+
+
+def names_read(tree):
+    """Every bare name and attribute name a syntax tree reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def unread_definitions(sources, defining):
+    """(path, name) of every top-level function or class of the defining
+    paths that no statement of sources (path -> source) reads, its own
+    definition aside."""
+    defined, read = [], set()
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            names = names_read(node)
+            if path in defining and isinstance(node, DEFINITIONS):
+                defined.append((path, node.name))
+                names.discard(node.name)  # a recursive call is no use
+            read |= names
+    return [(path, name) for path, name in defined if name not in read]
+
+
+def test_every_definition_is_read():
+    package = [path for path in sorted((ROOT / "src" / "qrmirror").glob("*.py"))
+               if path.name != "__init__.py"]
+    readers = [*package, *(path for folder in ("tests", "demos", "bench")
+                           for path in sorted((ROOT / folder).glob("*.py")))]
+    sources = {path.relative_to(ROOT): path.read_text() for path in readers}
+    defining = {path.relative_to(ROOT) for path in package}
+    assert sum(isinstance(node, DEFINITIONS) for path in defining
+               for node in ast.parse(sources[path]).body) > 100
+    assert unread_definitions(sources, defining) == []
+
+
+def test_an_unread_definition_is_caught():
+    sources = {"a.py": "def f():\n    return f()\ndef g():\n    pass\nclass C:\n    pass\n",
+               "b.py": "import a\na.g()\nprint(C)\ndef h():\n    pass\n"}
+    assert unread_definitions(sources, {"a.py"}) == [("a.py", "f")]

@@ -257,36 +257,32 @@ def reference_parse_pbm(data):
             raise render.RenderError("metadata scale or quiet is not an integer")
         if scale < 1 or quiet < 0 or (SIZE + 2 * quiet) * scale != width:
             raise render.RenderError("metadata disagrees with the image dimensions")
+        top = left = quiet * scale
     else:
-        scale, quiet = reference_infer_geometry(img)
+        scale, top, left = reference_infer_geometry(img)
 
-    start = quiet * scale
-    core = img[start : start + SIZE * scale, start : start + SIZE * scale]
+    core = img[top : top + SIZE * scale, left : left + SIZE * scale]
     blocks = core.reshape(SIZE, scale, SIZE, scale).swapaxes(1, 2)
     counts = blocks.reshape(SIZE, SIZE, scale * scale).sum(axis=2)
     return ModuleGrid((counts * 2 > scale * scale).astype(np.uint8))
 
 
 def reference_infer_geometry(img):
+    """The content-box rule from the dark pixels' coordinates: the box's
+    size gives the scale, its top-left corner is the code's."""
     n = img.shape[0]
-    rows = np.nonzero(img.any(axis=1))[0]
-    cols = np.nonzero(img.any(axis=0))[0]
-    if rows.size == 0:
+    dark = np.argwhere(img)
+    if not len(dark):
         if n % SIZE:
             raise render.RenderError(f"{n} pixels not divisible into 21 modules")
-        return n // SIZE, 0
-    side = max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
+        return n // SIZE, 0, 0
+    (top, left), (bottom, right) = dark.min(axis=0), dark.max(axis=0)
+    side = max(bottom - top, right - left) + 1
     if side % SIZE:
         raise render.RenderError(f"content box of {side} pixels not divisible by 21")
-    scale = side // SIZE
-    margin = min(rows[0], cols[0])
-    quiet = margin // scale
-    if (SIZE + 2 * quiet) * scale != n:
-        # margins may be uneven only through the quiet zone; re-derive
-        quiet, rem = divmod(n - SIZE * scale, 2 * scale)
-        if rem:
-            raise render.RenderError("cannot reconcile quiet zone with image size")
-    return scale, quiet
+    if img[top : top + side, left : left + side].shape != (side, side):
+        raise render.RenderError("content box runs past the image edge")
+    return side // SIZE, top, left
 
 
 def parse_outcome(parse, data):
@@ -309,8 +305,12 @@ def repadded_scan(grid, rng):
     scale = rng.randint(1, 4)
     extra = rng.randint(0, 6 * scale + 1)
     top, left = rng.randint(0, extra), rng.randint(0, extra)
-    img = np.pad(np.kron(grid.cells, np.ones((scale, scale), dtype=np.uint8)),
-                 ((top, extra - top), (left, extra - left)))
+    return bare_scan(np.pad(np.kron(grid.cells, np.ones((scale, scale), dtype=np.uint8)),
+                            ((top, extra - top), (left, extra - left))))
+
+
+def bare_scan(img):
+    """A square 0/1 image as a P1 stream without metadata."""
     n = img.shape[0]
     return f"P1\n{n} {n}\n".encode() + b"\n".join((row + ord("0")).tobytes() for row in img)
 
@@ -365,6 +365,26 @@ def test_parse_matches_reference_on_mutated_scans():
             data = mutated_scan(data, rng)
         assert parse_outcome(render.parse_pbm, data) == parse_outcome(
             reference_parse_pbm, data), data
+
+
+def test_scans_in_uneven_margins_parse_back():
+    golden = Path(__file__).parent / "golden"
+    for name in ("harry_bovik.pbm", "hello.pbm"):
+        grid = render.parse_pbm((golden / name).read_bytes())
+        for scale in (1, 2, 3):
+            cells = np.kron(grid.cells, np.ones((scale, scale), dtype=np.uint8))
+            for near, far in ((3, 5), (2, 6), (5, 3), (0, 8)):
+                for pad in (((near, far), (far, near)), ((far, near), (near, far)),
+                            ((near, far), (near, far))):
+                    scan = bare_scan(np.pad(cells, np.array(pad) * scale))
+                    assert render.parse_pbm(scan) == grid, (name, scale, pad)
+
+
+def test_content_box_past_the_image_edge_is_a_render_error():
+    img = np.zeros((42, 42), dtype=np.uint8)
+    img[0:21, 41] = 1  # a 1 x 21 box: its 21 x 21 square runs off the right edge
+    with pytest.raises(render.RenderError, match="past the image edge"):
+        render.parse_pbm(bare_scan(img))
 
 
 def test_parse_matches_reference_on_benchmark_scans(monkeypatch):
