@@ -90,14 +90,8 @@ def _cmd_mirror(args):
 
 
 def _cmd_flipgraph(args):
-    graph = build_flip_graph(args.domain)
-    dot = flip_graph_dot(graph)
-    if args.dot == "-":
-        sys.stdout.write(dot)
-        return 0
     try:
-        with open(args.dot, "w") as fh:
-            fh.write(dot)
+        _write_output(args.dot, flip_graph_dot(build_flip_graph(args.domain)).encode())
     except OSError as exc:
         return _fail(args, "output", exc)
     return 0

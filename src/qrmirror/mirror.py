@@ -35,9 +35,11 @@ infeasible pair builds no system at all.
 The randomized baseline (method "brute") is the construction the analytic
 method replaces: randomize the free fill, compute the straight side's
 parity honestly, and measure how many bytes the mirrored side would need
-corrected. It is kept for comparison, not as a fallback: in 200,000
-trials it has not been seen to fit the correction budget, even for
-one-character pairs.
+corrected. One codeword step (data bits, then their parity from P) serves
+both sides: the straight fills and what the mirrored decoder should
+correct its reading to. It is kept for comparison, not as a fallback: in
+200,000 trials it has not been seen to fit the correction budget, even
+for one-character pairs.
 """
 
 import itertools
@@ -441,9 +443,9 @@ def brute_force_search(bits_a, bits_b, fmt, trials, seed):
 
     fmt is a MirrorFormat; its witness goes onto any found grid. Each trial
     pins both sides' declared bits (the straight side wins any contested
-    cell), randomizes every remaining fill cell, computes the straight
-    side's parity honestly, and counts the bytes in which the mirrored
-    reading differs from the codeword it is supposed to correct to.
+    cell) and randomizes every other data cell. One codeword step gives both
+    the straight side's codewords and those the mirrored decoder should
+    correct its reading to; the damage counts the bytes where they differ.
     Reproducible for a given seed and budget.
     """
     if trials < 1:
@@ -452,50 +454,39 @@ def brute_force_search(bits_a, bits_b, fmt, trials, seed):
         raise ValueError(f"brute force seed must be non-negative, not {seed}")
     sigma = transpose_permutation()
     mu_a = data_mask(fmt.straight.mask_id)
-    mu_b = data_mask(fmt.mirrored.mask_id)
-    delta = mu_a[sigma] ^ mu_b
-    la, lb = bits_a.size, bits_b.size
-    parity = rscode.parity_matrix().astype(np.int32)
+    delta = mu_a[sigma] ^ data_mask(fmt.mirrored.mask_id)  # the mirrored side reads cell ^ delta
+    parity_t = rscode.parity_matrix().T
 
+    def codewords(rows):  # uint8 sums wrap mod 256, which keeps their parity
+        return np.hstack([rows, rows @ parity_t % 2])
+
+    la, lb = bits_a.size, bits_b.size
     base = np.zeros(DATA_BITS, dtype=np.uint8)
-    pinned = np.zeros(DATA_BITS, dtype=bool)
-    base[:la] = bits_a
-    pinned[:la] = True
-    k = sigma[:lb]
-    b_only = (k >= la) & (k < DATA_BITS)  # data cells the straight side leaves free
-    base[k[b_only]] = (bits_b ^ delta[:lb])[b_only]  # the mirrored side reads cell ^ delta
-    pinned[k[b_only]] = True
-    free_idx = np.nonzero(~pinned)[0]
+    free = np.ones(DATA_BITS, dtype=bool)
+    base[:la], free[:la] = bits_a, False
+    b_only = np.flatnonzero((sigma[:lb] >= la) & (sigma[:lb] < DATA_BITS))  # straight-free cells
+    base[sigma[b_only]], free[sigma[b_only]] = bits_b[b_only] ^ delta[b_only], False
 
     rng = np.random.default_rng(seed)
-    best = (0, rscode.BLOCK_BYTES)
-    done = 0
+    best, done = rscode.BLOCK_BYTES, 0
     while done < trials:
         n = min(_BRUTE_BATCH, trials - done)
-        fills = rng.integers(0, 2, size=(n, free_idx.size), dtype=np.uint8)
-        data = np.broadcast_to(base, (n, DATA_BITS)).copy()
-        data[:, free_idx] = fills
-        par = (data.astype(np.int32) @ parity.T % 2).astype(np.uint8)
-        full = np.hstack([data, par])  # straight-side logical stream
-
-        mirrored = full[:, sigma] ^ delta
-        intended = mirrored[:, :DATA_BITS].copy()
+        data = np.tile(base, (n, 1))
+        data[:, free] = rng.integers(0, 2, size=(n, np.count_nonzero(free)), dtype=np.uint8)
+        full = codewords(data)  # the straight side's logical codewords
+        read = full[:, sigma] ^ delta  # the mirrored side's reading
+        intended = read[:, :DATA_BITS].copy()
         intended[:, :lb] = bits_b
-        ipar = (intended.astype(np.int32) @ parity.T % 2).astype(np.uint8)
-        diff = np.hstack([mirrored[:, :DATA_BITS] != intended,
-                          mirrored[:, DATA_BITS:] != ipar])
-        damage = diff.reshape(n, rscode.BLOCK_BYTES, 8).any(axis=2).sum(axis=1)
-
-        hit = np.nonzero(damage <= _BUDGET)[0]
+        wrong = read != codewords(intended)
+        damage = wrong.reshape(n, rscode.BLOCK_BYTES, 8).any(axis=2).sum(axis=1)
+        hit = np.flatnonzero(damage <= _BUDGET)
         if hit.size:
             i = int(hit[0])
-            physical = full[i] ^ mu_a
-            grid = encoder.materialize(physical, fmt.witness)
+            grid = encoder.materialize(full[i] ^ mu_a, fmt.witness)
             return BruteForceResult(grid, done + i + 1, (0, int(damage[i])))
-        batch_best = int(damage.min())
-        best = min(best, (0, batch_best))
+        best = min(best, int(damage.min()))
         done += n
-    return BruteForceResult(None, done, best)
+    return BruteForceResult(None, done, (0, best))
 
 
 def _free_value_preference(msg_a, msg_b, straight_fmt, alloc):

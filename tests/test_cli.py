@@ -134,6 +134,17 @@ def test_flipgraph_dot_output(tmp_path, capsys):
     assert text.count('label="') >= 32
 
 
+@pytest.mark.parametrize("argv", [("encode", "HELLO", "-o"), ("mirror", "HARRY", "BOVIK", "-o"),
+                                  ("flipgraph", "--domain", "raw", "--dot")],
+                         ids=lambda argv: argv[0])
+def test_stdout_output_equals_the_file_output(tmp_path, capsysbinary, argv):
+    path = tmp_path / "out"
+    assert main([*argv, str(path)]) == 0
+    assert main([*argv, "-"]) == 0
+    captured = capsysbinary.readouterr()
+    assert (captured.out, captured.err) == (path.read_bytes(), b"")
+
+
 def test_inspect_output(tmp_path, capsys):
     out = tmp_path / "hb.pbm"
     run(capsys, "mirror", "HARRY", "BOVIK", "-o", str(out))

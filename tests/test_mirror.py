@@ -254,7 +254,8 @@ def test_brute_force_reproducible():
     assert r1.best_damage == r2.best_damage
     assert (r1.grid is None) == (r2.grid is None)
     r3 = mirror.brute_force_search(pa, pb, fmt, trials=3000, seed=43)
-    assert r3.best_damage != r1.best_damage or r3.trials_run == r1.trials_run
+    for seed, result in ((42, r1), (43, r3)):
+        assert result.best_damage == reference_brute_force_best_damage(pa, pb, fmt, 3000, seed)
 
 
 def test_brute_force_damage_floor_documented():
@@ -295,12 +296,13 @@ def test_brute_force_rejects_empty_budget_and_negative_seed():
                                       **{"trials": 10, "seed": 0, **kwargs})
 
 
-def reference_brute_force_best_damage(bits_a, bits_b, fmt, trials, seed):
-    """brute_force_search's best damage, scored one trial at a time from the
-    physical cells: the same pins and the same random fills in the same
-    order, each straight codeword rs-encoded, masked, read back through the
+def reference_brute_force_trials(bits_a, bits_b, fmt, trials, seed):
+    """brute_force_search's trials, scored one at a time from the physical
+    cells: the same pins and the same random fills in the same order, each
+    straight codeword rs-encoded, masked, read back through the
     transposition and the mirrored mask, and compared byte by byte with the
-    codeword the mirrored decoder should correct it to."""
+    codeword the mirrored decoder should correct it to. Yields each trial's
+    physical cells and damage."""
     sigma = transpose_permutation()
     mu_a, mu_b = data_mask(fmt.straight.mask_id), data_mask(fmt.mirrored.mask_id)
     base = np.zeros(DATA_BITS, dtype=np.uint8)
@@ -319,19 +321,38 @@ def reference_brute_force_best_damage(bits_a, bits_b, fmt, trials, seed):
             rscode.rs_encode(np.packbits(data)), np.uint8))])
 
     rng = np.random.default_rng(seed)
-    best, done = rscode.BLOCK_BYTES, 0
-    while done < trials:
+    for done in range(0, trials, mirror._BRUTE_BATCH):
         n = min(mirror._BRUTE_BATCH, trials - done)
         for fill in rng.integers(0, 2, size=(n, free.size), dtype=np.uint8):
             data = base.copy()
             data[free] = fill
-            read = (codeword(data) ^ mu_a)[sigma] ^ mu_b
+            physical = codeword(data) ^ mu_a
+            read = physical[sigma] ^ mu_b
             intended = read[:DATA_BITS].copy()
             intended[: bits_b.size] = bits_b
             wrong = (read != codeword(intended)).reshape(rscode.BLOCK_BYTES, 8).any(axis=1)
-            best = min(best, int(wrong.sum()))
-        done += n
-    return 0, best
+            yield physical, int(wrong.sum())
+
+
+def reference_brute_force_best_damage(bits_a, bits_b, fmt, trials, seed):
+    """brute_force_search's best damage when no trial fits the budget."""
+    return 0, min(d for _, d in reference_brute_force_trials(bits_a, bits_b, fmt, trials, seed))
+
+
+@pytest.mark.parametrize("budget, seed, hit", [(26, 0, 1), (6, 5, 1957)])
+def test_brute_force_returns_the_first_trial_within_the_budget(monkeypatch, budget, seed, hit):
+    # no A/B trial has been seen within the real budget, so a raised one
+    # reaches the found-grid path: at the first trial, and in the second batch
+    monkeypatch.setattr(mirror, "_BUDGET", budget)
+    fmt = select_mirror_format()
+    pa, pb = payload("A"), payload("B")
+    result = mirror.brute_force_search(pa, pb, fmt, trials=3000, seed=seed)
+    trials = enumerate(reference_brute_force_trials(pa, pb, fmt, 3000, seed), start=1)
+    first, (physical, damage) = next((i, trial) for i, trial in trials if trial[1] <= budget)
+    assert result.trials_run == first == hit
+    assert result.best_damage == (0, damage)
+    assert result.grid == encoder.materialize(physical, fmt.witness)
+    assert verify.decode_grid(result.grid, "straight").text == "A"
 
 
 @pytest.mark.parametrize("straight, mirrored", [(3, 3), (0, 7), (5, 6)])
