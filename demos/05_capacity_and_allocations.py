@@ -8,7 +8,6 @@ from qrmirror import mirror
 
 # The error allocation decides which codeword bytes each side's decoder
 # will have to repair. The enumerator tries small allocations first.
-print("pair            result   allocation                corrections")
 cases = [
     ("12345", "67890"),        # numeric: mode indicator survives the mirror
     ("HELLO", "HELLO"),        # alphanumeric: 2-bit mode conflict
@@ -16,18 +15,21 @@ cases = [
     ("ABCDEFGH", "IJKLMNOPQRS"),    # the 8+11 target
     ("ABCDEFGHI", "JKLMNOPQRSTU"),  # beyond it
     ("ABCDEFGHIJ", "KLMNOPQRSTUV"),  # infeasible among the offered allocations
-    ("0" * 41, "0" * 41),            # full length: its forced cells leave no cover
 ]
-for a, b in cases:
-    label = f"{len(a)}+{len(b)} {a[:9]:>9}/{b[:12]:<12}"
+rows = [(a, b, f"{len(a)}+{len(b)} {a}/{b}") for a, b in cases]
+# full length: its forced cells leave no cover
+rows.append(("0" * 41, "0" * 41, '41+41 "0"*41/"0"*41'))
+width = max(len(label) for _, _, label in rows)
+print(f"{'pair':{width}} result     allocation               corrections")
+for a, b, label in rows:
     try:
         _, rep = mirror.construct_double_sided(a, b, method="analytic")
         alloc = rep.allocation
-        print(f"{label} OK       A={alloc['side_a']!s:9} B={alloc['side_b']!s:9}"
+        print(f"{label:{width}} OK         A={alloc['side_a']!s:9} B={alloc['side_b']!s:9}"
               f"  {rep.side_a_corrections}+{rep.side_b_corrections}"
               f"  (free bits left: {rep.free_vars})")
     except mirror.ConstructionError as exc:
-        print(f"{label} infeasible ({exc})")
+        print(f"{label:{width}} infeasible ({exc})")
 
 # A forced cell is one both sides fix to different values where no
 # undeclared bit reaches: a pin conflict, or near full length a parity

@@ -128,9 +128,14 @@ def parse_payload(bits):
     as noise.
     """
     size = len(bits)
+    return _parse_value(int.from_bytes(np.packbits(bits), "big") >> (-size % 8), size)
+
+
+def _parse_value(value, size):
+    """parse_payload on the size-bit number value, most significant bit
+    first: what a reader holding the payload as bytes parses."""
     if size < 4:
         raise CodecError("payload shorter than a mode indicator")
-    value = int.from_bytes(np.packbits(bits), "big") >> (-size % 8)
     rest = size - 4  # bits after the field just read
     indicator = value >> rest
     if indicator == 0:

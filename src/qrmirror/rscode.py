@@ -4,9 +4,15 @@ Field reduction uses the QR polynomial x^8+x^4+x^3+x^2+1 (0x11d); the
 generator has the seven roots alpha^0..alpha^6, so up to three byte errors
 are correctable. parity_matrix() re-expresses the encoder as a GF(2) linear
 map, which is what the double-sided constraint system is built from.
+
+The decoder works from two tables built at import. A word's syndromes are
+the xor of one _SYNDROME entry per byte, and the Chien search is the xor of
+one _CHIEN entry per locator coefficient; the Horner evaluator _eval serves
+only Forney's few evaluations.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import getitem, xor
 
 import numpy as np
 
@@ -40,9 +46,10 @@ def gf_mul(a, b):
 def _eval(coefficients, log_x):
     """Horner at alpha^log_x over coefficients listed highest degree first.
 
-    A word is listed so (byte p is the coefficient of x^(25-p)). A decoder
-    polynomial p lists its n coefficients lowest degree first; read this
-    way that list is x^(n-1) * p(1/x), so evaluating it at X tests p at X^-1.
+    Forney evaluates its two polynomials this way at each error position.
+    A decoder polynomial p lists its n coefficients lowest degree first;
+    read highest first that list is x^(n-1) * p(1/x), so evaluating it at X
+    tests p at X^-1.
     """
     r = 0
     for c in coefficients:
@@ -60,6 +67,39 @@ def _generator_poly():
 
 GENERATOR = _generator_poly()
 
+# byte p of a word is the coefficient of x^(25-p)
+_DEGREE = np.arange(BLOCK_BYTES - 1, -1, -1)
+
+
+def _term_table(log_x):
+    """uint8 table [a, v, b] = v * alpha^log_x[a, b] for every byte value v;
+    the v = 0 row is zero. With log_x in 0..255, LOG[v] + log_x stays
+    inside EXP's 512 entries, so no modulo is needed."""
+    table = np.array(EXP, np.uint8)[np.array(LOG)[:, None] + log_x[:, None, :]]
+    table[:, 0] = 0
+    return table
+
+
+def _syndrome_table():
+    """[p][v]: the 7 syndromes of the word that is v at byte p and zero
+    elsewhere, v * alpha^(i*(25-p)) for syndrome i, in bits 8i..8i+7."""
+    terms = _term_table(_DEGREE[:, None] * np.arange(8))
+    terms[..., PARITY_BYTES] = 0  # the eighth byte pads each entry to a uint64
+    return terms.view("<u8")[..., 0].tolist()
+
+
+def _chien_table():
+    """[j][c]: c * X^-j at X = alpha^(25-p) for j <= 3, the term of
+    position p in byte p of a 26-byte little-endian int."""
+    flat = _term_table(255 - np.arange(PARITY_BYTES // 2 + 1)[:, None] * _DEGREE).tobytes()
+    rows = [int.from_bytes(flat[k : k + BLOCK_BYTES], "little")
+            for k in range(0, len(flat), BLOCK_BYTES)]
+    return [rows[j : j + 256] for j in range(0, len(rows), 256)]
+
+
+_SYNDROME = _syndrome_table()
+_CHIEN = _chien_table()
+
 
 def rs_encode(data):
     """Seven parity bytes for a 19-byte data block (systematic encoding)."""
@@ -75,9 +115,15 @@ def rs_encode(data):
     return bytes(rem[-PARITY_BYTES:])
 
 
+def _packed_syndromes(word):
+    """The 7 syndromes of a 26-byte word, syndrome i in bits 8i..8i+7."""
+    return reduce(xor, map(getitem, _SYNDROME, word))
+
+
 def syndromes(codeword):
     """The 7 syndromes of a 26-byte word; all zero iff it is a codeword."""
-    return [_eval(codeword, i) for i in range(PARITY_BYTES)]
+    packed = _packed_syndromes(codeword)
+    return [packed >> 8 * i & 255 for i in range(PARITY_BYTES)]
 
 
 def _berlekamp_massey(synd):
@@ -109,14 +155,17 @@ def rs_decode(codeword):
 
     Raises RsDecodeError when no codeword lies within the 3-error budget
     (more errors, an inconsistent locator, or a residual after correction).
+    A clean word costs its 26 syndrome lookups; the Chien search and the
+    residual check are table lookups too (see _SYNDROME and _CHIEN).
     """
-    word = list(codeword)
+    word = bytes(codeword)
     if len(word) != BLOCK_BYTES:
         raise ValueError(f"expected {BLOCK_BYTES} bytes, got {len(word)}")
-    synd = syndromes(word)
-    if max(synd) == 0:
-        return bytes(word[:DATA_BYTES]), frozenset()
+    packed = _packed_syndromes(word)
+    if not packed:
+        return word[:DATA_BYTES], frozenset()
 
+    synd = [packed >> 8 * i & 255 for i in range(PARITY_BYTES)]
     locator, errors = _berlekamp_massey(synd)
     if errors > PARITY_BYTES // 2:
         raise RsDecodeError(f"{errors} errors exceed the 3-byte budget")
@@ -124,8 +173,11 @@ def rs_decode(codeword):
         raise RsDecodeError("inconsistent error locator degree")
 
     # Chien search: byte p is the x^(25-p) term, so it is in error iff the
-    # locator vanishes at X^-1 with X = alpha^(25-p).
-    positions = [p for p in range(BLOCK_BYTES) if _eval(locator, BLOCK_BYTES - 1 - p) == 0]
+    # locator vanishes at X^-1 with X = alpha^(25-p). The locator has at
+    # most 4 coefficients here, and byte p of the xor of their _CHIEN
+    # entries is its value there.
+    values = reduce(xor, map(getitem, _CHIEN, locator)).to_bytes(BLOCK_BYTES, "little")
+    positions = [p for p, v in enumerate(values) if not v]
     if len(positions) != errors:
         raise RsDecodeError("error locator roots do not match its degree")
 
@@ -138,6 +190,7 @@ def rs_decode(codeword):
         for k in range(j, PARITY_BYTES):
             omega[k] ^= gf_mul(c, synd[k - j])
     deriv = [c if k % 2 else 0 for k, c in enumerate(locator)][1:]
+    word = bytearray(word)
     for p in positions:
         log_x = BLOCK_BYTES - 1 - p
         denom = _eval(deriv, log_x)
@@ -146,7 +199,7 @@ def rs_decode(codeword):
         num = _eval(omega, log_x)  # not 0: the locator is minimal, so no value is 0
         word[p] ^= EXP[(log_x * (errors + 1 - PARITY_BYTES) + LOG[num] - LOG[denom]) % 255]
 
-    if max(syndromes(word)) != 0:
+    if _packed_syndromes(word):
         raise RsDecodeError("residual syndromes after correction")
     return bytes(word[:DATA_BYTES]), frozenset(positions)
 

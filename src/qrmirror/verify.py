@@ -12,6 +12,9 @@ from .formatinfo import EC_NAME, apply_format_mask, bch_decode
 from .grid import _template, format_cells, placement_cells
 from .masks import data_mask
 
+# the weight of each format bit, most significant first
+_FORMAT_BIT_WEIGHTS = 1 << np.arange(14, -1, -1)
+
 
 class DecodeError(ValueError):
     """Decoding failed; stage names the first pipeline step that broke."""
@@ -63,7 +66,7 @@ def _check_function_patterns(grid):
 
 def read_format_words(grid):
     """Both on-grid 15-bit format words, most significant bit first."""
-    return (grid.cells[format_cells()] @ (1 << np.arange(14, -1, -1))).tolist()
+    return (grid.cells[format_cells()] @ _FORMAT_BIT_WEIGHTS).tolist()
 
 
 def read_codewords(grid, mask_id):
@@ -108,7 +111,7 @@ def decode_grid(grid, orientation="straight"):
     except rscode.RsDecodeError as exc:
         raise DecodeError("rs", str(exc))
     try:
-        parsed = codec.parse_payload(np.unpackbits(np.frombuffer(data, np.uint8)))
+        parsed = codec._parse_value(int.from_bytes(data, "big"), 8 * len(data))
     except codec.CodecError as exc:
         raise DecodeError("payload", str(exc))
     return DecodeReport(

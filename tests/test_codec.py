@@ -521,3 +521,36 @@ def test_bit_codec_matches_string_codec_on_seeded_messages():
                 assert np.array_equal(got, reference_string_physical_bits(text, mode, mask_id))
                 physical_checked += 1
     assert physical_checked > 1000
+
+
+def data_blocks(rng):
+    """19-byte data blocks: the assembled payload of every text and mode
+    that encodes, random bytes, and random indicator + count + bit streams
+    cut or zero-padded to the 152 data bits."""
+    for text in sample_texts(rng):
+        for mode in ("auto", *MODES_TRIED[:3]):
+            try:
+                yield np.packbits(codec.assemble_payload(text, mode)).tobytes()
+            except CodecError:
+                pass
+    for _ in range(2000):
+        yield rng.randbytes(DATA_BITS // 8)
+    for _ in range(2000):
+        bits = format(rng.randrange(16), "04b")
+        if bits in MODE_OF_INDICATOR:
+            bits += format(rng.randrange(0, 60), f"0{LENGTH_FIELD[MODE_OF_INDICATOR[bits]]}b")
+        bits += "".join(rng.choice("01") for _ in range(rng.randrange(0, 160)))
+        yield reference_bits_to_bytes(bits[:DATA_BITS].ljust(DATA_BITS, "0"))
+
+
+def test_parse_of_the_data_bytes_matches_parse_of_their_bits():
+    # decode_grid parses the corrected data bytes as one number; it must
+    # read what parse_payload reads from the same bytes' bits
+    rng = random.Random(75)
+    outcomes = set()
+    for block in data_blocks(rng):
+        want = exact_outcome(codec.parse_payload, np.unpackbits(np.frombuffer(block, np.uint8)))
+        assert exact_outcome(codec._parse_value, int.from_bytes(block, "big"), DATA_BITS) == (
+            want), block.hex()
+        outcomes.add(want[0] if isinstance(want, tuple) else want.mode)
+    assert outcomes == {CodecError, "numeric", "alphanumeric", "byte", "terminator"}, outcomes

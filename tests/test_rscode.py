@@ -348,3 +348,40 @@ def test_decoder_matches_reference_on_random_words():
     rng = random.Random(12)
     seen = _assert_decoders_agree(rng.randbytes(BLOCK_BYTES) for _ in range(5_000))
     assert seen.get("error locator roots do not match its degree", 0) > 0, seen
+
+
+def test_syndrome_table_matches_the_oracle_on_every_entry():
+    # entry [p][v] packs the syndromes of the word that is v at p and zero
+    # elsewhere, syndrome i in bits 8i..8i+7
+    for p in range(BLOCK_BYTES):
+        for v in range(256):
+            word = bytes(p) + bytes([v]) + bytes(BLOCK_BYTES - 1 - p)
+            packed = sum(s << 8 * i for i, s in enumerate(oracle_syndromes(word)))
+            assert rscode._SYNDROME[p][v] == packed, (p, v)
+
+
+def test_chien_table_matches_the_reference_evaluation():
+    # byte p of entry [j][c] is the term c * x^j of a locator at X^-1, with
+    # X = alpha^(25-p) the root that marks byte p
+    for p in range(BLOCK_BYTES):
+        x_inv = EXP[-(BLOCK_BYTES - 1 - p) % 255]
+        for j, row in enumerate(rscode._CHIEN):
+            for c, entry in enumerate(row):
+                assert entry >> 8 * p & 255 == _poly_eval([c] + [0] * j, x_inv), (j, c, p)
+    assert len(rscode._CHIEN) == PARITY_BYTES // 2 + 1
+    assert all(entry >> 8 * BLOCK_BYTES == 0 for row in rscode._CHIEN for entry in row)
+
+
+def test_every_single_byte_error_decodes_like_the_reference():
+    rng = random.Random(13)
+    data = rng.randbytes(DATA_BYTES)
+    codeword = data + rscode.rs_encode(data)
+
+    def damaged():
+        for p in range(BLOCK_BYTES):
+            for v in range(1, 256):
+                word = bytearray(codeword)
+                word[p] ^= v
+                yield bytes(word)
+
+    assert _assert_decoders_agree(damaged()) == {"1 corrected": BLOCK_BYTES * 255}
