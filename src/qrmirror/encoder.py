@@ -42,9 +42,7 @@ def encode_single(text, mode="auto", mask_id=0):
 def standard_physical_bits(text, mode, mask_id):
     """Physical bits of the plain single-sided encoding of a message.
 
-    The cells encode_single prints, parity by the GF(256) encoder. Not the
-    double-sided fill preference, which xors mirror's generator rows.
+    The cells encode_single prints: rscode.codeword_bits of the padded
+    payload, masked; the double-sided fill preference starts from them.
     """
-    data = codec.assemble_payload(text, mode)
-    parity = np.frombuffer(rscode.rs_encode(np.packbits(data)), np.uint8)
-    return np.concatenate([data, np.unpackbits(parity)]) ^ data_mask(mask_id)
+    return rscode.codeword_bits(codec.assemble_payload(text, mode)) ^ data_mask(mask_id)

@@ -6,16 +6,16 @@ column at its highest bit. Each side's declared bits are pins, one
 (columns, values) int pair; its rows are the parity checks H = [P | I]
 of the systematic Reed-Solomon code outside the error allocation, cached
 once per placement, with the mask and the pins substituted at build
-time. Both code tables, these check ints and the generator table
-[I | P^T], come from P = rscode.parity_matrix(). A byte listed in the
-allocation gives no rows for its side, and the damage this leaves on the
-grid is later absorbed by the decoder's 3-byte correction budget.
+time. The check ints come from P = rscode.parity_matrix() and every
+codeword from rscode.codeword_bits. A byte listed in the allocation
+gives no rows for its side, and the damage this leaves on the grid is
+later absorbed by the decoder's 3-byte correction budget.
 Allocated data bytes get eight auxiliary variables holding the intended
 (post-correction) byte so the parity checks can still refer to it.
 _aux_bytes fixes their order for both the system and the free-value
 preference. That preference, which picks the solution among many, starts
-from both messages' ordinary encodings, the straight one the xor of the
-generator rows its padded payload selects. Every elimination here files
+from both messages' ordinary encodings, the straight one exactly the
+cells encoder.standard_physical_bits gives. Every elimination here files
 its pivots in a list indexed by int.bit_length() (_eliminate), lowest
 column first.
 
@@ -35,11 +35,11 @@ infeasible pair builds no system at all.
 The randomized baseline (method "brute") is the construction the analytic
 method replaces: randomize the free fill, compute the straight side's
 parity honestly, and measure how many bytes the mirrored side would need
-corrected. One codeword step (data bits, then their parity from P) serves
-both sides: the straight fills and what the mirrored decoder should
-correct its reading to. It is kept for comparison, not as a fallback: in
-200,000 trials it has not been seen to fit the correction budget, even
-for one-character pairs.
+corrected. One codeword step (rscode.codeword_bits) serves both sides:
+the straight fills and what the mirrored decoder should correct its
+reading to. It is kept for comparison, not as a fallback: in 200,000
+trials it has not been seen to fit the correction budget, even for
+one-character pairs.
 """
 
 import itertools
@@ -192,11 +192,10 @@ def _placed_checks():
 
 @lru_cache(maxsize=1)
 def _data_bit_codewords():
-    """Read-only 304 x 208 generator table, one row per data bit: its
-    codeword on the 208 cells, rows 0-151 [I | P^T] for the straight side,
-    rows 152-303 as the mirrored side places them (transpose_permutation())."""
-    straight = np.concatenate([np.eye(DATA_BITS, dtype=np.uint8), rscode.parity_matrix().T], 1)
-    codewords = np.concatenate([straight, straight[:, transpose_permutation()]])
+    """Read-only 152 x 208 generator table [I | P^T]: row k is the codeword
+    of data bit k alone, on the straight side's cells. The mirrored side
+    places the same codeword on the cells transpose_permutation() lists."""
+    codewords = rscode.codeword_bits(np.eye(DATA_BITS, dtype=np.uint8))
     codewords.setflags(write=False)
     return codewords
 
@@ -216,9 +215,8 @@ def _quotient(la, lb):
     with cell c at bit 207 - c. A pivot row's other cells are all later
     cells, so a pivot cell's entry is the xor of theirs.
     """
-    straight, mirrored = np.split(_data_bit_codewords(), [DATA_BITS])
-    pivots = [0] * (TOTAL_BITS + 1)
-    _eliminate(pivots, _ints(np.concatenate([straight[la:], mirrored[lb:]])))
+    codewords, pivots = _data_bit_codewords(), [0] * (TOTAL_BITS + 1)
+    _eliminate(pivots, _ints(codewords[la:]) + _ints(codewords[lb:, transpose_permutation()]))
     reduced = [0] * (TOTAL_BITS + 1)  # like pivots: reduced[n] is cell 208 - n's entry
     j = pivots.count(0) - 1  # k, as pivots[0] is always 0
     for n in range(1, TOTAL_BITS + 1):  # the last cell first
@@ -242,7 +240,7 @@ def _reach():
     148-152 for a parity cell), and row 1 the reach of the cell the
     mirrored side places there. No generator of V touches a cell iff
     reach[0] <= la and reach[1] <= lb."""
-    reach = DATA_BITS - _data_bit_codewords()[DATA_BITS - 1 :: -1].argmax(axis=0)
+    reach = DATA_BITS - _data_bit_codewords()[::-1].argmax(axis=0)
     reach = np.stack([reach, reach[transpose_permutation()]])
     reach.setflags(write=False)
     return reach
@@ -265,10 +263,10 @@ def _admission(bits_a, bits_b, fmt, mirrored_fmt):
     """
     la, lb = bits_a.size, bits_b.size
     sigma = transpose_permutation()
-    declared = np.zeros(2 * DATA_BITS, dtype=bool)  # _data_bit_codewords() rows that are 1
-    declared[:la], declared[DATA_BITS : DATA_BITS + lb] = bits_a, bits_b
-    g = (np.bitwise_xor.reduce(_data_bit_codewords()[declared], axis=0)
-         ^ data_mask(fmt.mask_id) ^ data_mask(mirrored_fmt.mask_id)[sigma])
+    declared = np.zeros((2, DATA_BITS), np.uint8)
+    declared[0, :la], declared[1, :lb] = bits_a, bits_b
+    g_a, g_b = rscode.codeword_bits(declared)  # both zero-filled payloads in one call
+    g = g_a ^ data_mask(fmt.mask_id) ^ (g_b ^ data_mask(mirrored_fmt.mask_id))[sigma]
     reach = _reach()
     cells = np.flatnonzero(g & (reach[0] <= la) & (reach[1] <= lb))  # the forced cells
     placed = sigma.tolist()  # the mirrored side's bit k sits on cell placed[k]
@@ -455,11 +453,6 @@ def brute_force_search(bits_a, bits_b, fmt, trials, seed):
     sigma = transpose_permutation()
     mu_a = data_mask(fmt.straight.mask_id)
     delta = mu_a[sigma] ^ data_mask(fmt.mirrored.mask_id)  # the mirrored side reads cell ^ delta
-    parity_t = rscode.parity_matrix().T
-
-    def codewords(rows):  # uint8 sums wrap mod 256, which keeps their parity
-        return np.hstack([rows, rows @ parity_t % 2])
-
     la, lb = bits_a.size, bits_b.size
     base = np.zeros(DATA_BITS, dtype=np.uint8)
     free = np.ones(DATA_BITS, dtype=bool)
@@ -473,11 +466,11 @@ def brute_force_search(bits_a, bits_b, fmt, trials, seed):
         n = min(_BRUTE_BATCH, trials - done)
         data = np.tile(base, (n, 1))
         data[:, free] = rng.integers(0, 2, size=(n, np.count_nonzero(free)), dtype=np.uint8)
-        full = codewords(data)  # the straight side's logical codewords
+        full = rscode.codeword_bits(data)  # the straight side's logical codewords
         read = full[:, sigma] ^ delta  # the mirrored side's reading
         intended = read[:, :DATA_BITS].copy()
         intended[:, :lb] = bits_b
-        wrong = read != codewords(intended)
+        wrong = read != rscode.codeword_bits(intended)
         damage = wrong.reshape(n, rscode.BLOCK_BYTES, 8).any(axis=2).sum(axis=1)
         hit = np.flatnonzero(damage <= _BUDGET)
         if hit.size:
@@ -492,16 +485,16 @@ def brute_force_search(bits_a, bits_b, fmt, trials, seed):
 def _free_value_preference(msg_a, msg_b, straight_fmt, alloc):
     """Preferred free values for alloc's system.
 
-    Free cells default to the straight side's ordinary encoding: the xor of
-    the generator rows its padded payload selects, masked. Aux bytes
-    default to their side's padded payload, each assembled at most once.
+    Free cells default to the straight side's ordinary encoding. Aux bytes
+    default to their side's padded payload: the straight one unmasked from
+    that encoding, the mirrored one assembled only when an aux byte needs it.
     """
-    data = codec.assemble_payload(msg_a)
-    cells = np.bitwise_xor.reduce(_data_bit_codewords()[:DATA_BITS][data == 1], axis=0)
+    cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
     aux = _aux_bytes(alloc)
-    payloads = (data, codec.assemble_payload(msg_b) if any(side for side, _ in aux) else None)
-    return np.concatenate([cells ^ data_mask(straight_fmt.mask_id),
-                           *(payloads[side][byte * 8 : byte * 8 + 8] for side, byte in aux)])
+    payloads = (cells ^ data_mask(straight_fmt.mask_id),
+                codec.assemble_payload(msg_b) if any(side for side, _ in aux) else None)
+    return np.concatenate([cells, *(payloads[side][byte * 8 : byte * 8 + 8]
+                                    for side, byte in aux)])
 
 
 def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):

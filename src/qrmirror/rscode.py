@@ -3,7 +3,7 @@
 Field reduction uses the QR polynomial x^8+x^4+x^3+x^2+1 (0x11d); the
 generator has the seven roots alpha^0..alpha^6, so up to three byte errors
 are correctable. parity_matrix() re-expresses the encoder as a GF(2) linear
-map, which is what the double-sided constraint system is built from.
+map P, which the double-sided system is built from and codeword_bits() applies.
 
 The decoder works from two tables built at import. A word's syndromes are
 the xor of one _SYNDROME entry per byte, and the Chien search is the xor of
@@ -216,3 +216,11 @@ def parity_matrix():
     m = np.unpackbits(parity.reshape(-1, PARITY_BYTES), axis=1).T.copy()
     m.setflags(write=False)
     return m
+
+
+def codeword_bits(data):
+    """The 208-bit codeword of 152 data bits, or one per row of a 2-D
+    input: the data, then parity_matrix() @ data mod 2. The float32
+    product runs through BLAS; its sums, at most 152, are exact."""
+    sums = np.asarray(data, np.float32) @ parity_matrix().T.astype(np.float32)
+    return np.concatenate([data, sums.astype(np.uint8) & 1], axis=-1)

@@ -49,19 +49,30 @@ class DecodeReport:
 
 
 @lru_cache(maxsize=1)
-def _checked_cells():
-    """The fixed cells minus the format cells, which are read, not checked."""
-    checked = _template()[1].copy()
-    checked[format_cells()] = False
-    checked.setflags(write=False)
-    return checked
+def _cell_bounds():
+    """Read-only low and high bound on each cell: a fixed cell other than a
+    format cell must hold its template value, any other cell 0 or 1."""
+    values, checked = _template()
+    checked = checked.copy()
+    checked[format_cells()] = False  # format cells are read, not checked
+    bounds = np.stack([values & checked, values | ~checked])
+    bounds.setflags(write=False)
+    return bounds
 
 
 def _check_function_patterns(grid):
-    mismatch = _checked_cells() & (grid.cells != _template()[0])
+    cells = grid.cells
+    if cells.shape != (21, 21):
+        raise DecodeError("function-pattern", "grid is not 21x21")
+    if cells.dtype.kind not in "biu":  # bool, signed or unsigned integers
+        raise DecodeError("function-pattern", f"cells are {cells.dtype}, not integers")
+    low, high = _cell_bounds()
+    mismatch = (cells < low) | (cells > high)
     if mismatch.any():  # argwhere is row-major, so this is the first cell a scan meets
         r, c = np.argwhere(mismatch)[0].tolist()
-        raise DecodeError("function-pattern", f"cell ({r}, {c}) does not match the template")
+        value = cells[r, c]
+        fault = "does not match the template" if value in (0, 1) else f"holds {value}, not 0 or 1"
+        raise DecodeError("function-pattern", f"cell ({r}, {c}) {fault}")
 
 
 def read_format_words(grid):
@@ -97,8 +108,6 @@ def decode_grid(grid, orientation="straight"):
     if orientation not in ("straight", "transposed"):
         raise ValueError(f"unknown orientation {orientation!r}")
     g = grid.transposed() if orientation == "transposed" else grid
-    if g.cells.shape != (21, 21):
-        raise DecodeError("function-pattern", "grid is not 21x21")
     _check_function_patterns(g)
     info, dist = _reconcile_format(g)
     ec_level = EC_NAME[info >> 3]
@@ -114,15 +123,7 @@ def decode_grid(grid, orientation="straight"):
         parsed = codec._parse_value(int.from_bytes(data, "big"), 8 * len(data))
     except codec.CodecError as exc:
         raise DecodeError("payload", str(exc))
-    return DecodeReport(
-        parsed.text,
-        parsed.mode,
-        mask_id,
-        ec_level,
-        dist,
-        frozenset(corrected),
-        orientation,
-    )
+    return DecodeReport(parsed.text, parsed.mode, mask_id, ec_level, dist, corrected, orientation)
 
 
 def verify_double_sided(grid, msg_a, msg_b):
@@ -132,10 +133,8 @@ def verify_double_sided(grid, msg_a, msg_b):
     the wrong text or did not decode at all.
     """
     reports = []
-    for side, orientation, expected in (
-        ("straight", "straight", msg_a),
-        ("mirrored", "transposed", msg_b),
-    ):
+    for side, orientation, expected in (("straight", "straight", msg_a),
+                                        ("mirrored", "transposed", msg_b)):
         try:
             report = decode_grid(grid, orientation)
         except DecodeError as exc:

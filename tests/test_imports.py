@@ -1,5 +1,6 @@
 """Every name a module imports is read in that module, and every
-top-level function or class of the package is read somewhere.
+top-level function, class or assigned name of the package is read
+somewhere.
 
 An import or a helper left behind by a refactor costs load time and
 misleads the reader about what a module depends on. The checks parse each
@@ -49,34 +50,71 @@ def names_read(tree):
             or isinstance(node, ast.Attribute)}
 
 
-def unread_definitions(sources, defining):
-    """(path, name) of every top-level function or class of the defining
-    paths that no statement of sources (path -> source) reads, its own
-    definition aside."""
+def defined_names(node):
+    """The name a top-level function or class statement defines."""
+    return [node.name] if isinstance(node, DEFINITIONS) else []
+
+
+def assigned_names(node):
+    """The names a top-level assignment statement binds."""
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+
+
+def unread_names(sources, defining, bound):
+    """(path, name) of every name bound(statement) lists for a top-level
+    statement of the defining paths that no statement of sources (path ->
+    source) reads, its own binding statement aside."""
     defined, read = [], set()
     for path, source in sources.items():
         for node in ast.parse(source).body:
             names = names_read(node)
-            if path in defining and isinstance(node, DEFINITIONS):
-                defined.append((path, node.name))
-                names.discard(node.name)  # a recursive call is no use
+            if path in defining:
+                own = bound(node)
+                defined += [(path, name) for name in own if (path, name) not in defined]
+                names -= set(own)  # a recursive call is no use
             read |= names
     return [(path, name) for path, name in defined if name not in read]
 
 
-def test_every_definition_is_read():
+def package_sources():
+    """(sources, defining): every module of the package and every reader
+    of it in tests, demos and bench as path -> source, and the package's
+    paths but its __init__.py."""
     package = [path for path in sorted((ROOT / "src" / "qrmirror").glob("*.py"))
                if path.name != "__init__.py"]
     readers = [*package, *(path for folder in ("tests", "demos", "bench")
                            for path in sorted((ROOT / folder).glob("*.py")))]
-    sources = {path.relative_to(ROOT): path.read_text() for path in readers}
-    defining = {path.relative_to(ROOT) for path in package}
+    return ({path.relative_to(ROOT): path.read_text() for path in readers},
+            {path.relative_to(ROOT) for path in package})
+
+
+def test_every_definition_is_read():
+    sources, defining = package_sources()
     assert sum(isinstance(node, DEFINITIONS) for path in defining
                for node in ast.parse(sources[path]).body) > 100
-    assert unread_definitions(sources, defining) == []
+    assert unread_names(sources, defining, defined_names) == []
 
 
 def test_an_unread_definition_is_caught():
     sources = {"a.py": "def f():\n    return f()\ndef g():\n    pass\nclass C:\n    pass\n",
                "b.py": "import a\na.g()\nprint(C)\ndef h():\n    pass\n"}
-    assert unread_definitions(sources, {"a.py"}) == [("a.py", "f")]
+    assert unread_names(sources, {"a.py"}, defined_names) == [("a.py", "f")]
+
+
+def test_every_assigned_name_is_read():
+    sources, defining = package_sources()
+    assert sum(len(assigned_names(node)) for path in defining
+               for node in ast.parse(sources[path]).body) > 30
+    assert unread_names(sources, defining, assigned_names) == []
+
+
+def test_an_unread_assignment_is_caught():
+    sources = {"a.py": "A = 1\nB, (C, D) = 2, (3, 4)\nE: int = A\nF = [0]\nF[0] = B\n"
+                       "G = 0\nG += 1\nH = H_ = 5\nI = I + 1 if 0 else 0\nfor J in []:\n"
+                       "    K = J\n",
+               "b.py": "import a\nprint(a.C, E, H_)\n"}
+    assert unread_names(sources, {"a.py"}, assigned_names) == [
+        ("a.py", "D"), ("a.py", "G"), ("a.py", "H"), ("a.py", "I")]

@@ -1007,11 +1007,11 @@ def test_construction_imports_no_module():
 
 
 def test_free_value_preference_is_the_ordinary_encoding():
-    # the preference xors generator rows, yet equals what the GF(256)
-    # encoder gives: msg_a's ordinary physical bits on the cells, then each
-    # aux byte of the side's padded payload; seeded short and 9+12 pairs
-    # under all 5 symmetric straight masks, with aux bytes on neither side
-    # (none, or parity bytes only), on each side and on both
+    # the preference equals what the GF(256) encoder gives: msg_a's padded
+    # payload, its rs_encode parity, masked on the cells, then each aux
+    # byte of the side's padded payload; seeded short and 9+12 pairs under
+    # all 5 symmetric straight masks, with aux bytes on neither side (none,
+    # or parity bytes only), on each side and on both
     rng = random.Random(53)
     pairs = [seeded_short_pair(rng) for _ in range(30)]
     pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(12)]
@@ -1022,7 +1022,8 @@ def test_free_value_preference_is_the_ordinary_encoding():
     assert len(masks) == 5
     for pair, mask_id, alloc in itertools.product(pairs, masks, allocations):
         payloads = [codec.assemble_payload(msg) for msg in pair]
-        want = np.concatenate([encoder.standard_physical_bits(pair[0], "auto", mask_id), *(
+        parity = np.unpackbits(np.frombuffer(rscode.rs_encode(np.packbits(payloads[0])), np.uint8))
+        want = np.concatenate([np.concatenate([payloads[0], parity]) ^ data_mask(mask_id), *(
             payloads[side][8 * byte : 8 * byte + 8] for side, byte in mirror._aux_bytes(alloc))])
         got = mirror._free_value_preference(*pair, FormatWord("L", mask_id), alloc)
         assert got.dtype == np.uint8 and np.array_equal(got, want), (pair, mask_id, alloc)
@@ -1032,10 +1033,11 @@ def test_free_value_preference_is_the_ordinary_encoding():
 
 
 def test_analytic_constructions_never_call_the_gf256_encoder(monkeypatch):
-    # once P is cached the construction reads the code from it alone:
-    # short pairs, 9+12 pairs and a 13+13 pair construct (or end
-    # infeasible) without rscode.rs_encode or encoder.standard_physical_bits,
-    # which the counters do see when a single-sided code is encoded
+    # once P is cached, neither a construction nor encode_single runs
+    # rscode.rs_encode: short pairs, 9+12 pairs and a 13+13 pair construct
+    # (or end infeasible) with codeword_bits alone. Each solved pair takes
+    # its fill preference from encoder.standard_physical_bits exactly once;
+    # the infeasible pair solves nothing, so it never calls it
     rng = random.Random(59)
     pairs = [("HARRY", "BOVIK")] + [seeded_short_pair(rng) for _ in range(8)]
     pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(3)]
@@ -1049,17 +1051,20 @@ def test_analytic_constructions_never_call_the_gf256_encoder(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     outcomes = []
     for pair in pairs:
+        calls.clear()
         try:
             mirror.construct_double_sided(*pair, method="analytic")
         except mirror.ConstructionError as exc:
-            outcomes.append(exc.stage)
+            outcomes.append((exc.stage, calls[:]))
         else:
-            outcomes.append("solved")
-    assert calls == []
-    assert outcomes[:9] == ["solved"] * 9 and outcomes[-1] == "system infeasible"
-    assert "solved" in outcomes[9:12]
+            outcomes.append(("solved", calls[:]))
+    solved, infeasible = ("solved", ["standard_physical_bits"]), ("system infeasible", [])
+    assert outcomes[:9] == [solved] * 9 and outcomes[-1] == infeasible
+    assert solved in outcomes[9:12]
+    assert all(outcome in (solved, infeasible) for outcome in outcomes[9:12])
+    calls.clear()
     encoder.encode_single("HELLO")
-    assert calls == ["standard_physical_bits", "rs_encode"]
+    assert calls == ["standard_physical_bits"]
 
 
 def reference_construct_analytic(msg_a, msg_b):

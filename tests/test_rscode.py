@@ -146,14 +146,20 @@ def test_parity_matrix_matches_encoder_on_hello():
 
 
 def test_parity_matrix_matches_encoder_on_100_random_inputs():
+    # codeword_bits too: each input alone (1-D) and all 100 as one 2-D batch
     rng = np.random.default_rng(9)
     m = rscode.parity_matrix().astype(np.int32)
-    for _ in range(100):
-        bits = rng.integers(0, 2, 152, dtype=np.uint8)
+    inputs, want = rng.integers(0, 2, (100, 152), dtype=np.uint8), []
+    for bits in inputs:
         via_matrix = m @ bits % 2
         parity = rscode.rs_encode(np.packbits(bits))
         via_encoder = np.unpackbits(np.frombuffer(parity, np.uint8))
         assert via_matrix.tolist() == via_encoder.tolist()
+        want.append(np.concatenate([bits, via_encoder]))
+        codeword = rscode.codeword_bits(bits)
+        assert codeword.dtype == np.uint8 and codeword.tolist() == want[-1].tolist()
+    batch = rscode.codeword_bits(inputs)
+    assert batch.dtype == np.uint8 and np.array_equal(batch, want)
 
 
 def test_parity_matrix_linearity():

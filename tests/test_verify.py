@@ -85,6 +85,42 @@ def test_broken_function_pattern_detected():
     assert excinfo.value.stage == "function-pattern"
 
 
+# a data cell, a format cell and a timing-pattern cell, each given a value
+# no module has, in the dtype that can hold it
+@pytest.mark.parametrize("cell", [(10, 10), (8, 0), (6, 10)])
+@pytest.mark.parametrize("value, dtype", [(2, np.uint8), (255, np.uint8), (-1, np.int8)])
+def test_cell_values_other_than_0_and_1_fail_at_function_pattern(cell, value, dtype):
+    kind = ("data" if cell in data_placement_order() else
+            "format" if cell in format_positions()[0] + format_positions()[1] else "function")
+    assert kind == {(10, 10): "data", (8, 0): "format", (6, 10): "function"}[cell]
+    grid = ModuleGrid(encoder.encode_single("HELLO").cells.astype(dtype))
+    grid.cells[cell] = value
+    for orientation, named in (("straight", cell), ("transposed", cell[::-1])):
+        with pytest.raises(verify.DecodeError) as info:
+            verify.decode_grid(grid, orientation)
+        assert str(info.value) == f"function-pattern: cell {named} holds {value}, not 0 or 1"
+
+
+def test_malformed_grids_fail_at_function_pattern_and_integer_grids_decode():
+    cells = encoder.encode_single("HELLO").cells
+    # 2 added to the first 24 data cells: 3 bytes the RS decoder would
+    # otherwise correct, so the grid read as HELLO
+    shifted = cells.copy()
+    shifted[tuple(np.array(data_placement_order()[:24]).T)] += 2
+    malformed = [(shifted, "cell (9, 19) holds 2, not 0 or 1"),
+                 (cells.astype(np.float64), "cells are float64, not integers"),
+                 (cells[:20], "grid is not 21x21"),
+                 (np.pad(cells, ((0, 0), (0, 1))), "grid is not 21x21")]
+    for bad, message in malformed:
+        with pytest.raises(verify.DecodeError) as info:
+            verify.decode_grid(ModuleGrid(bad))
+        assert info.value.stage == "function-pattern"
+        assert str(info.value) == f"function-pattern: {message}"
+    want = verify.decode_grid(ModuleGrid(cells))
+    for dtype in (bool, np.int8, np.int64):
+        assert verify.decode_grid(ModuleGrid(cells.astype(dtype))) == want
+
+
 def test_unreadable_format_detected():
     grid = encoder.encode_single("HELLO")
     from qrmirror.formatinfo import apply_format_mask, bch_decode
