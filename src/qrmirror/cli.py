@@ -74,16 +74,16 @@ def _cmd_mirror(args):
     except (mirror.ConstructionError, codec.CodecError) as exc:
         stage = getattr(exc, "stage", "encode")
         return _fail(args, stage, exc)
-    try:
-        _write_output(args.output, render.to_pbm(grid, args.scale, args.quiet))
+    try:  # the report first: a failed run leaves no file and no image on stdout
         if args.report:
-            try:
-                with open(args.report, "w") as fh:
-                    fh.write(report.to_json() + "\n")
-            except OSError:
-                if args.output != "-":  # a failed run leaves no file behind
-                    os.remove(args.output)
-                raise
+            with open(args.report, "w") as fh:
+                fh.write(report.to_json() + "\n")
+        try:
+            _write_output(args.output, render.to_pbm(grid, args.scale, args.quiet))
+        except OSError:
+            if args.report:
+                os.remove(args.report)
+            raise
     except OSError as exc:
         return _fail(args, "output", exc)
     return 0

@@ -1,45 +1,47 @@
 """Double-sided construction.
 
-The physical values of the 208 data-region cells are the variables of a
-GF(2) linear system, built straight into Python ints with a row's lowest
-column at its highest bit. Each side's declared bits are pins, one
-(columns, values) int pair; its rows are the parity checks H = [P | I]
-of the systematic Reed-Solomon code outside the error allocation, cached
-once per placement, with the mask and the pins substituted at build
-time. The check ints come from P = rscode.parity_matrix() and every
-codeword from rscode.codeword_bits. A byte listed in the allocation
-gives no rows for its side, and the damage this leaves on the grid is
-later absorbed by the decoder's 3-byte correction budget.
-Allocated data bytes get eight auxiliary variables holding the intended
-(post-correction) byte so the parity checks can still refer to it.
-_aux_bytes fixes their order for both the system and the free-value
-preference. That preference, which picks the solution among many, starts
-from both messages' ordinary encodings, the straight one exactly the
-cells encoder.standard_physical_bits gives. Every elimination here files
-its pivots in a list indexed by int.bit_length() (_eliminate), lowest
-column first.
+The 208 data-region cells' physical values are the variables of a GF(2)
+system, built as Python ints (a row's lowest column at its highest bit),
+never as a dense matrix: LinearSystem.matrix is a view for counting.
+Each side's declared bits are pins, one (columns, values) int pair; its
+rows are the parity checks H = [P | I] outside the error allocation,
+with the mask and the pins substituted at build time. An allocated
+byte's cells are in no row of its side; the decoder's 3-byte budget
+absorbs the damage left there. An allocated data byte gets eight aux
+variables, the intended (corrected) byte, so the checks still refer to
+it; _aux_bytes orders them for the system and the free-value
+preference, which starts from both messages' ordinary encodings (the
+straight one exactly encoder.standard_physical_bits). The builder, the
+admission test and the baseline take the codec's bit arrays as they are.
 
-Most allocations at the capacity edge have no solution, so every
-allocation, the first one too, is decided without building a system
-(_admission): it is solvable iff the target g, both sides' declared
-bits encoded, masked and placed on the cells, lies in V + span{unit
-vectors on its cells}, V spanned by both sides' undeclared data bits'
-codewords. V depends only on the declared lengths, so every cell's unit
-vector reduced modulo V is cached per length pair (_quotient). Where g
-is 1 on a cell V does not touch, every solvable allocation holds one of
-the cell's two bytes, so only covers of these forced cells are tried.
+The module caches no generator table: per code, the check ints H placed
+on each side's cells (_placed_checks) and each cell's reach (_reach),
+both read off P = rscode.parity_matrix(); per length pair, the quotient
+(_quotient). Every codeword, the quotient's generators too, comes from
+rscode.codeword_bits where it is used. Every elimination files its
+pivots in a list indexed by int.bit_length() (_eliminate).
+
+Most allocations at the capacity edge have no solution, so each one is
+decided without building a system (_admission): it is solvable iff the
+target g, both sides' declared bits encoded, masked and placed, lies in
+V + span{unit vectors on its cells}, V spanned by both sides' undeclared
+data bits' codewords. V depends only on the declared lengths, so every
+cell's unit vector reduced modulo V is cached per length pair, at most
+10 KB. Where g is 1 on a cell V does not touch, a solvable allocation
+holds one of the cell's two bytes, so only covers of these forced cells
+are tried: every pin conflict, and near full length some parity cells.
+A verdict keeps nothing, so it does not depend on the covers before it.
 Only the first admitted allocation is built and solved, so every grid
-and report is the one the build-every-allocation search gives, and an
-infeasible pair builds no system at all.
+and report is the build-every-allocation search's; an admitted
+allocation with no solution raises RuntimeError.
 
 The randomized baseline (method "brute") is the construction the analytic
-method replaces: randomize the free fill, compute the straight side's
-parity honestly, and measure how many bytes the mirrored side would need
-corrected. One codeword step (rscode.codeword_bits) serves both sides:
-the straight fills and what the mirrored decoder should correct its
-reading to. It is kept for comparison, not as a fallback: in 200,000
-trials it has not been seen to fit the correction budget, even for
-one-character pairs.
+method replaces: random free fills, the straight side's parity computed
+honestly, scored by the bytes the mirrored side would need corrected. A
+mirrored declared bit on a straight-free cell is written xored with both
+masks, so it reads as declared under any mask pair. One codeword step
+serves both sides. Kept for comparison, not as a fallback: in 200,000
+trials it has not been seen to fit the budget, even for 1-character pairs.
 """
 
 import itertools
@@ -56,7 +58,7 @@ from .masks import data_mask, symmetric_masks
 from .verify import decode_grid
 
 
-_BUDGET = rscode.PARITY_BYTES // 2  # the byte errors each side's decoder corrects
+_BUDGET = rscode.ERROR_BUDGET  # the byte errors each side's decoder corrects
 
 
 class ConstructionError(RuntimeError):
@@ -190,32 +192,24 @@ def _placed_checks():
     return _ints(checks), _ints(checks[:, mirrored])
 
 
-@lru_cache(maxsize=1)
-def _data_bit_codewords():
-    """Read-only 152 x 208 generator table [I | P^T]: row k is the codeword
-    of data bit k alone, on the straight side's cells. The mirrored side
-    places the same codeword on the cells transpose_permutation() lists."""
-    codewords = rscode.codeword_bits(np.eye(DATA_BITS, dtype=np.uint8))
-    codewords.setflags(write=False)
-    return codewords
-
-
 @lru_cache(maxsize=256)  # every cover needs it; short messages alone give ~170 keys
 def _quotient(la, lb):
     """Every cell's unit vector reduced modulo V, as an int per cell.
 
-    V is spanned by the codewords of the straight side's undeclared data
-    bits la..151 and of the mirrored side's lb..151, placed on their cells;
-    it depends only on the two declared lengths. Its k = 208 - dim V
-    non-pivot cells are the coordinates of the quotient by V, k = la + lb
-    - 96 from 8+11 up, coordinate j at bit j. Returns a tuple of 208 ints
-    in cell order: a non-pivot cell's entry is its own coordinate, 1 << j
-    for the j-th such cell; a pivot cell's is its row of V's reduced row
-    echelon form without the pivot. The generators are eliminated as ints
-    with cell c at bit 207 - c. A pivot row's other cells are all later
-    cells, so a pivot cell's entry is the xor of theirs.
+    V is spanned by the codewords (one rscode.codeword_bits call) of the
+    straight side's undeclared data bits la..151 and of the mirrored
+    side's lb..151, placed on their cells; it depends only on the two
+    declared lengths. Its k = 208 - dim V non-pivot cells are the
+    coordinates of the quotient by V, k = la + lb - 96 from 8+11 up,
+    coordinate j at bit j. Returns a tuple of 208 ints in cell order: a
+    non-pivot cell's entry is its own coordinate, 1 << j for the j-th
+    such cell; a pivot cell's is its row of V's reduced row echelon form
+    without the pivot. The generators are eliminated as ints with cell c
+    at bit 207 - c. A pivot row's other cells are all later cells, so a
+    pivot cell's entry is the xor of theirs.
     """
-    codewords, pivots = _data_bit_codewords(), [0] * (TOTAL_BITS + 1)
+    codewords = rscode.codeword_bits(np.eye(DATA_BITS, dtype=np.uint8))  # row k: bit k alone
+    pivots = [0] * (TOTAL_BITS + 1)
     _eliminate(pivots, _ints(codewords[la:]) + _ints(codewords[lb:, transpose_permutation()]))
     reduced = [0] * (TOTAL_BITS + 1)  # like pivots: reduced[n] is cell 208 - n's entry
     j = pivots.count(0) - 1  # k, as pivots[0] is always 0
@@ -236,11 +230,12 @@ def _quotient(la, lb):
 @lru_cache(maxsize=1)
 def _reach():
     """Read-only 2 x 208: row 0 holds each cell's reach, one past the last
-    data bit whose straight codeword is 1 on it (c + 1 for data cell c,
-    148-152 for a parity cell), and row 1 the reach of the cell the
-    mirrored side places there. No generator of V touches a cell iff
-    reach[0] <= la and reach[1] <= lb."""
-    reach = DATA_BITS - _data_bit_codewords()[::-1].argmax(axis=0)
+    data bit whose straight codeword is 1 on it: c + 1 for data cell c,
+    for parity cell 152 + i one past the last 1 in row i of P (148-152).
+    Row 1 holds the reach of the cell the mirrored side places there. No
+    generator of V touches a cell iff reach[0] <= la and reach[1] <= lb."""
+    last = rscode.parity_matrix()[:, ::-1].argmax(axis=1)  # counted from bit 151 down
+    reach = np.concatenate([np.arange(1, DATA_BITS + 1), DATA_BITS - last])
     reach = np.stack([reach, reach[transpose_permutation()]])
     reach.setflags(write=False)
     return reach

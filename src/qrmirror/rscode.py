@@ -19,6 +19,7 @@ import numpy as np
 DATA_BYTES = 19
 PARITY_BYTES = 7
 BLOCK_BYTES = DATA_BYTES + PARITY_BYTES
+ERROR_BUDGET = PARITY_BYTES // 2  # the byte errors a word can have corrected
 
 EXP = [0] * 512
 LOG = [0] * 256
@@ -91,7 +92,7 @@ def _syndrome_table():
 def _chien_table():
     """[j][c]: c * X^-j at X = alpha^(25-p) for j <= 3, the term of
     position p in byte p of a 26-byte little-endian int."""
-    flat = _term_table(255 - np.arange(PARITY_BYTES // 2 + 1)[:, None] * _DEGREE).tobytes()
+    flat = _term_table(255 - np.arange(ERROR_BUDGET + 1)[:, None] * _DEGREE).tobytes()
     rows = [int.from_bytes(flat[k : k + BLOCK_BYTES], "little")
             for k in range(0, len(flat), BLOCK_BYTES)]
     return [rows[j : j + 256] for j in range(0, len(rows), 256)]
@@ -167,8 +168,8 @@ def rs_decode(codeword):
 
     synd = [packed >> 8 * i & 255 for i in range(PARITY_BYTES)]
     locator, errors = _berlekamp_massey(synd)
-    if errors > PARITY_BYTES // 2:
-        raise RsDecodeError(f"{errors} errors exceed the 3-byte budget")
+    if errors > ERROR_BUDGET:
+        raise RsDecodeError(f"{errors} errors exceed the {ERROR_BUDGET}-byte budget")
     if len(locator) - 1 != errors:
         raise RsDecodeError("inconsistent error locator degree")
 

@@ -29,6 +29,14 @@ def test_encode_then_verify(tmp_path, capsys):
     assert "'HELLO'" in stdout
 
 
+def test_encode_rejects_text_its_mode_cannot_hold(tmp_path, capsys):
+    for argv in (("HELLO", "--mode", "numeric"), ("A" * 30,)):
+        code, _, err = run(capsys, "encode", *argv, "-o", str(tmp_path / "x.pbm"))
+        assert code == 1, argv
+        assert err.startswith("error (encode): "), argv
+    assert not (tmp_path / "x.pbm").exists()
+
+
 def test_encode_empty_message(tmp_path, capsys):
     out = tmp_path / "empty.pbm"
     code, _, _ = run(capsys, "encode", "", "-o", str(out))
@@ -112,6 +120,11 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "unknown-command")
     assert code == 2
+    code, _, _ = run(capsys, "encode", "HELLO", "-o", str(tmp_path / "x.pbm"))
+    assert code == 0
+    code, _, err = run(capsys, "verify", str(tmp_path / "x.pbm"), "--expect-a", "HELLO")
+    assert code == 2
+    assert err == "verify: --expect-a and --expect-b go together\n"
     for command in (("encode", "HELLO"), ("mirror", "HARRY", "BOVIK")):
         for option, value in (("--scale", "0"), ("--quiet", "-1")):
             code, _, err = run(capsys, *command, option, value,
@@ -218,12 +231,24 @@ def test_unwritable_output_fails_at_output_stage(tmp_path, capsys):
         assert code == 1, argv
         assert err.startswith("error (output): "), argv
     assert not (tmp_path / "x.pbm").exists()
+    # the image goes out only once the report is written
+    code, out, err = run(capsys, "mirror", "A", "B", "-o", "-",
+                         "--report", str(missing / "r.json"))
+    assert (code, out) == (1, "") and err.startswith("error (output): ")
+    # a report written before the image write fails is removed again
+    code, _, err = run(capsys, "mirror", "A", "B", "-o", str(missing / "x.pbm"),
+                       "--report", str(tmp_path / "r.json"))
+    assert code == 1 and err.startswith("error (output): ")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_missing_input_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.pbm"))
     assert code == 1
     assert "input" in err or "No such file" in err
+    code, out, err = run(capsys, "inspect", str(tmp_path / "nope.pbm"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error (input): ")
 
 
 def test_malformed_pbm_fails_at_input_stage(tmp_path, capsys):

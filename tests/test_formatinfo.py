@@ -40,6 +40,9 @@ def test_codewords_systematic():
         assert word >> 10 == info
         # parity is the division remainder of info * x^10
         assert word & 0x3FF == oracle_poly_mod(info << 10, fi.GENERATOR)
+    for info in (-1, 32):  # 5 information bits
+        with pytest.raises(ValueError, match="outside 0..31"):
+            fi.bch_encode(info)
 
 
 def test_known_on_grid_word_for_level_l_mask0():
@@ -122,6 +125,8 @@ def test_flip_graph_nodes_and_candidates(domain):
     assert len(graph.nodes) == 32
     assert graph.candidate_shell_size == 14560
     assert graph.candidate_unique_size <= 14560
+    with pytest.raises(ValueError, match="unknown domain"):  # the names are lowercase
+        fi.build_flip_graph(domain.upper())
 
 
 @pytest.mark.parametrize("domain", ["raw", "grid"])

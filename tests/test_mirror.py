@@ -91,6 +91,10 @@ def test_system_rejects_asymmetric_mask():
         mirror.build_constraint_system(
             payload("A"), payload("B"), FormatWord("L", 2), EMPTY_ALLOCATION
         )
+    with pytest.raises(ValueError, match="152-bit"):  # and a payload past the data capacity
+        mirror.build_constraint_system(
+            np.zeros(DATA_BITS + 1, np.uint8), payload("B"), FMT, EMPTY_ALLOCATION
+        )
 
 
 def test_rows_are_each_sides_declared_bits_then_kept_checks():
@@ -214,6 +218,11 @@ def test_construct_reports_infeasible_when_oversized():
 def test_construct_rejects_overlong_messages():
     with pytest.raises(codec.CodecError):
         mirror.construct_double_sided("A" * 30, "B")
+
+
+def test_construct_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'fast'"):
+        mirror.construct_double_sided("A", "B", method="fast")
 
 
 def test_report_json_schema():
@@ -353,6 +362,23 @@ def test_brute_force_returns_the_first_trial_within_the_budget(monkeypatch, budg
     assert result.best_damage == (0, damage)
     assert result.grid == encoder.materialize(physical, fmt.witness)
     assert verify.decode_grid(result.grid, "straight").text == "A"
+
+
+def test_brute_report_takes_its_allocation_from_the_decoders(monkeypatch):
+    # no brute trial fits the real budget, so the search is stubbed with a
+    # grid that does: the analytic one, found at a chosen trial
+    grid, _ = mirror.construct_double_sided("HARRY", "BOVIK")
+    found = mirror.BruteForceResult(grid, 1234, (0, 1))
+    monkeypatch.setattr(mirror, "brute_force_search", lambda *args: found)
+    built, report = mirror.construct_double_sided("HARRY", "BOVIK", method="brute")
+    rep_a, rep_b = verify.decode_grid(grid, "straight"), verify.decode_grid(grid, "transposed")
+    assert built is grid
+    assert report.method == "brute"
+    assert report.allocation == {"side_a": sorted(rep_a.corrected_bytes),
+                                 "side_b": sorted(rep_b.corrected_bytes)}
+    assert (report.side_a_corrections, report.side_b_corrections) == (
+        len(rep_a.corrected_bytes), len(rep_b.corrected_bytes))
+    assert report.free_vars == 0 and report.trials == 1234
 
 
 @pytest.mark.parametrize("straight, mirrored", [(3, 3), (0, 7), (5, 6)])

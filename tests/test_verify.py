@@ -64,6 +64,8 @@ def test_transpose_orientation_equivalence():
     via_flag = verify.decode_grid(grid, "transposed")
     assert direct.text == via_flag.text == "BOVIK"
     assert direct.corrected_bytes == via_flag.corrected_bytes
+    with pytest.raises(ValueError, match="unknown orientation 'mirrored'"):
+        verify.decode_grid(grid, "mirrored")
 
 
 def test_all_light_data_region_fails_loudly():
@@ -245,6 +247,9 @@ def test_placement_arrays_match_per_cell_loop():
         assert physical.tolist() == want_physical
 
         grid = function_pattern_grid()
+        for wrong in (physical[1:], np.append(physical, 0)):
+            with pytest.raises(ValueError, match="need 208 physical bits"):
+                encoder.write_data_cells(grid, wrong)
         encoder.write_data_cells(grid, physical)
         want_grid = function_pattern_grid()
         for cell, bit in zip(order, want_physical):
