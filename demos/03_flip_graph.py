@@ -26,8 +26,7 @@ print("  middle bit dark, so the dark-module collision costs nothing")
 # decode is the M-level mask-7 code, so the selection prefers the L-level
 # palindrome above.
 a = int("100101010100001", 2)
-index = fi._radius3_ball_index("grid")
-info, dist = index[a]
+info, dist = fi.bch_decode(a ^ fi.FORMAT_XOR)
 print("\nwrite-up pair 100101010100001:",
       fi.FormatWord.from_info(info), "at distance", dist)
 

@@ -12,7 +12,7 @@ import sys
 
 from . import codec, mirror, render, verify
 from .encoder import encode_single
-from .formatinfo import EC_NAME, build_flip_graph, flip_graph_dot, word_bits
+from .formatinfo import FormatWord, build_flip_graph, flip_graph_dot, word_bits
 from .grid import overlap_partition
 from .verify import DecodeError, MirrorMismatch, decode_grid, read_format_copies
 
@@ -144,9 +144,9 @@ def _cmd_inspect(args):
                 print(f"  format copy {copy}: {word_bits(word)} undecodable")
             else:
                 info, dist = decoded
+                fmt = FormatWord.from_info(info)
                 print(f"  format copy {copy}: {word_bits(word)} -> "
-                      f"level {EC_NAME[info >> 3]}, mask {info & 7}, "
-                      f"distance {dist}")
+                      f"level {fmt.ec_level}, mask {fmt.mask_id}, distance {dist}")
         try:
             report = decode_grid(g, "straight")
         except DecodeError as exc:

@@ -128,10 +128,10 @@ def parse_payload(bits):
     as noise.
     """
     size = len(bits)
-    return _parse_value(int.from_bytes(np.packbits(bits), "big") >> (-size % 8), size)
+    return parse_value(int.from_bytes(np.packbits(bits), "big") >> (-size % 8), size)
 
 
-def _parse_value(value, size):
+def parse_value(value, size):
     """parse_payload on the size-bit number value, most significant bit
     first: what a reader holding the payload as bytes parses."""
     if size < 4:

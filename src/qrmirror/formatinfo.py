@@ -7,7 +7,8 @@ published XOR pattern 101010000010010 is applied before a word goes on the
 grid, so the flip graph exists in two flavours: over raw codewords and over
 their on-grid forms. Real readers see the on-grid form, which is the one
 the mirror construction trusts. One table holds the code's radius-3 ball
-(_ball): bch_decode looks words up in it, the flip graph walks its view.
+(_ball): bch_decode looks words up in it, the flip graph and the witness
+selection walk it.
 """
 
 import itertools
@@ -103,66 +104,8 @@ class FormatWord:
         return (EC_BITS[self.ec_level] << 3) | self.mask_id
 
     @property
-    def word(self):
-        return bch_encode(self.info)
-
-    @property
     def on_grid(self):
-        return apply_format_mask(self.word)
-
-
-@dataclass(frozen=True)
-class FlipEdge:
-    witness: int
-    distance_straight: int
-    distance_mirrored: int
-
-
-@dataclass(frozen=True)
-class FlipGraph:
-    """Graph over the 32 format codes: an edge (A, B) means some 15-bit
-    string decodes as A straight and as B after bit reversal, each within
-    the 3-bit correction budget. Edges keep their best witness."""
-
-    domain: str
-    nodes: tuple
-    edges: dict
-    candidate_shell_size: int
-    candidate_unique_size: int
-
-
-def _radius3_ball_index(domain):
-    """string -> (info, distance) over all strings within 3 of any code, a
-    dict view of _ball() with grid keys xored with FORMAT_XOR."""
-    xor = FORMAT_XOR if domain == "grid" else 0
-    return {word ^ xor: hit for word, hit in enumerate(_ball()) if hit}
-
-
-def _mirror_readings(index):
-    """(witness, a, da, b, db) for each ball string whose reversal is in
-    the ball too: it decodes as a at distance da straight and as b at
-    distance db after bit reversal."""
-    for witness, (a, da) in index.items():
-        hit = index.get(reverse_word(witness))
-        if hit is not None:
-            yield (witness, a, da, *hit)
-
-
-def build_flip_graph(domain="grid"):
-    """Enumerate radius-3 balls around all 32 codes and connect the codes
-    whose balls meet under bit reversal."""
-    if domain not in ("grid", "raw"):
-        raise ValueError(f"unknown domain {domain!r}")
-    index = _radius3_ball_index(domain)
-    edges = {}
-    for witness, a, da, b, db in _mirror_readings(index):
-        best = edges.get((a, b))
-        if best is None or (da + db, witness) < (best.distance_straight
-                                                 + best.distance_mirrored, best.witness):
-            edges[(a, b)] = FlipEdge(witness, da, db)
-    shell = 32 * 455  # the C(15,3) shell around every code, 14560 strings
-    unique = sum(1 for _, d in index.values() if d == 3)
-    return FlipGraph(domain, tuple(range(32)), edges, shell, unique)
+        return apply_format_mask(bch_encode(self.info))
 
 
 @dataclass(frozen=True)
@@ -180,6 +123,49 @@ class MirrorFormat:
         return word_bits(self.witness)
 
 
+@dataclass(frozen=True)
+class FlipGraph:
+    """Graph over the 32 format codes: an edge (A, B) means some 15-bit
+    string decodes as A straight and as B after bit reversal, each within
+    the 3-bit correction budget. Edges keep their best MirrorFormat."""
+
+    domain: str
+    nodes: tuple
+    edges: dict
+    candidate_shell_size: int
+    candidate_unique_size: int
+
+
+def _mirror_readings(xor):
+    """(witness, a, da, b, db) for each string within 3 of a code once
+    xored with xor (FORMAT_XOR for on-grid strings, 0 for raw) whose
+    reversal is too: it decodes as a at distance da straight and as b at
+    distance db after bit reversal."""
+    ball = _ball()
+    for word, hit in enumerate(ball):
+        witness = word ^ xor
+        mirrored = hit and ball[reverse_word(witness) ^ xor]
+        if mirrored:
+            yield (witness, *hit, *mirrored)
+
+
+def build_flip_graph(domain="grid"):
+    """Enumerate radius-3 balls around all 32 codes and connect the codes
+    whose balls meet under bit reversal."""
+    if domain not in ("grid", "raw"):
+        raise ValueError(f"unknown domain {domain!r}")
+    best = {}
+    for witness, a, da, b, db in _mirror_readings(FORMAT_XOR if domain == "grid" else 0):
+        reading = (da + db, witness, da, db)
+        if reading < best.setdefault((a, b), reading):
+            best[(a, b)] = reading
+    edges = {key: MirrorFormat(witness, *map(FormatWord.from_info, key), da, db)
+             for key, (_, witness, da, db) in best.items()}
+    shell = 32 * 455  # the C(15,3) shell around every code, 14560 strings
+    unique = sum(1 for hit in _ball() if hit is not None and hit[1] == 3)
+    return FlipGraph(domain, tuple(range(32)), edges, shell, unique)
+
+
 @lru_cache(maxsize=1)
 def select_mirror_format():
     """Best witness readable from both sides of the code.
@@ -193,7 +179,7 @@ def select_mirror_format():
     sym = symmetric_masks()
     candidates = [
         (da + db, 0 if a == b else 1, a & 7, witness, a, da, b, db)
-        for witness, a, da, b, db in _mirror_readings(_radius3_ball_index("grid"))
+        for witness, a, da, b, db in _mirror_readings(FORMAT_XOR)
         if witness & MIDDLE_BIT and a >> 3 == b >> 3 == EC_BITS["L"]
         and (a & 7) in sym and (b & 7) in sym
     ]

@@ -208,9 +208,11 @@ def _quotient(la, lb):
     at bit 207 - c. A pivot row's other cells are all later cells, so a
     pivot cell's entry is the xor of theirs.
     """
-    codewords = rscode.codeword_bits(np.eye(DATA_BITS, dtype=np.uint8))  # row k: bit k alone
+    low = min(la, lb)
+    codewords = rscode.codeword_bits(np.eye(DATA_BITS, dtype=np.uint8)[low:])  # row k: bit low + k
     pivots = [0] * (TOTAL_BITS + 1)
-    _eliminate(pivots, _ints(codewords[la:]) + _ints(codewords[lb:, transpose_permutation()]))
+    _eliminate(pivots, _ints(codewords[la - low:])
+               + _ints(codewords[lb - low:, transpose_permutation()]))
     reduced = [0] * (TOTAL_BITS + 1)  # like pivots: reduced[n] is cell 208 - n's entry
     j = pivots.count(0) - 1  # k, as pivots[0] is always 0
     for n in range(1, TOTAL_BITS + 1):  # the last cell first

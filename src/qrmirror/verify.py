@@ -8,8 +8,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import codec, rscode
-from .formatinfo import EC_NAME, apply_format_mask, bch_decode
-from .grid import _template, format_cells, placement_cells
+from .formatinfo import FormatWord, apply_format_mask, bch_decode
+from .grid import format_cells, function_pattern_grid, placement_cells
 from .masks import data_mask
 
 # the weight of each format bit, most significant first
@@ -52,8 +52,8 @@ class DecodeReport:
 def _cell_bounds():
     """Read-only low and high bound on each cell: a fixed cell other than a
     format cell must hold its template value, any other cell 0 or 1."""
-    values, checked = _template()
-    checked = checked.copy()
+    template = function_pattern_grid()
+    values, checked = template.cells, template.fixed.copy()
     checked[format_cells()] = False  # format cells are read, not checked
     bounds = np.stack([values & checked, values | ~checked])
     bounds.setflags(write=False)
@@ -110,20 +110,20 @@ def decode_grid(grid, orientation="straight"):
     g = grid.transposed() if orientation == "transposed" else grid
     _check_function_patterns(g)
     info, dist = _reconcile_format(g)
-    ec_level = EC_NAME[info >> 3]
-    if ec_level != "L":  # the data is read as the one 1-L block
-        raise DecodeError("format", f"level {ec_level} is not supported, only L")
-    mask_id = info & 7
+    fmt = FormatWord.from_info(info)
+    if fmt.ec_level != "L":  # the data is read as the one 1-L block
+        raise DecodeError("format", f"level {fmt.ec_level} is not supported, only L")
 
     try:
-        data, corrected = rscode.rs_decode(read_codewords(g, mask_id))
+        data, corrected = rscode.rs_decode(read_codewords(g, fmt.mask_id))
     except rscode.RsDecodeError as exc:
         raise DecodeError("rs", str(exc))
     try:
-        parsed = codec._parse_value(int.from_bytes(data, "big"), 8 * len(data))
+        parsed = codec.parse_value(int.from_bytes(data, "big"), 8 * len(data))
     except codec.CodecError as exc:
         raise DecodeError("payload", str(exc))
-    return DecodeReport(parsed.text, parsed.mode, mask_id, ec_level, dist, corrected, orientation)
+    return DecodeReport(parsed.text, parsed.mode, fmt.mask_id, fmt.ec_level, dist, corrected,
+                        orientation)
 
 
 def verify_double_sided(grid, msg_a, msg_b):

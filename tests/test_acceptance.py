@@ -54,11 +54,8 @@ def test_criterion_2_flip_graph_facts():
     assert fi.reverse_word(a) == b
     assert (a ^ b).bit_count() == 2
     assert a & fi.MIDDLE_BIT and b & fi.MIDDLE_BIT
-    hits = []
-    for domain in ("grid", "raw"):
-        index = fi._radius3_ball_index(domain)
-        if a in index and b in index:
-            hits.append(domain)
+    hits = [domain for domain, xor in (("grid", fi.FORMAT_XOR), ("raw", 0))
+            if fi.bch_decode(a ^ xor) and fi.bch_decode(b ^ xor)]
     assert hits, "paper's witness pair found in neither domain"
     elapsed = time.monotonic() - start
     assert elapsed < 10

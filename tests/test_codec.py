@@ -550,7 +550,7 @@ def test_parse_of_the_data_bytes_matches_parse_of_their_bits():
     outcomes = set()
     for block in data_blocks(rng):
         want = exact_outcome(codec.parse_payload, np.unpackbits(np.frombuffer(block, np.uint8)))
-        assert exact_outcome(codec._parse_value, int.from_bytes(block, "big"), DATA_BITS) == (
+        assert exact_outcome(codec.parse_value, int.from_bytes(block, "big"), DATA_BITS) == (
             want), block.hex()
         outcomes.add(want[0] if isinstance(want, tuple) else want.mode)
     assert outcomes == {CodecError, "numeric", "alphanumeric", "byte", "terminator"}, outcomes

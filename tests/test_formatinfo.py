@@ -99,9 +99,6 @@ def reference_bch_decode(word):
 def test_decode_matches_codeword_scan_on_every_word():
     decoded = [fi.bch_decode(w) for w in range(1 << 15)]
     assert decoded == [reference_bch_decode(w) for w in range(1 << 15)]
-    for domain, xor in (("raw", 0), ("grid", fi.FORMAT_XOR)):  # the ball's dict views
-        assert fi._radius3_ball_index(domain) == {
-            w ^ xor: hit for w, hit in enumerate(decoded) if hit is not None}
     for word in (-1, 1 << 15):
         with pytest.raises(ValueError):
             fi.bch_decode(word)
@@ -119,6 +116,14 @@ def test_reverse_word():
         assert fi.reverse_word(fi.reverse_word(w)) == w
 
 
+def ball_index(domain):
+    """string -> (info, distance) over every string within 3 of a code in
+    the domain, by the public decoder: on-grid strings are decoded after
+    removing the published XOR pattern."""
+    xor = fi.FORMAT_XOR if domain == "grid" else 0
+    return {w ^ xor: hit for w in range(1 << 15) if (hit := fi.bch_decode(w)) is not None}
+
+
 @pytest.mark.parametrize("domain", ["raw", "grid"])
 def test_flip_graph_nodes_and_candidates(domain):
     graph = fi.build_flip_graph(domain)
@@ -132,7 +137,7 @@ def test_flip_graph_nodes_and_candidates(domain):
 @pytest.mark.parametrize("domain", ["raw", "grid"])
 def test_flip_graph_symmetric(domain):
     graph = fi.build_flip_graph(domain)
-    index = fi._radius3_ball_index(domain)
+    index = ball_index(domain)
     for (a, b), edge in graph.edges.items():
         twin = graph.edges[(b, a)]
         assert twin.distance_straight <= 3 and edge.distance_straight <= 3
@@ -149,7 +154,7 @@ def test_paper_pair_is_a_witness_in_the_grid_domain():
     assert fi.reverse_word(a) == b
     assert (a ^ b).bit_count() == 2
     assert a & fi.MIDDLE_BIT
-    index = fi._radius3_ball_index("grid")
+    index = ball_index("grid")
     assert a in index and b in index
     # both strings live inside radius-3 balls, so the pair realizes an edge
     info_a, da = index[a]
@@ -158,7 +163,7 @@ def test_paper_pair_is_a_witness_in_the_grid_domain():
     # in the on-grid domain the pair decodes to the M-level mask-7 code
     assert info_a == info_b == (fi.EC_BITS["M"] << 3 | 7)
     # in the raw domain the straight reading is out of correction range
-    assert a not in fi._radius3_ball_index("raw")
+    assert a not in ball_index("raw")
 
 
 def test_selected_witness_properties():
@@ -203,15 +208,16 @@ def reference_reverse_word(word):
 
 
 def reference_build_flip_graph(domain="grid"):
-    """The parent's separate walk over the ball for the flip graph."""
-    index = fi._radius3_ball_index(domain)
+    """A separate walk over the ball for the flip graph."""
+    index = ball_index(domain)
     edges = {}
     for witness, (a, da) in index.items():
         hit = index.get(reference_reverse_word(witness))
         if hit is None:
             continue
         b, db = hit
-        candidate = fi.FlipEdge(witness, da, db)
+        candidate = fi.MirrorFormat(witness, fi.FormatWord.from_info(a),
+                                    fi.FormatWord.from_info(b), da, db)
         best = edges.get((a, b))
         if best is None or (candidate.distance_straight + candidate.distance_mirrored,
                             candidate.witness) < (best.distance_straight + best.distance_mirrored,
@@ -223,8 +229,8 @@ def reference_build_flip_graph(domain="grid"):
 
 
 def reference_select_mirror_format(domain="grid", ec_level="L"):
-    """The parent's separate walk over the ball for witness selection."""
-    index = fi._radius3_ball_index(domain)
+    """A separate walk over the ball for witness selection."""
+    index = ball_index(domain)
     sym = fi.symmetric_masks()
     want_ec = fi.EC_BITS[ec_level]
     best = None
@@ -272,9 +278,9 @@ def test_shared_walk_matches_separate_walks(domain):
 
 
 def test_selection_keeps_no_ball_alive():
-    # the radius-3 ball's dict view (18,432 entries) is built per call, not
-    # cached: after selection only the ball's ~0.26 MB table of shared
-    # tuples and the small result stay resident
+    # selection walks the radius-3 ball's table and builds no view of it:
+    # after selection only that ~0.26 MB table of shared tuples and the
+    # small result stay resident
     script = (
         "import gc, tracemalloc\n"
         "import qrmirror.formatinfo as fi\n"

@@ -1,11 +1,13 @@
-"""Every name a module imports is read in that module, and every
-top-level function, class or assigned name of the package is read
-somewhere.
+"""Every name a module imports is read in that module, every top-level
+function, class or assigned name of the package is read somewhere, and no
+module or demo reads another package module's private names.
 
 An import or a helper left behind by a refactor costs load time and
 misleads the reader about what a module depends on. The checks parse each
 module with ast; the package's __init__.py is exempt, as its imports are
-its re-exports, and its re-exports do not count as reads.
+its re-exports, and its re-exports do not count as reads. A private name
+(one leading underscore) is its module's own business: tests, which are
+white-box, and the benchmark may read it, the package and the demos not.
 """
 
 import ast
@@ -118,3 +120,49 @@ def test_an_unread_assignment_is_caught():
                "b.py": "import a\nprint(a.C, E, H_)\n"}
     assert unread_names(sources, {"a.py"}, assigned_names) == [
         ("a.py", "D"), ("a.py", "G"), ("a.py", "H"), ("a.py", "I")]
+
+
+def private_reads(source, package="qrmirror"):
+    """(line, name) of every private name the module source takes from a
+    module of the package: imported by name, or read as an attribute of a
+    name its package imports bind. Dunder names are public."""
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names
+                      if alias.name.partition(".")[0] == package}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == package):
+            bound |= {alias.asname or alias.name for alias in node.names}
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.endswith("__"):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_module_or_demo_reads_private_names():
+    paths = [*sorted((ROOT / "src" / "qrmirror").glob("*.py")),
+             *sorted((ROOT / "demos").glob("*.py"))]
+    assert len(paths) > 15
+    reads = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path in paths for line, name in private_reads(path.read_text())]
+    assert reads == []
+
+
+def test_a_private_read_is_caught():
+    source = ("from . import codec\nfrom .grid import _template, format_cells\n"
+              "import qrmirror.formatinfo as fi\nimport qrmirror\nimport numpy as np\n"
+              "from qrmirror import render\nfrom os import _exit\n"
+              "codec._parse_value(1)\nfi._ball()\nqrmirror.mirror._quotient(0, 0)\n"
+              "render.parse_pbm\nnp._NoValue\nfi.select_mirror_format.__wrapped__\n"
+              "_own()\nself._cache\n")
+    assert private_reads(source) == [(2, "_template"), (8, "_parse_value"), (9, "_ball"),
+                                     (10, "_quotient")]
