@@ -95,9 +95,11 @@ class FormatWord:
     ec_level: str
     mask_id: int
 
-    @classmethod
-    def from_info(cls, info):
-        return cls(EC_NAME[info >> 3], info & 7)
+    @staticmethod
+    def from_info(info):
+        """The word of 5 information bits, one of 32 built once; KeyError
+        outside 0..31."""
+        return _FORMAT_WORDS[info]
 
     @property
     def info(self):
@@ -106,6 +108,9 @@ class FormatWord:
     @property
     def on_grid(self):
         return apply_format_mask(bch_encode(self.info))
+
+
+_FORMAT_WORDS = {info: FormatWord(EC_NAME[info >> 3], info & 7) for info in range(32)}
 
 
 @dataclass(frozen=True)

@@ -234,9 +234,13 @@ def overlap_partition(len_a_bits, len_b_bits):
     for n in (len_a_bits, len_b_bits):
         if not 0 <= n <= DATA_BITS:
             raise ValueError(f"payload length {n} outside 0..{DATA_BITS}")
-    # a conflict cell is declared or parity on both sides: neither is free
-    bits = (np.arange(TOTAL_BITS), transpose_permutation())
-    conflict = np.logical_and(*((b < n) | (b >= DATA_BITS)
-                                for n, b in zip((len_a_bits, len_b_bits), bits)))
-    conflict_bytes = tuple(tuple(sorted(set((b[conflict] // 8).tolist()))) for b in bits)
+    # a conflict cell is declared or parity on both sides: neither is free.
+    # used holds each side's bits in its own order; read as uint64s, a
+    # side's conflict cells in its order are nonzero on its conflict bytes
+    used = np.ones((2, TOTAL_BITS), dtype=bool)
+    used[0, len_a_bits:DATA_BITS] = used[1, len_b_bits:DATA_BITS] = False
+    sigma = transpose_permutation()
+    conflict = used[0] & used[1][sigma]  # per cell, cell k holding straight bit k
+    conflict_bytes = tuple(tuple(np.flatnonzero(cells.view(np.uint64)).tolist())
+                           for cells in (conflict, conflict[sigma]))
     return OverlapPartition((len_a_bits, len_b_bits), conflict_bytes)

@@ -11,15 +11,19 @@ absorbs the damage left there. An allocated data byte gets eight aux
 variables, the intended (corrected) byte, so the checks still refer to
 it; _aux_bytes orders them for the system and the free-value
 preference, which starts from both messages' ordinary encodings (the
-straight one exactly encoder.standard_physical_bits). The builder, the
-admission test and the baseline take the codec's bit arrays as they are.
+straight one exactly encoder.standard_physical_bits). The admission
+test and the baseline take the codec's bit arrays as they are; the
+builder turns both payloads and both masks into ints in one packing,
+the mirrored payload placed through transpose_permutation(), and forms
+pins and rows from them with shifts.
 
 The module caches no generator table: per code, the check ints H placed
 on each side's cells (_placed_checks) and each cell's reach (_reach),
-both read off P = rscode.parity_matrix(); per length pair, the quotient
-(_quotient). Every codeword, the quotient's generators too, comes from
-rscode.codeword_bits where it is used. Every elimination files its
-pivots in a list indexed by int.bit_length() (_eliminate).
+both read off P = rscode.parity_matrix(), and the transposition as ints
+(_sigma); per length pair, the quotient (_quotient). Every codeword, the
+quotient's generators too, comes from rscode.codeword_bits where it is
+used. Every elimination files its pivots in a list indexed by
+int.bit_length() (_eliminate).
 
 Most allocations at the capacity edge have no solution, so each one is
 decided without building a system (_admission): it is solvable iff the
@@ -162,14 +166,14 @@ def solve_gf2(system, free_values=None):
         return None
     pivot_mask, xs = pins_a | pins_b, values_a | values_b | 1  # xs bit 0: the right-hand side
     if free_values is not None:
-        xs |= _ints([free_values])[0] << 1 & ~pivot_mask
+        xs |= _ints(np.asarray(free_values)[None])[0] << 1 & ~pivot_mask
     for row in filter(None, pivots):  # highest column first: each row fixes its leading bit
         lead = 1 << row.bit_length() - 1
         pivot_mask |= lead
         if (row & xs).bit_count() & 1:
             xs ^= lead
-    assignment, pivot = _unpack([xs, pivot_mask], system.cols)[:, :-1]
-    return Solution(assignment, tuple(np.flatnonzero(pivot == 0).tolist()))
+    assignment, free = _unpack([xs, pivot_mask ^ (2 << system.cols) - 1], system.cols)[:, :-1]
+    return Solution(assignment, tuple(np.flatnonzero(free).tolist()))
 
 
 def _aux_bytes(alloc):
@@ -243,6 +247,13 @@ def _reach():
     return reach
 
 
+@lru_cache(maxsize=1)
+def _sigma():
+    """transpose_permutation() as a tuple of ints: the mirrored side's bit
+    k sits on cell _sigma()[k], and cell c holds its bit _sigma()[c]."""
+    return tuple(transpose_permutation().tolist())
+
+
 def _admission(bits_a, bits_b, fmt, mirrored_fmt):
     """(admits, forced): admits(alloc) is whether build_constraint_system's
     system for alloc has a solution, decided without building it.
@@ -259,14 +270,13 @@ def _admission(bits_a, bits_b, fmt, mirrored_fmt):
     to different values is one. g reduced waits for the first verdict.
     """
     la, lb = bits_a.size, bits_b.size
-    sigma = transpose_permutation()
+    sigma, placed = transpose_permutation(), _sigma()
     declared = np.zeros((2, DATA_BITS), np.uint8)
     declared[0, :la], declared[1, :lb] = bits_a, bits_b
     g_a, g_b = rscode.codeword_bits(declared)  # both zero-filled payloads in one call
     g = g_a ^ data_mask(fmt.mask_id) ^ (g_b ^ data_mask(mirrored_fmt.mask_id))[sigma]
     reach = _reach()
     cells = np.flatnonzero(g & (reach[0] <= la) & (reach[1] <= lb))  # the forced cells
-    placed = sigma.tolist()  # the mirrored side's bit k sits on cell placed[k]
     target = None  # g reduced, set by the first verdict
 
     def admits(alloc):
@@ -283,7 +293,7 @@ def _admission(bits_a, bits_b, fmt, mirrored_fmt):
                             for c in placed[byte * 8 : byte * 8 + 8]])
         return not _eliminate(pivots, [target])
 
-    return admits, list(zip(cells.tolist(), (cells // 8).tolist(), (sigma[cells] // 8).tolist()))
+    return admits, [(c, c >> 3, placed[c] >> 3) for c in cells.tolist()]
 
 
 def build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
@@ -302,41 +312,58 @@ def build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
     if max(bits_a.size, bits_b.size) > DATA_BITS:
         raise ValueError("payload exceeds the 152-bit data capacity")
 
-    # each side's codeword bit k lives in variable var[side, k]: a grid cell,
-    # or for an allocated data byte one of the 8 aux variables holding the
-    # intended byte the decoder will restore (mask 0: aux bits are logical)
-    var = np.array([np.arange(TOTAL_BITS), transpose_permutation()])
-    mask = np.array([data_mask(fmt.mask_id), data_mask(mirrored_fmt.mask_id)])
-    aux = _aux_bytes(alloc)
-    cols, shift = TOTAL_BITS + 8 * len(aux), 8 * len(aux)
-    at = np.zeros((8, cols + 1), dtype=np.uint8)  # per side: released cells, pins, values, mask
-    for k, (side, byte) in enumerate(aux):
-        at[4 * side][var[side, byte * 8 : byte * 8 + 8]] = 1
-        var[side, byte * 8 : byte * 8 + 8] = np.arange(8) + TOTAL_BITS + 8 * k
-        mask[side, byte * 8 : byte * 8 + 8] = 0
-    for side, declared in enumerate((bits_a, bits_b)):
-        at[4 * side + 1][var[side, : declared.size]] = 1
-        at[4 * side + 2][var[side, : declared.size]] = declared ^ mask[side, : declared.size]
-        at[4 * side + 3][var[side]] = mask[side]
-    released_a, pins_a, values_a, mask_a, released_b, pins_b, values_b, mask_b = _ints(at)
+    # each side's codeword bit k lives on a cell, k on the straight side and
+    # sigma[k] on the mirrored one, or for an allocated data byte on one of
+    # the 8 aux variables holding the intended byte the decoder will restore
+    # (mask 0: aux bits are logical). With cell c at bit 208 - c, a side's
+    # bits in its own order hold its declared prefix in their top bits, and
+    # a symmetric mask reads the same on cell sigma[k] as on cell k
+    la, lb = bits_a.size, bits_b.size
+    sigma = transpose_permutation()
+    at = np.zeros((6, TOTAL_BITS + 1), np.uint8)
+    at[0, :la], at[1, :lb] = bits_a, bits_b
+    at[2, sigma[:lb]], at[3, sigma[:lb]] = 1, bits_b  # the mirrored side's, placed
+    at[4, :-1], at[5, :-1] = data_mask(fmt.mask_id), data_mask(mirrored_fmt.mask_id)
+    declared_a, declared_b, placed_pins_b, placed_b, mask_a, mask_b = _ints(at)
+    prefix_a, prefix_b = ((1 << n) - 1 << TOTAL_BITS + 1 - n for n in (la, lb))
+    pins = [prefix_a, placed_pins_b]
+    values = [(declared_a ^ mask_a) & prefix_a, (placed_b ^ mask_b) & placed_pins_b]
+    masks, placed = [mask_a, mask_b], _placed_checks()
 
-    # the kept checks: the cells an aux byte releases leave the rows and its
-    # coefficients go to its aux columns; the right-hand side is the row
-    # applied to the mask, and the pins are substituted
-    placed = _placed_checks()
-    checks = [[check << shift & kept for check in placed[side]]
-              for side, kept in enumerate((~released_a, ~released_b))]
-    for low, (side, byte) in zip(range(shift - 7, 0, -8), aux):  # aux byte k: its lowest bit
-        checks[side] = [check | (straight >> 201 - 8 * byte & 0xFF) << low
-                        for check, straight in zip(checks[side], placed[0])]
-    unpinned, values = ~(pins_a | pins_b), values_a | values_b
-    sides = zip(checks, (alloc.side_a_bytes, alloc.side_b_bytes),
-                (mask_a ^ values, mask_b ^ values))
-    rows = tuple([row & unpinned | (row & substitute).bit_count() & 1
-                  for side_checks, alloc_bytes, substitute in sides
-                  for p in range(rscode.PARITY_BYTES) if rscode.DATA_BYTES + p not in alloc_bytes
-                  for row in side_checks[8 * p : 8 * p + 8]])
-    return LinearSystem(cols, ((pins_a, values_a), (pins_b, values_b)), rows)
+    aux = _aux_bytes(alloc)
+    shift = 8 * len(aux)
+    checks = placed
+    if aux:
+        # the cells an aux byte releases leave its side's pins and rows, and
+        # its declared bits and check coefficients go to its aux columns
+        kept = [-1, -1]
+        for side, byte in aux:
+            cells = _sigma()[8 * byte : 8 * byte + 8] if side else range(8 * byte, 8 * byte + 8)
+            kept[side] &= ~sum(1 << TOTAL_BITS + shift - c for c in cells)
+        pins, values = ([x << shift & k for x, k in zip(ints, kept)] for ints in (pins, values))
+        masks = [mask << shift for mask in masks]
+        checks = [[check << shift & k for check in side_checks]
+                  for side_checks, k in zip(placed, kept)]
+        for low, (side, byte) in zip(range(shift - 7, 0, -8), aux):  # aux byte k: its lowest bit
+            first = TOTAL_BITS - 7 - 8 * byte  # the byte's lowest bit in its side's order
+            prefix, declared = ((prefix_a, declared_a), (prefix_b, declared_b))[side]
+            pins[side] |= (prefix >> first & 0xFF) << low
+            values[side] |= (declared >> first & 0xFF) << low
+            checks[side] = [check | (straight >> first & 0xFF) << low
+                            for check, straight in zip(checks[side], placed[0])]
+
+    # the kept checks: the right-hand side is the row applied to the mask,
+    # and the pins are substituted
+    unpinned, value = ~(pins[0] | pins[1]), values[0] | values[1]
+    rows = []
+    sides = zip(checks, (alloc.side_a_bytes, alloc.side_b_bytes), masks)
+    for side_checks, alloc_bytes, mask in sides:
+        if max(alloc_bytes, default=0) >= rscode.DATA_BYTES:  # allocated parity bytes' checks go
+            side_checks = [check for p, check in enumerate(side_checks)
+                           if rscode.DATA_BYTES + p // 8 not in alloc_bytes]
+        substitute = mask ^ value
+        rows += [row & unpinned | (row & substitute).bit_count() & 1 for row in side_checks]
+    return LinearSystem(TOTAL_BITS + shift, tuple(zip(pins, values)), tuple(rows))
 
 
 def enumerate_error_allocations(partition, conflicts=()):
@@ -358,6 +385,12 @@ def enumerate_error_allocations(partition, conflicts=()):
     allocated; the mirrored subsets are that set plus every lexicographic
     choice of the remaining candidates, which keeps the order of the
     unfiltered stream.
+
+    The straight subsets of size ka are scanned when the stream first
+    reaches ka: at total ka, after every cover with fewer straight bytes.
+    So the empty allocation comes after one subset scanned, any cover with
+    at most one straight byte after C(n, <= 1), and a stream with no cover
+    scans every size up to max_a.
     """
     cand_a = partition.conflict_bytes_a()
     cand_b = partition.conflict_bytes_b()
@@ -371,9 +404,9 @@ def enumerate_error_allocations(partition, conflicts=()):
     for _, ba, bb in conflicts:
         needs[ba] = needs.get(ba, 0) | bit_b.get(bb, outside)
 
-    # per straight subset: the mirrored bytes it requires and those left free
-    covers = []
-    for ka in range(max_a + 1):
+    def scan(ka):
+        """Each straight subset of size ka that leaves at most max_b mirrored
+        bytes required, with those bytes and the ones left free."""
         viable = []
         for sa in itertools.combinations(cand_a, ka):
             req = 0
@@ -384,13 +417,16 @@ def enumerate_error_allocations(partition, conflicts=()):
                 continue
             viable.append((frozenset(sa), [bb for bb in cand_b if req & bit_b[bb]],
                            [bb for bb in cand_b if not req & bit_b[bb]]))
-        covers.append(viable)
+        return viable
 
+    covers = []  # covers[ka]: scan(ka), made when the stream first reaches ka
     for total in range(max_a + max_b + 1):
         for ka in range(min(total, max_a) + 1):
             kb = total - ka
             if kb > max_b:
                 continue
+            if ka == len(covers):  # first reached at total = ka, kb = 0
+                covers.append(scan(ka))
             for sa, req, rest in covers[ka]:
                 if len(req) > kb:
                     continue
@@ -488,6 +524,8 @@ def _free_value_preference(msg_a, msg_b, straight_fmt, alloc):
     """
     cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
     aux = _aux_bytes(alloc)
+    if not aux:
+        return cells
     payloads = (cells ^ data_mask(straight_fmt.mask_id),
                 codec.assemble_payload(msg_b) if any(side for side, _ in aux) else None)
     return np.concatenate([cells, *(payloads[side][byte * 8 : byte * 8 + 8]

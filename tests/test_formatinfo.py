@@ -45,6 +45,16 @@ def test_codewords_systematic():
             fi.bch_encode(info)
 
 
+def test_from_info_reads_the_32_words_and_nothing_else():
+    for info in range(32):
+        word = fi.FormatWord.from_info(info)
+        assert word == fi.FormatWord(fi.EC_NAME[info >> 3], info & 7)
+        assert word.info == info and fi.FormatWord.from_info(info) is word
+    for info in (-1, -32, 32, 255):  # a bare tuple index would take -1 and -32
+        with pytest.raises(KeyError):
+            fi.FormatWord.from_info(info)
+
+
 def test_known_on_grid_word_for_level_l_mask0():
     # reference-encoder value for the (L, 0) format
     word = fi.FormatWord("L", 0)

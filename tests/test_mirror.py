@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -534,6 +535,74 @@ def test_int_build_and_solve_match_the_dense_reference_on_every_cover():
     assert seen["aux on both sides"] and seen["parity byte"]
 
 
+def scaffold_build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
+    """build_constraint_system as it placed each side's released cells,
+    pins, values and mask through per-call numpy arrays (var, mask, at)
+    and packed them back into ints."""
+    mirrored_fmt = mirrored_fmt or fmt
+    var = np.array([np.arange(TOTAL_BITS), transpose_permutation()])
+    mask = np.array([data_mask(fmt.mask_id), data_mask(mirrored_fmt.mask_id)])
+    aux = mirror._aux_bytes(alloc)
+    cols, shift = TOTAL_BITS + 8 * len(aux), 8 * len(aux)
+    at = np.zeros((8, cols + 1), dtype=np.uint8)  # per side: released cells, pins, values, mask
+    for k, (side, byte) in enumerate(aux):
+        at[4 * side][var[side, byte * 8 : byte * 8 + 8]] = 1
+        var[side, byte * 8 : byte * 8 + 8] = np.arange(8) + TOTAL_BITS + 8 * k
+        mask[side, byte * 8 : byte * 8 + 8] = 0
+    for side, declared in enumerate((bits_a, bits_b)):
+        at[4 * side + 1][var[side, : declared.size]] = 1
+        at[4 * side + 2][var[side, : declared.size]] = declared ^ mask[side, : declared.size]
+        at[4 * side + 3][var[side]] = mask[side]
+    released_a, pins_a, values_a, mask_a, released_b, pins_b, values_b, mask_b = mirror._ints(at)
+    placed = mirror._placed_checks()
+    checks = [[check << shift & kept for check in placed[side]]
+              for side, kept in enumerate((~released_a, ~released_b))]
+    for low, (side, byte) in zip(range(shift - 7, 0, -8), aux):  # aux byte k: its lowest bit
+        checks[side] = [check | (straight >> 201 - 8 * byte & 0xFF) << low
+                        for check, straight in zip(checks[side], placed[0])]
+    unpinned, values = ~(pins_a | pins_b), values_a | values_b
+    sides = zip(checks, (alloc.side_a_bytes, alloc.side_b_bytes),
+                (mask_a ^ values, mask_b ^ values))
+    rows = tuple([row & unpinned | (row & substitute).bit_count() & 1
+                  for side_checks, alloc_bytes, substitute in sides
+                  for p in range(rscode.PARITY_BYTES) if rscode.DATA_BYTES + p not in alloc_bytes
+                  for row in side_checks[8 * p : 8 * p + 8]])
+    return mirror.LinearSystem(cols, ((pins_a, values_a), (pins_b, values_b)), rows)
+
+
+def test_int_build_matches_the_numpy_scaffold_build_up_to_the_admitted_cover():
+    # every cover the construction decides, up to and including the first
+    # admitted one, builds the same (cols, pins, rows) as the numpy
+    # scaffold did: seeded short (alnum, numeric, byte-vs-alnum), 8+11 and
+    # 9+12 pairs under the witness's (3, 3) mask pair and under (0, 7),
+    # the flip graph's level-L edge between symmetric masks at distance 3+3
+    rng = random.Random(53)
+    pairs = [seeded_short_pair(rng) for _ in range(30)]
+    pairs += [seeded_alnum_pair(rng, la, lb) for la, lb in ((8, 11), (9, 12)) for _ in range(6)]
+    witness = selected_formats()
+    assert [word.mask_id for word in witness] == [3, 3]
+    seen = {"pairs": 0, "covers": 0, "aux on both sides": 0, "admitted": 0}
+    for pair in pairs:
+        pa, pb = construction_payloads(*pair)
+        for formats in (witness, (FormatWord("L", 0), FormatWord("L", 7))):
+            partition, forced = construction_inputs(*pair, formats=formats)
+            admits = admission(pa, pb, formats)
+            seen["pairs"] += 1
+            for alloc in mirror.enumerate_error_allocations(partition, conflicts=forced):
+                args = (pa, pb, formats[0], alloc)
+                assert (mirror.build_constraint_system(*args, mirrored_fmt=formats[1])
+                        == scaffold_build_constraint_system(*args, mirrored_fmt=formats[1])), (
+                    pair, formats, alloc)
+                seen["covers"] += 1
+                aux_sides = {side for side, _ in mirror._aux_bytes(alloc)}
+                seen["aux on both sides"] += aux_sides == {0, 1}
+                if admits(alloc):
+                    seen["admitted"] += 1
+                    break
+    assert seen["pairs"] >= 80 and seen["admitted"] >= 40
+    assert seen["covers"] > seen["admitted"] and seen["aux on both sides"]
+
+
 def reference_int_form(matrix, rhs, la, lb, alloc):
     """The per-row reference's system in the int form: each side's
     declared-bit rows, unit rows, as its (columns, values) pins, and its
@@ -642,6 +711,42 @@ def test_cover_stream_matches_filtered_reference():
         check(*construction_inputs(*pair), pair)
     # conflicts naming bytes outside the partition's candidates
     check(construction_inputs("AB", "CD")[0], construction_inputs(*pairs[-3])[1], "mixed")
+
+
+def straight_subsets_scanned(monkeypatch):
+    """Counts, by size, the subsets of the straight candidates that
+    enumerate_error_allocations draws from itertools.combinations."""
+    scanned = {}
+    combinations = itertools.combinations
+
+    def counting(iterable, r):
+        for subset in combinations(iterable, r):
+            if isinstance(iterable, tuple):  # the straight candidates; the mirrored rest is a list
+                scanned[r] = scanned.get(r, 0) + 1
+            yield subset
+
+    monkeypatch.setattr(mirror, "itertools", SimpleNamespace(combinations=counting))
+    return scanned
+
+
+def test_the_first_cover_of_a_pair_without_forced_cells_scans_only_the_empty_subset(monkeypatch):
+    scanned = straight_subsets_scanned(monkeypatch)
+    partition, forced = construction_inputs("12", "34")
+    assert forced == [] and len(partition.conflict_bytes_a()) >= 3
+    stream = mirror.enumerate_error_allocations(partition, forced)
+    assert next(stream) == mirror.ErrorAllocation(frozenset(), frozenset())
+    assert scanned == {0: 1}
+    list(stream)  # the whole stream scans every size
+    assert sorted(scanned) == [0, 1, 2, 3]
+
+
+def test_a_one_straight_byte_cover_scans_no_larger_straight_subset(monkeypatch):
+    # the construction stops at its first admitted cover, 1+0 for this
+    # pair: no straight subset of size 2 or 3 has been scanned by then
+    scanned = straight_subsets_scanned(monkeypatch)
+    _, report = mirror.construct_double_sided("XYF+", "D2$I$$K")
+    assert report.allocation == {"side_a": [0], "side_b": []}
+    assert scanned.get(1, 0) >= 2 and max(scanned) == 1
 
 
 def test_uncoverable_conflicts_are_named():
@@ -884,8 +989,10 @@ def test_quotient_cache_is_bounded_and_small_per_key():
 
 def test_caches_are_bounded():
     # every lru_cache in the package has a finite size, and only the
-    # quotient table, keyed by length pair, holds more than 8 entries
-    large = []
+    # quotient table, keyed by length pair, holds more than 8 entries; the
+    # construction's other tables are keyed by the code alone, one entry
+    # each, and the permutation as ints holds well under 100 KB
+    large, per_code = [], []
     for info in pkgutil.iter_modules(qrmirror.__path__):
         module = importlib.import_module(f"qrmirror.{info.name}")
         for name, value in vars(module).items():
@@ -894,7 +1001,11 @@ def test_caches_are_bounded():
                 assert maxsize is not None, f"{info.name}.{name}"
                 if maxsize > 8:
                     large.append(f"{info.name}.{name}")
+                if info.name == "mirror" and maxsize == 1:
+                    per_code.append(name)
     assert large == ["mirror._quotient"]
+    assert per_code == ["_placed_checks", "_reach", "_sigma"]
+    assert deep_size(mirror._sigma()) <= 100 * 1024
 
 
 def reference_quotient(la, lb):
