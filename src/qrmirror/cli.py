@@ -220,7 +220,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "scale"):  # encode and mirror: no construction for an image too large
+        try:
+            render.image_side(args.scale, args.quiet)
+        except ValueError as exc:
+            parser.error(f"--scale/--quiet: {exc}")
     return args.func(args)
 
 

@@ -1,10 +1,10 @@
 """Payload bitstream assembly and parsing for Version 1 codes.
 
 Text and mode go in ("auto" picks the thriftiest mode); read-only uint8
-arrays of 0s and 1s come out. A padded payload is always exactly 152
-bits: segment bits, a terminator of up to four zeros, zero fill to a byte
-boundary, then the alternating pad bytes 11101100 / 00010001. A
-terminated payload stops after the terminator.
+arrays of 0s and 1s come out. A terminated payload is the segment bits
+and a terminator of up to four zeros; assemble_payload is the terminated
+payload padded (pad_payload) with zero fill to a byte boundary, then the
+alternating pad bytes 11101100 / 00010001, to exactly 152 bits.
 """
 
 from dataclasses import dataclass
@@ -27,9 +27,10 @@ MODES = {
 }
 MODE_OF_INDICATOR = {row[0]: mode for mode, row in MODES.items()}
 
-# the alternating pad bytes 0xEC 0x11 over the whole data capacity, as one
-# DATA_BITS-bit number; its top k bits are the first k pad bits
-PAD_VALUE = int.from_bytes(bytes([0xEC, 0x11] * DATA_BITS)[: DATA_BITS // 8], "big")
+# the alternating pad bytes 0xEC 0x11 over the whole data capacity as bits;
+# a payload padded from bit k on takes its first 152 - k
+PAD_BITS = np.unpackbits(np.frombuffer(bytes([0xEC, 0x11] * 10), np.uint8))[:DATA_BITS]
+PAD_BITS.setflags(write=False)
 
 
 class CodecError(ValueError):
@@ -89,23 +90,6 @@ def encode_segment(text, mode="auto"):
     return _bits(*_segment_value(text, mode))
 
 
-def _declared(text, mode):
-    """The segment as (number, bit count), checked against the capacity."""
-    value, size = _segment_value(text, mode)
-    if size > DATA_BITS:
-        raise CodecError(f"{size} payload bits exceed capacity {DATA_BITS}")
-    return value, size
-
-
-def assemble_payload(text, mode="auto"):
-    """The full 152 data bits of an ordinary code: the segment, a
-    terminator, zero fill to the byte edge, then the pad bytes."""
-    value, size = _declared(text, mode)
-    end = min(size + 4, DATA_BITS)
-    end += -end % 8
-    return _bits(value << (DATA_BITS - size) | PAD_VALUE >> end, DATA_BITS)
-
-
 def terminated_payload(text, mode="auto"):
     """The segment and its terminator, unpadded: the bits a double-sided
     construction pins for one message; every later bit is free for the
@@ -115,9 +99,26 @@ def terminated_payload(text, mode="auto"):
     the message must not look like another mode indicator; pinning the
     terminator keeps them from wandering into the free fill.
     """
-    value, size = _declared(text, mode)
+    value, size = _segment_value(text, mode)
+    if size > DATA_BITS:
+        raise CodecError(f"{size} payload bits exceed capacity {DATA_BITS}")
     end = min(size + 4, DATA_BITS)  # the 0000 terminator, cut short at capacity
     return _bits(value << (end - size), end)
+
+
+def pad_payload(bits):
+    """The full 152 data bits of an ordinary code from a terminated
+    payload: zero fill to the byte edge, then the pad bytes."""
+    end = len(bits) + -len(bits) % 8
+    padded = np.zeros(DATA_BITS, np.uint8)
+    padded[: len(bits)], padded[end:] = bits, PAD_BITS[: DATA_BITS - end]
+    padded.setflags(write=False)
+    return padded
+
+
+def assemble_payload(text, mode="auto"):
+    """The terminated payload, padded: the data bits of an ordinary code."""
+    return pad_payload(terminated_payload(text, mode))
 
 
 def parse_payload(bits):

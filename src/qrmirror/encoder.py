@@ -42,7 +42,7 @@ def encode_single(text, mode="auto", mask_id=0):
 def standard_physical_bits(text, mode, mask_id):
     """Physical bits of the plain single-sided encoding of a message.
 
-    The cells encode_single prints: rscode.codeword_bits of the padded
-    payload, masked; the double-sided fill preference starts from them.
+    The cells encode_single prints: rscode.codeword_bits of assemble_payload,
+    the terminated payload padded, masked; a construction's straight code.
     """
     return rscode.codeword_bits(codec.assemble_payload(text, mode)) ^ data_mask(mask_id)

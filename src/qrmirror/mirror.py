@@ -10,12 +10,12 @@ byte's cells are in no row of its side; the decoder's 3-byte budget
 absorbs the damage left there. An allocated data byte gets eight aux
 variables, the intended (corrected) byte, so the checks still refer to
 it; _aux_bytes orders them for the system and the free-value
-preference, which starts from both messages' ordinary encodings (the
-straight one exactly encoder.standard_physical_bits). The admission
-test and the baseline take the codec's bit arrays as they are; the
-builder turns both payloads and both masks into ints in one packing,
-the mirrored payload placed through transpose_permutation(), and forms
-pins and rows from them with shifts.
+preference. Each message is parsed once, and both padded payloads are
+encoded in one codeword_bits call; the preference is the straight code,
+then each aux byte's padded bits. The baseline takes the codec's
+bit arrays as they are; the builder packs both payloads and both masks
+into ints at once, the mirrored payload placed through
+transpose_permutation(), and forms pins and rows from them with shifts.
 
 The module caches no generator table: per code, the check ints H placed
 on each side's cells (_placed_checks) and each cell's reach (_reach),
@@ -27,14 +27,16 @@ int.bit_length() (_eliminate).
 
 Most allocations at the capacity edge have no solution, so each one is
 decided without building a system (_admission): it is solvable iff the
-target g, both sides' declared bits encoded, masked and placed, lies in
-V + span{unit vectors on its cells}, V spanned by both sides' undeclared
-data bits' codewords. V depends only on the declared lengths, so every
-cell's unit vector reduced modulo V is cached per length pair, at most
-10 KB. Where g is 1 on a cell V does not touch, a solvable allocation
-holds one of the cell's two bytes, so only covers of these forced cells
-are tried: every pin conflict, and near full length some parity cells.
-A verdict keeps nothing, so it does not depend on the covers before it.
+target g, the two ordinary codes overlaid, lies in V + span{unit vectors
+on its cells}, V spanned by both sides' undeclared data bits' codewords.
+Any other fill of those bits moves g within V, which the quotient maps
+to 0 and which is 0 on every forced cell, so the verdict is the same.
+V depends only on the declared lengths, so every cell's unit vector
+reduced modulo V is cached per length pair, at most 10 KB. Where g is 1
+on a cell V does not touch, a solvable allocation holds one of the
+cell's two bytes, so only covers of these forced cells are tried: every
+pin conflict, and near full length some parity cells. A verdict keeps
+nothing, so it does not depend on the covers before it.
 Only the first admitted allocation is built and solved, so every grid
 and report is the build-every-allocation search's; an admitted
 allocation with no solution raises RuntimeError.
@@ -254,28 +256,22 @@ def _sigma():
     return tuple(transpose_permutation().tolist())
 
 
-def _admission(bits_a, bits_b, fmt, mirrored_fmt):
+def _admission(la, lb, g):
     """(admits, forced): admits(alloc) is whether build_constraint_system's
     system for alloc has a solution, decided without building it.
 
-    A grid satisfies both sides iff it lies in g_a + V_a + U_a and in
-    g_b + V_b + U_b: g is a side's declared bits, zero-filled, encoded and
-    xored with its mask; V its undeclared data bits' codewords; U the unit
-    vectors on its allocated bytes' cells, all placed on the cells. So
-    alloc is solvable iff g = g_a ^ g_b lies in V + U, i.e. iff g reduced
-    modulo V, the xor of its set cells' _quotient entries, lies in the
-    span of the allocated cells' entries. Where g is 1 on a cell V does
-    not touch, U alone must supply it: forced lists those cells as (cell,
-    straight byte, mirrored byte) triples, and every cell both sides pin
-    to different values is one. g reduced waits for the first verdict.
+    A grid satisfies both sides iff it lies in c_a + V_a + U_a and in
+    c_b + V_b + U_b: c is a side's ordinary code, masked; V its undeclared
+    data bits' codewords; U the unit vectors on its allocated bytes' cells,
+    all placed on the cells. So alloc is solvable iff g = c_a ^ c_b lies in
+    V + U, i.e. iff g reduced modulo V, the xor of its set cells' _quotient
+    entries, lies in the span of the allocated cells' entries. Where g is 1
+    on a cell V does not touch, U alone must supply it: forced lists those
+    cells as (cell, straight byte, mirrored byte) triples, and every cell
+    both sides pin to different values is one. g reduced waits for the
+    first verdict.
     """
-    la, lb = bits_a.size, bits_b.size
-    sigma, placed = transpose_permutation(), _sigma()
-    declared = np.zeros((2, DATA_BITS), np.uint8)
-    declared[0, :la], declared[1, :lb] = bits_a, bits_b
-    g_a, g_b = rscode.codeword_bits(declared)  # both zero-filled payloads in one call
-    g = g_a ^ data_mask(fmt.mask_id) ^ (g_b ^ data_mask(mirrored_fmt.mask_id))[sigma]
-    reach = _reach()
+    placed, reach = _sigma(), _reach()
     cells = np.flatnonzero(g & (reach[0] <= la) & (reach[1] <= lb))  # the forced cells
     target = None  # g reduced, set by the first verdict
 
@@ -462,7 +458,7 @@ class ConstructionReport:
 class BruteForceResult:
     grid: object
     trials_run: int
-    best_damage: tuple
+    best_damage: int  # the mirrored side's; the straight side's parity is always honest
 
 
 _BRUTE_BATCH = 1024  # random fills drawn and scored per numpy call
@@ -509,27 +505,10 @@ def brute_force_search(bits_a, bits_b, fmt, trials, seed):
         if hit.size:
             i = int(hit[0])
             grid = encoder.materialize(full[i] ^ mu_a, fmt.witness)
-            return BruteForceResult(grid, done + i + 1, (0, int(damage[i])))
+            return BruteForceResult(grid, done + i + 1, int(damage[i]))
         best = min(best, int(damage.min()))
         done += n
-    return BruteForceResult(None, done, (0, best))
-
-
-def _free_value_preference(msg_a, msg_b, straight_fmt, alloc):
-    """Preferred free values for alloc's system.
-
-    Free cells default to the straight side's ordinary encoding. Aux bytes
-    default to their side's padded payload: the straight one unmasked from
-    that encoding, the mirrored one assembled only when an aux byte needs it.
-    """
-    cells = encoder.standard_physical_bits(msg_a, "auto", straight_fmt.mask_id)
-    aux = _aux_bytes(alloc)
-    if not aux:
-        return cells
-    payloads = (cells ^ data_mask(straight_fmt.mask_id),
-                codec.assemble_payload(msg_b) if any(side for side, _ in aux) else None)
-    return np.concatenate([cells, *(payloads[side][byte * 8 : byte * 8 + 8]
-                                    for side, byte in aux)])
+    return BruteForceResult(None, done, best)
 
 
 def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
@@ -553,12 +532,17 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
             raise ConstructionError(
                 "RS budget",
                 f"brute force exhausted {result.trials_run} trials; best damage "
-                f"{result.best_damage[0]}+{result.best_damage[1]} bytes",
+                f"0+{result.best_damage} bytes",
             )
         grid, free_vars, trials_run = result.grid, 0, result.trials_run
     else:
+        # the two ordinary codes: both padded payloads, one codeword_bits call, masked
+        payloads = np.array([codec.pad_payload(bits_a), codec.pad_payload(bits_b)])
+        masks = np.array([data_mask(straight.mask_id), data_mask(mirrored.mask_id)])
+        code_a, code_b = rscode.codeword_bits(payloads) ^ masks
         partition = overlap_partition(bits_a.size, bits_b.size)
-        admits, conflicts = _admission(bits_a, bits_b, straight, mirrored)
+        admits, conflicts = _admission(bits_a.size, bits_b.size,
+                                       code_a ^ code_b[transpose_permutation()])
         attempted = 0
         for alloc in enumerate_error_allocations(partition, conflicts=conflicts):
             attempted += 1
@@ -568,7 +552,8 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
             raise ConstructionError("system infeasible",
                                     _infeasible_reason(conflicts, attempted))
         system = build_constraint_system(bits_a, bits_b, straight, alloc, mirrored_fmt=mirrored)
-        solution = solve_gf2(system, _free_value_preference(msg_a, msg_b, straight, alloc))
+        aux = [payloads[side, byte * 8 : byte * 8 + 8] for side, byte in _aux_bytes(alloc)]
+        solution = solve_gf2(system, np.concatenate([code_a, *aux]))
         if solution is None:  # a wrong verdict: no other cover may stand in for it
             raise RuntimeError(f"the quotient test admitted {alloc}, whose system has no solution")
         grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)

@@ -8,16 +8,27 @@ import numpy as np
 from .grid import SIZE, ModuleGrid
 
 _COMMENT = re.compile(r"#([^\n]*)")  # a comment runs to the end of its line
+MAX_SIDE = 4096  # pixels (modules for ASCII) on an image side, quiet zone included
 
 
 class RenderError(ValueError):
     pass
 
 
-def to_ascii(grid, quiet=0):
-    """Two characters per module, '##' dark and '  ' light."""
+def image_side(scale, quiet):
+    """(21 + 2 quiet) scale pixels, checked before an image that size is made."""
+    if scale < 1:
+        raise ValueError("scale must be at least 1")
     if quiet < 0:
         raise ValueError("quiet zone must not be negative")
+    if (side := (SIZE + 2 * quiet) * scale) > MAX_SIDE:
+        raise ValueError(f"a {side}-pixel side is over {MAX_SIDE}")
+    return side
+
+
+def to_ascii(grid, quiet=0):
+    """Two characters per module, '##' dark and '  ' light."""
+    image_side(1, quiet)
     glyphs = np.where(np.pad(grid.cells != 0, quiet), "##", "  ")
     return "".join("".join(row) + "\n" for row in glyphs)
 
@@ -29,11 +40,7 @@ def to_pbm(grid, scale=1, quiet=0):
     foreign files without the comment are handled by bounding-box
     detection.
     """
-    if scale < 1:
-        raise ValueError("scale must be at least 1")
-    if quiet < 0:
-        raise ValueError("quiet zone must not be negative")
-    n = (SIZE + 2 * quiet) * scale
+    n = image_side(scale, quiet)
     modules = np.pad(grid.cells.astype(np.uint8), quiet)
     img = np.kron(modules, np.ones((scale, scale), dtype=np.uint8))
     lines = [f"P1", f"{n} {n}", f"# qrmirror scale={scale} quiet={quiet}"]

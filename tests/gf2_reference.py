@@ -1,11 +1,14 @@
 """What the solver tests share: the dense GF(2) reference solver, the one
-dense -> int conversion, and readers of the int form a build returns."""
+dense -> int conversion, readers of the int form a build returns, and the
+two ordinary codes a construction derives its target and preference from."""
 
 from collections import namedtuple
 
 import numpy as np
 
-from qrmirror import mirror
+from qrmirror import codec, mirror, rscode
+from qrmirror.grid import transpose_permutation
+from qrmirror.masks import data_mask
 
 ReferenceSolution = namedtuple("ReferenceSolution", "assignment free_columns rank")
 
@@ -106,3 +109,27 @@ def int_system(matrix, rhs):
     return mirror.LinearSystem(matrix.shape[1], tuple(map(tuple, pins)),
                                tuple(row & ~pinned ^ (row & values).bit_count() & 1
                                      for row in rows))
+
+
+def ordinary_codes(bits_a, bits_b, straight, mirrored):
+    """What construct_double_sided makes of two terminated payloads: both
+    padded, and their ordinary codes, each in its own side's bit order and
+    xored with its format word's mask."""
+    payloads = np.array([codec.pad_payload(bits_a), codec.pad_payload(bits_b)])
+    masks = np.array([data_mask(straight.mask_id), data_mask(mirrored.mask_id)])
+    return payloads, rscode.codeword_bits(payloads) ^ masks
+
+
+def overlay(bits_a, bits_b, straight, mirrored):
+    """The quotient test's target g: the two ordinary codes overlaid, the
+    mirrored one placed on the cells."""
+    code_a, code_b = ordinary_codes(bits_a, bits_b, straight, mirrored)[1]
+    return code_a ^ code_b[transpose_permutation()]
+
+
+def preference(bits_a, bits_b, straight, mirrored, alloc):
+    """construct_double_sided's free values for alloc's system: the straight
+    code, then each aux byte's slice of its side's padded payload."""
+    payloads, (code_a, _) = ordinary_codes(bits_a, bits_b, straight, mirrored)
+    return np.concatenate([code_a, *(payloads[side, 8 * byte : 8 * byte + 8]
+                                     for side, byte in mirror._aux_bytes(alloc))])

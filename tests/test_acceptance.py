@@ -287,4 +287,5 @@ def test_criterion_8_determinism():
     b1 = mirror.brute_force_search(pa, pb, fmt, trials=2000, seed=5)
     b2 = mirror.brute_force_search(pa, pb, fmt, trials=2000, seed=5)
     assert (b1.trials_run, b1.best_damage) == (b2.trials_run, b2.best_damage)
+    assert type(b1.best_damage) is int  # the mirrored side's damage; the straight side's is 0
     report("criterion 8 PASS: identical seeds give byte-identical artifacts")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qrmirror import codec, encoder, render
+from qrmirror import cli, codec, encoder, render
 from qrmirror.cli import main
 from qrmirror.formatinfo import FormatWord, select_mirror_format
 from qrmirror.grid import overlap_partition
@@ -136,6 +136,23 @@ def test_usage_error_exits_2(tmp_path, capsys):
                            option, value, "-o", str(tmp_path / "x.pbm"))
         assert code == 2
         assert option in err
+
+
+def test_an_image_far_over_the_size_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before any construction: no traceback, no image, no report
+    def construct(*args, **kwargs):
+        raise AssertionError("constructed")
+
+    monkeypatch.setattr(cli, "encode_single", construct)
+    monkeypatch.setattr(cli.mirror, "construct_double_sided", construct)
+    out, report = tmp_path / "x.pbm", tmp_path / "r.json"
+    for command in (("encode", "HELLO"), ("mirror", "HARRY", "BOVIK", "--report", str(report))):
+        for options in (("--scale", "1000000"), ("--quiet", "1000000000"),
+                        ("--scale", "100000", "--quiet", "100000")):
+            code, stdout, err = run(capsys, *command, *options, "-o", str(out))
+            assert (code, stdout) == (2, "")
+            assert "--scale/--quiet" in err and "Traceback" not in err
+            assert not out.exists() and not report.exists()
 
 
 def test_flipgraph_dot_output(tmp_path, capsys):

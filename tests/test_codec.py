@@ -90,7 +90,8 @@ def test_padded_empty_payload():
 
 def test_payload_bits_are_read_only_uint8():
     for bits in (codec.encode_segment("HELLO"), codec.assemble_payload("HELLO"),
-                 codec.terminated_payload("HELLO")):
+                 codec.terminated_payload("HELLO"),
+                 codec.pad_payload(codec.terminated_payload("HELLO"))):
         assert bits.dtype == np.uint8
         assert set(bits.tolist()) <= {0, 1}
         with pytest.raises(ValueError):

@@ -22,7 +22,8 @@ from qrmirror.formatinfo import FormatWord, select_mirror_format
 from qrmirror.grid import DATA_BITS, TOTAL_BITS, overlap_partition, transpose_permutation
 from qrmirror.masks import data_mask, symmetric_masks
 
-from gf2_reference import conflicting_pins, dense_form, pinned_columns, reference_solve_gf2
+from gf2_reference import (conflicting_pins, dense_form, overlay, pinned_columns, preference,
+                           reference_solve_gf2)
 
 EMPTY_ALLOCATION = mirror.ErrorAllocation(frozenset(), frozenset())
 
@@ -277,8 +278,7 @@ def test_brute_force_damage_floor_documented():
                                        trials=20_000, seed=0)
     assert result.grid is None
     assert result.trials_run == 20_000
-    assert result.best_damage[0] == 0  # the straight side is always clean
-    assert result.best_damage[1] >= 4
+    assert type(result.best_damage) is int and result.best_damage >= 4  # the mirrored side's
 
 
 def test_brute_force_not_found_for_long_messages():
@@ -345,8 +345,9 @@ def reference_brute_force_trials(bits_a, bits_b, fmt, trials, seed):
 
 
 def reference_brute_force_best_damage(bits_a, bits_b, fmt, trials, seed):
-    """brute_force_search's best damage when no trial fits the budget."""
-    return 0, min(d for _, d in reference_brute_force_trials(bits_a, bits_b, fmt, trials, seed))
+    """brute_force_search's best damage when no trial fits the budget: the
+    mirrored side's, as the straight side's is always 0."""
+    return min(d for _, d in reference_brute_force_trials(bits_a, bits_b, fmt, trials, seed))
 
 
 @pytest.mark.parametrize("budget, seed, hit", [(26, 0, 1), (6, 5, 1957)])
@@ -360,7 +361,7 @@ def test_brute_force_returns_the_first_trial_within_the_budget(monkeypatch, budg
     trials = enumerate(reference_brute_force_trials(pa, pb, fmt, 3000, seed), start=1)
     first, (physical, damage) = next((i, trial) for i, trial in trials if trial[1] <= budget)
     assert result.trials_run == first == hit
-    assert result.best_damage == (0, damage)
+    assert result.best_damage == damage
     assert result.grid == encoder.materialize(physical, fmt.witness)
     assert verify.decode_grid(result.grid, "straight").text == "A"
 
@@ -369,7 +370,7 @@ def test_brute_report_takes_its_allocation_from_the_decoders(monkeypatch):
     # no brute trial fits the real budget, so the search is stubbed with a
     # grid that does: the analytic one, found at a chosen trial
     grid, _ = mirror.construct_double_sided("HARRY", "BOVIK")
-    found = mirror.BruteForceResult(grid, 1234, (0, 1))
+    found = mirror.BruteForceResult(grid, 1234, 1)
     monkeypatch.setattr(mirror, "brute_force_search", lambda *args: found)
     built, report = mirror.construct_double_sided("HARRY", "BOVIK", method="brute")
     rep_a, rep_b = verify.decode_grid(grid, "straight"), verify.decode_grid(grid, "transposed")
@@ -516,7 +517,7 @@ def test_int_build_and_solve_match_the_dense_reference_on_every_cover():
         seen["pairs"] += bool(covers)
         for alloc in covers:
             kwargs = {"mirrored_fmt": formats[1]}
-            free = mirror._free_value_preference(*pair, formats[0], alloc)
+            free = preference(pa, pb, *formats, alloc)
             got = mirror.solve_gf2(mirror.build_constraint_system(pa, pb, formats[0], alloc,
                                                                   **kwargs), free)
             want = reference_solve_gf2(*reference_build_constraint_system(
@@ -670,8 +671,7 @@ def construction_inputs(msg_a, msg_b, formats=None):
     at the selected witness's masks or at the given (straight, mirrored)
     format words."""
     pa, pb = construction_payloads(msg_a, msg_b)
-    return (overlap_partition(pa.size, pb.size),
-            mirror._admission(pa, pb, *(formats or selected_formats()))[1])
+    return overlap_partition(pa.size, pb.size), quotient_test(pa, pb, formats)[1]
 
 
 def pin_only_inputs(msg_a, msg_b):
@@ -797,7 +797,7 @@ def test_forced_cells_hold_the_contradictory_pins_under_every_mask_pair():
         untouched &= ~checks[inverse, pb.size : DATA_BITS].any(axis=1)
         for straight, mirrored in itertools.product(masks, repeat=2):
             fmts = FormatWord("L", straight), FormatWord("L", mirrored)
-            _, got = mirror._admission(pa, pb, *fmts)
+            _, got = quotient_test(pa, pb, fmts)
             cells = sorted(cell for cell, _, _ in got)
             g = (codewords[0] ^ data_mask(straight)) ^ (codewords[1] ^ data_mask(mirrored))[inverse]
             assert cells == np.flatnonzero(g & untouched).tolist(), (pair, straight, mirrored)
@@ -813,12 +813,13 @@ def test_forced_cells_hold_the_contradictory_pins_under_every_mask_pair():
     assert supersets == 3 * 25  # every near-full pair, under every mask pair
 
 
-def test_forced_cells_are_the_untouched_cells_at_every_length_pair(monkeypatch):
-    # with g 1 on every cell (all-zero payloads, masks 0 and all ones) the
-    # forced cells are the cells no generator of V touches, for every pair
-    # of declared lengths: those 0 in every straight codeword of the data
-    # bits la..151 and in every mirrored one of lb..151, read off the check
-    # matrix and placed through the transposition
+def test_forced_cells_are_the_untouched_cells_at_every_length_pair():
+    # with g 1 on every cell (as for all-zero payloads under masks 0 and
+    # all ones) the forced cells are the cells no generator of V touches,
+    # for every pair of declared lengths: those 0 in every straight
+    # codeword of the data bits la..151 and in every mirrored one of
+    # lb..151, read off the check matrix and placed through the
+    # transposition
     straight = codeword_checks()[:, :DATA_BITS].T.astype(bool)  # bit -> its codeword
     mirrored = np.zeros_like(straight)
     mirrored[:, transpose_permutation()] = straight
@@ -826,11 +827,9 @@ def test_forced_cells_are_the_untouched_cells_at_every_length_pair(monkeypatch):
                                np.zeros((1, TOTAL_BITS), dtype=bool)])  # row l: bits l..151
                for codewords in (straight, mirrored)]
     ones = np.ones(TOTAL_BITS, dtype=np.uint8)
-    monkeypatch.setattr(mirror, "data_mask", lambda mask_id: ones if mask_id else ones ^ 1)
-    fmts = FormatWord("L", 0), FormatWord("L", 1)
     got = np.zeros((DATA_BITS + 1, DATA_BITS + 1, TOTAL_BITS), dtype=bool)
     for la, lb in itertools.product(range(DATA_BITS + 1), repeat=2):
-        _, forced = mirror._admission(np.zeros(la, np.uint8), np.zeros(lb, np.uint8), *fmts)
+        _, forced = mirror._admission(la, lb, ones)
         got[la, lb, [cell for cell, _, _ in forced]] = True
     want = ~(touched[0][:, None] | touched[1][None, :])
     assert np.array_equal(got, want)
@@ -881,9 +880,16 @@ def test_cover_stream_verdict_matches_exhaustive_search():
     assert set(verdicts) == {True, False}
 
 
+def quotient_test(pa, pb, formats=None):
+    """mirror._admission's (admits, forced) for the declared payloads, its
+    target the overlay of their ordinary codes, at the selected witness's
+    masks or the given (straight, mirrored) format words."""
+    g = overlay(pa, pb, *(formats or selected_formats()))
+    return mirror._admission(pa.size, pb.size, g)
+
+
 def admission(pa, pb, formats=None):
-    straight, mirrored = formats or selected_formats()
-    return mirror._admission(pa, pb, straight, mirrored)[0]
+    return quotient_test(pa, pb, formats)[0]
 
 
 @pytest.mark.parametrize("formats", [None, (FormatWord("L", 0), FormatWord("L", 5))])
@@ -1144,11 +1150,11 @@ def test_construction_imports_no_module():
 
 
 def test_free_value_preference_is_the_ordinary_encoding():
-    # the preference equals what the GF(256) encoder gives: msg_a's padded
-    # payload, its rs_encode parity, masked on the cells, then each aux
-    # byte of the side's padded payload; seeded short and 9+12 pairs under
-    # all 5 symmetric straight masks, with aux bytes on neither side (none,
-    # or parity bytes only), on each side and on both
+    # the construction's preference equals what the GF(256) encoder gives:
+    # msg_a's padded payload, its rs_encode parity, masked on the cells,
+    # then each aux byte of the side's padded payload; seeded short and
+    # 9+12 pairs under all 5 symmetric straight masks, with aux bytes on
+    # neither side (none, or parity bytes only), on each side and on both
     rng = random.Random(53)
     pairs = [seeded_short_pair(rng) for _ in range(30)]
     pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(12)]
@@ -1162,7 +1168,8 @@ def test_free_value_preference_is_the_ordinary_encoding():
         parity = np.unpackbits(np.frombuffer(rscode.rs_encode(np.packbits(payloads[0])), np.uint8))
         want = np.concatenate([np.concatenate([payloads[0], parity]) ^ data_mask(mask_id), *(
             payloads[side][8 * byte : 8 * byte + 8] for side, byte in mirror._aux_bytes(alloc))])
-        got = mirror._free_value_preference(*pair, FormatWord("L", mask_id), alloc)
+        word = FormatWord("L", mask_id)
+        got = preference(*construction_payloads(*pair), word, word, alloc)
         assert got.dtype == np.uint8 and np.array_equal(got, want), (pair, mask_id, alloc)
     assert {frozenset(side for side, _ in mirror._aux_bytes(alloc))
             for alloc in allocations} == {frozenset(), frozenset({0}), frozenset({1}),
@@ -1172,9 +1179,9 @@ def test_free_value_preference_is_the_ordinary_encoding():
 def test_analytic_constructions_never_call_the_gf256_encoder(monkeypatch):
     # once P is cached, neither a construction nor encode_single runs
     # rscode.rs_encode: short pairs, 9+12 pairs and a 13+13 pair construct
-    # (or end infeasible) with codeword_bits alone. Each solved pair takes
-    # its fill preference from encoder.standard_physical_bits exactly once;
-    # the infeasible pair solves nothing, so it never calls it
+    # (or end infeasible) with codeword_bits alone. No construction calls
+    # encoder.standard_physical_bits: the fill preference reads the
+    # straight code the quotient test's target was made from
     rng = random.Random(59)
     pairs = [("HARRY", "BOVIK")] + [seeded_short_pair(rng) for _ in range(8)]
     pairs += [seeded_alnum_pair(rng, 9, 12) for _ in range(3)]
@@ -1195,13 +1202,48 @@ def test_analytic_constructions_never_call_the_gf256_encoder(monkeypatch):
             outcomes.append((exc.stage, calls[:]))
         else:
             outcomes.append(("solved", calls[:]))
-    solved, infeasible = ("solved", ["standard_physical_bits"]), ("system infeasible", [])
+    solved, infeasible = ("solved", []), ("system infeasible", [])
     assert outcomes[:9] == [solved] * 9 and outcomes[-1] == infeasible
     assert solved in outcomes[9:12]
     assert all(outcome in (solved, infeasible) for outcome in outcomes[9:12])
     calls.clear()
     encoder.encode_single("HELLO")
     assert calls == ["standard_physical_bits"]
+
+
+def test_an_analytic_construction_parses_each_message_once(monkeypatch):
+    # codec._segment_value parses a message's text: a construction calls it
+    # once per message, solved or not, and never again for the preference.
+    # Seeded short pairs whose admitted cover holds no aux byte, one on the
+    # straight side, on the mirrored side and on both; 9+12 pairs of both
+    # verdicts; a 13+13 pair whose pin conflicts leave no cover
+    rng = random.Random(64)
+    pairs = [("short", seeded_short_pair(rng)) for _ in range(40)]
+    pairs += [("9+12", seeded_alnum_pair(rng, 9, 12)) for _ in range(6)]
+    pairs += [("13+13", ("GI//B-E.9E-B8", "4YDI1R8/%0H95"))]
+    calls = []
+    segment_value = codec._segment_value
+
+    def counted(*args):
+        calls.append(args)
+        return segment_value(*args)
+
+    monkeypatch.setattr(codec, "_segment_value", counted)
+    outcomes = set()
+    for kind, pair in pairs:
+        calls.clear()
+        try:
+            _, report = mirror.construct_double_sided(*pair, method="analytic")
+        except mirror.ConstructionError as exc:
+            outcomes.add((kind, exc.stage))
+        else:
+            aux = [side for side, bytes_ in sorted(report.allocation.items())
+                   if min(bytes_, default=26) < rscode.DATA_BYTES]
+            outcomes.add((kind, "solved", *(aux if kind == "short" else ())))
+        assert calls == [(pair[0], "auto"), (pair[1], "auto")], pair
+    assert {("short", "solved"), ("short", "solved", "side_a"), ("short", "solved", "side_b"),
+            ("short", "solved", "side_a", "side_b"), ("9+12", "solved"),
+            ("9+12", "system infeasible"), ("13+13", "system infeasible")} <= outcomes
 
 
 def reference_construct_analytic(msg_a, msg_b):
@@ -1217,8 +1259,8 @@ def reference_construct_analytic(msg_a, msg_b):
         system = mirror.build_constraint_system(payload_a, payload_b, fmt.straight, alloc,
                                                 mirrored_fmt=fmt.mirrored)
         attempted += 1
-        solution = mirror.solve_gf2(
-            system, free_values=mirror._free_value_preference(msg_a, msg_b, fmt.straight, alloc))
+        solution = mirror.solve_gf2(system, free_values=preference(
+            payload_a, payload_b, fmt.straight, fmt.mirrored, alloc))
         if solution is not None:
             break
     else:

@@ -107,6 +107,15 @@ def test_negative_quiet_zone_is_rejected():
             render_with_quiet(grid, quiet=-1)
 
 
+def test_images_far_over_the_size_limit_are_refused():
+    grid = encoder.encode_single("HELLO")
+    for render_oversized in (lambda: render.to_pbm(grid, scale=10**6),
+                             lambda: render.to_pbm(grid, quiet=10**9),
+                             lambda: render.to_ascii(grid, quiet=10**9)):
+        with pytest.raises(ValueError, match=f"over {render.MAX_SIDE}"):
+            render_oversized()
+
+
 def test_pbm_lines_within_70_columns():
     data = render.to_pbm(encoder.encode_single("X"), scale=10, quiet=4)
     assert all(len(line) <= 70 for line in data.split(b"\n"))

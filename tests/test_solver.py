@@ -10,7 +10,7 @@ from qrmirror.formatinfo import select_mirror_format
 from qrmirror.grid import overlap_partition
 from qrmirror.mirror import solve_gf2
 
-from gf2_reference import dense_form, gf2_row_reduce, int_system, reference_solve_gf2
+from gf2_reference import dense_form, gf2_row_reduce, int_system, overlay, reference_solve_gf2
 
 
 def satisfies(solution, matrix, rhs):
@@ -135,9 +135,9 @@ def seeded_covers(rng, lengths):
     fmt = select_mirror_format()
     pa, pb = (codec.terminated_payload("".join(rng.choice(codec.ALPHANUMERIC) for _ in range(n)))
               for n in lengths)
+    g = overlay(pa, pb, fmt.straight, fmt.mirrored)
     covers = mirror.enumerate_error_allocations(
-        overlap_partition(pa.size, pb.size),
-        mirror._admission(pa, pb, fmt.straight, fmt.mirrored)[1])
+        overlap_partition(pa.size, pb.size), mirror._admission(pa.size, pb.size, g)[1])
     return pa, pb, list(covers)
 
 
