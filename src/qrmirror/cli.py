@@ -16,9 +16,7 @@ from .formatinfo import FormatWord, build_flip_graph, flip_graph_dot, word_bits
 from .grid import overlap_partition
 from .verify import DecodeError, MirrorMismatch, decode_grid, read_format_copies
 
-MODE_CHOICES = ("auto", "alnum", "byte", "numeric")
-MODE_NAMES = {"alnum": "alphanumeric", "byte": "byte", "numeric": "numeric",
-              "auto": "auto"}
+MODE_NAMES = {"auto": "auto", "alnum": "alphanumeric", "byte": "byte", "numeric": "numeric"}
 
 
 def _at_least(minimum):
@@ -181,7 +179,7 @@ def build_parser():
 
     enc = sub.add_parser("encode", help="single-sided Version 1-L code")
     enc.add_argument("text")
-    enc.add_argument("--mode", choices=MODE_CHOICES, default="auto")
+    enc.add_argument("--mode", choices=MODE_NAMES, default="auto")
     enc.add_argument("--mask", type=int, default=0, choices=range(8))
     enc.add_argument("-o", "--output", required=True)
     enc.add_argument("--scale", type=_at_least(1), default=1)

@@ -65,6 +65,7 @@ from .verify import decode_grid
 
 
 _BUDGET = rscode.ERROR_BUDGET  # the byte errors each side's decoder corrects
+_BYTE_INDICES = frozenset(range(rscode.BLOCK_BYTES))  # a word's byte positions
 
 
 class ConstructionError(RuntimeError):
@@ -84,8 +85,9 @@ class ErrorAllocation:
         for name, bytes_ in (("side_a", self.side_a_bytes), ("side_b", self.side_b_bytes)):
             if len(bytes_) > _BUDGET:
                 raise ValueError(f"{name} allocation exceeds the {_BUDGET}-byte budget")
-            if any(not 0 <= b < 26 for b in bytes_):
-                raise ValueError(f"{name} allocation has byte indices outside 0..25")
+            if not _BYTE_INDICES.issuperset(bytes_):
+                raise ValueError(f"{name} allocation has byte indices outside "
+                                 f"0..{rscode.BLOCK_BYTES - 1}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import codec, rscode
 from .formatinfo import FormatWord, apply_format_mask, bch_decode
-from .grid import format_cells, function_pattern_grid, placement_cells
+from .grid import SIZE, format_cells, function_pattern_grid, placement_cells
 from .masks import data_mask
 
 # the weight of each format bit, most significant first
@@ -62,7 +62,7 @@ def _cell_bounds():
 
 def _check_function_patterns(grid):
     cells = grid.cells
-    if cells.shape != (21, 21):
+    if cells.shape != (SIZE, SIZE):
         raise DecodeError("function-pattern", "grid is not 21x21")
     if cells.dtype.kind not in "biu":  # bool, signed or unsigned integers
         raise DecodeError("function-pattern", f"cells are {cells.dtype}, not integers")

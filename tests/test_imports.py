@@ -1,13 +1,15 @@
 """Every name a module imports is read in that module, every top-level
-function, class or assigned name of the package is read somewhere, and no
-module or demo reads another package module's private names.
+function, class or assigned name of the package is read somewhere, no
+module or demo reads another package module's private names, and the
+package root binds only the package's modules and __version__.
 
 An import or a helper left behind by a refactor costs load time and
 misleads the reader about what a module depends on. The checks parse each
-module with ast; the package's __init__.py is exempt, as its imports are
-its re-exports, and its re-exports do not count as reads. A private name
-(one leading underscore) is its module's own business: tests, which are
-white-box, and the benchmark may read it, the package and the demos not.
+module with ast; the package's __init__.py is exempt, as its imports only
+load the modules, and it reads nothing. A name has one import path, its
+module's: the root re-exports none. A private name (one leading
+underscore) is its module's own business: tests, which are white-box, and
+the benchmark may read it, the package and the demos not.
 """
 
 import ast
@@ -166,3 +168,36 @@ def test_a_private_read_is_caught():
               "_own()\nself._cache\n")
     assert private_reads(source) == [(2, "_template"), (8, "_parse_value"), (9, "_ball"),
                                      (10, "_quotient")]
+
+
+def root_bindings(source, modules):
+    """(line, name) of every name the package root source binds other than
+    a module of modules, imported as `from . import <module>`, and
+    __version__."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            own = isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+            found += [(node.lineno, alias.asname or alias.name) for alias in node.names
+                      if not (own and alias.name in modules and not alias.asname)]
+        else:
+            found += [(node.lineno, name) for name in defined_names(node) + assigned_names(node)
+                      if name != "__version__"]
+    return found
+
+
+def test_the_root_binds_only_modules():
+    package = ROOT / "src" / "qrmirror"
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert len(modules) > 8
+    assert root_bindings((package / "__init__.py").read_text(), modules) == []
+
+
+def test_a_root_re_export_is_caught():
+    source = ('"""Doc."""\nfrom . import codec, mirror\nfrom .mirror import construct_double_sided\n'
+              "__version__ = '1'\n")
+    assert root_bindings(source, {"codec", "mirror"}) == [(3, "construct_double_sided")]
+    source = ("from . import codec as c, other\nimport os\nVERSION = 1\n"
+              "def f():\n    pass\n")
+    assert root_bindings(source, {"codec"}) == [(1, "c"), (1, "other"), (2, "os"),
+                                                (3, "VERSION"), (4, "f")]

@@ -24,6 +24,7 @@ from qrmirror.masks import data_mask, symmetric_masks
 
 from gf2_reference import (conflicting_pins, dense_form, overlay, pinned_columns, preference,
                            reference_solve_gf2)
+from test_bench_names import load_bench_module
 
 EMPTY_ALLOCATION = mirror.ErrorAllocation(frozenset(), frozenset())
 
@@ -160,10 +161,19 @@ def test_enumerate_allocations_empty_conflicts():
 
 
 def test_allocation_validation():
-    with pytest.raises(ValueError):
-        mirror.ErrorAllocation(frozenset({1, 2, 3, 4}), frozenset())
-    with pytest.raises(ValueError):
-        mirror.ErrorAllocation(frozenset({26}), frozenset())
+    # each side holds at most 3 of the byte indices 0..25; an index that is
+    # no integer is outside them too, a ValueError rather than a TypeError
+    mirror.ErrorAllocation(frozenset({0, 1, 25}), frozenset({0, 24, 25}))
+    cases = [(frozenset({1, 2, 3, 4}), "exceeds the 3-byte budget"),
+             (frozenset({26}), "has byte indices outside 0..25"),
+             (frozenset({-1}), "has byte indices outside 0..25"),
+             (frozenset({2.5}), "has byte indices outside 0..25"),
+             (frozenset({"x"}), "has byte indices outside 0..25")]
+    for bytes_, reason in cases:
+        for side, sides in (("side_a", (bytes_, frozenset())), ("side_b", (frozenset(), bytes_))):
+            with pytest.raises(ValueError) as excinfo:
+                mirror.ErrorAllocation(*sides)
+            assert str(excinfo.value) == f"{side} allocation {reason}"
 
 
 def test_construct_harry_bovik():
@@ -215,6 +225,25 @@ def test_construct_reports_infeasible_when_oversized():
             mirror.construct_double_sided("ABCDEFGHIJKL", "MNOPQRSTUVWX",
                                           method=method)
         assert excinfo.value.stage == "system infeasible"
+
+
+def test_capacity_counts_of_the_readme():
+    # README's Capacity paragraph: 300 seeded alphanumeric pairs per length
+    # class, drawn as the benchmark draws them, and every pair not built
+    # fails at the system stage. A solution lost fails here; one gained
+    # updates the counts and the paragraph.
+    inputs = load_bench_module("inputs")
+    for (len_a, len_b), expected in (((8, 11), 300), ((9, 12), 134), ((10, 12), 23)):
+        rng = inputs.new_rng(11, f"{len_a}+{len_b}")
+        built = 0
+        for _ in range(300):
+            _, msg_a, msg_b = inputs.alnum_pair(rng, len_a, len_b)
+            try:
+                mirror.construct_double_sided(msg_a, msg_b, method="analytic")
+                built += 1
+            except mirror.ConstructionError as exc:
+                assert exc.stage == "system infeasible", (msg_a, msg_b)
+        assert built == expected, (len_a, len_b)
 
 
 def test_construct_rejects_overlong_messages():
