@@ -61,7 +61,7 @@ from . import codec, encoder, rscode
 from .formatinfo import select_mirror_format
 from .grid import DATA_BITS, TOTAL_BITS, overlap_partition, transpose_permutation
 from .masks import data_mask, symmetric_masks
-from .verify import decode_grid
+from .verify import DecodeError, decode_grid
 
 
 _BUDGET = rscode.ERROR_BUDGET  # the byte errors each side's decoder corrects
@@ -561,14 +561,19 @@ def construct_double_sided(msg_a, msg_b, method="auto", trials=200_000, seed=0):
         grid = encoder.materialize(solution.assignment[:TOTAL_BITS], fmt.witness)
         method, free_vars, trials_run = "analytic", solution.free_variable_count, 0
 
-    rep_a = decode_grid(grid, "straight")
-    rep_b = decode_grid(grid, "transposed")
+    built = "solved" if method == "analytic" else "brute-force"
+    reports = []
+    for orientation in ("straight", "transposed"):
+        try:
+            reports.append(decode_grid(grid, orientation))
+        except DecodeError as exc:
+            raise ConstructionError(
+                "decode mismatch", f"{built} grid fails its {orientation} read at {exc}"
+            ) from exc
+    rep_a, rep_b = reports
     if rep_a.text != msg_a or rep_b.text != msg_b:
-        raise ConstructionError(
-            "decode mismatch",
-            f"{'solved' if method == 'analytic' else 'brute-force'} grid reads "
-            f"{rep_a.text!r}/{rep_b.text!r}",
-        )
+        raise ConstructionError("decode mismatch",
+                                f"{built} grid reads {rep_a.text!r}/{rep_b.text!r}")
     if method == "brute":  # the allocation is whatever the decoders corrected
         alloc = ErrorAllocation(rep_a.corrected_bytes, rep_b.corrected_bytes)
     report = ConstructionReport(

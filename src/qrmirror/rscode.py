@@ -6,9 +6,9 @@ are correctable. parity_matrix() re-expresses the encoder as a GF(2) linear
 map P, which the double-sided system is built from and codeword_bits() applies.
 
 The decoder works from two tables built at import. A word's syndromes are
-the xor of one _SYNDROME entry per byte, and the Chien search is the xor of
-one _CHIEN entry per locator coefficient; the Horner evaluator _eval serves
-only Forney's few evaluations.
+the xor of one _SYNDROME entry per byte, and every polynomial it evaluates
+(the locator, Forney's omega and the locator's derivative) is the xor of one
+_CHIEN entry per coefficient, at all 26 positions at once.
 """
 
 from functools import lru_cache, reduce
@@ -42,20 +42,6 @@ def gf_mul(a, b):
     if a == 0 or b == 0:
         return 0
     return EXP[LOG[a] + LOG[b]]
-
-
-def _eval(coefficients, log_x):
-    """Horner at alpha^log_x over coefficients listed highest degree first.
-
-    Forney evaluates its two polynomials this way at each error position.
-    A decoder polynomial p lists its n coefficients lowest degree first;
-    read highest first that list is x^(n-1) * p(1/x), so evaluating it at X
-    tests p at X^-1.
-    """
-    r = 0
-    for c in coefficients:
-        r = (EXP[LOG[r] + log_x] if r else 0) ^ c
-    return r
 
 
 def _generator_poly():
@@ -100,6 +86,12 @@ def _chien_table():
 
 _SYNDROME = _syndrome_table()
 _CHIEN = _chien_table()
+
+
+def _chien(poly):
+    """Byte p is poly (lowest degree first, at most 4 coefficients) at X^-1,
+    X = alpha^(25-p): the xor of one _CHIEN entry per coefficient."""
+    return reduce(xor, map(getitem, _CHIEN, poly)).to_bytes(BLOCK_BYTES, "little")
 
 
 def rs_encode(data):
@@ -156,8 +148,9 @@ def rs_decode(codeword):
 
     Raises RsDecodeError when no codeword lies within the 3-error budget
     (more errors, an inconsistent locator, or a residual after correction).
-    A clean word costs its 26 syndrome lookups; the Chien search and the
-    residual check are table lookups too (see _SYNDROME and _CHIEN).
+    A clean word costs its 26 syndrome lookups; the Chien search, Forney's
+    evaluations and the residual check are table lookups too (see _SYNDROME
+    and _chien).
     """
     word = bytes(codeword)
     if len(word) != BLOCK_BYTES:
@@ -174,31 +167,25 @@ def rs_decode(codeword):
         raise RsDecodeError("inconsistent error locator degree")
 
     # Chien search: byte p is the x^(25-p) term, so it is in error iff the
-    # locator vanishes at X^-1 with X = alpha^(25-p). The locator has at
-    # most 4 coefficients here, and byte p of the xor of their _CHIEN
-    # entries is its value there.
-    values = reduce(xor, map(getitem, _CHIEN, locator)).to_bytes(BLOCK_BYTES, "little")
-    positions = [p for p, v in enumerate(values) if not v]
+    # locator vanishes at X^-1 with X = alpha^(25-p).
+    positions = [p for p, v in enumerate(_chien(locator)) if not v]
     if len(positions) != errors:
         raise RsDecodeError("error locator roots do not match its degree")
 
-    # Forney: omega = S * locator mod x^7, and the formal derivative keeps
-    # the locator's odd-power terms (characteristic 2). The error value
-    # X * omega(X^-1) / deriv(X^-1) is X^(1 - 6 + errors - 1) times the
-    # quotient of the two read as reciprocals at X (see _eval).
-    omega = [0] * PARITY_BYTES
-    for j, c in enumerate(locator):
-        for k in range(j, PARITY_BYTES):
-            omega[k] ^= gf_mul(c, synd[k - j])
+    # Forney: the error at X is X * omega(X^-1) / deriv(X^-1), with omega =
+    # S * locator mod x^7 and deriv the locator's odd-power terms
+    # (characteristic 2). The locator generates every syndrome from index
+    # L = errors on, so omega's terms from x^L to x^6 are zero: omega has at
+    # most 3 coefficients, few enough for _chien.
+    omega = [reduce(xor, map(gf_mul, locator[: k + 1], synd[k::-1])) for k in range(errors)]
     deriv = [c if k % 2 else 0 for k, c in enumerate(locator)][1:]
+    numerators, denominators = _chien(omega), _chien(deriv)
     word = bytearray(word)
     for p in positions:
-        log_x = BLOCK_BYTES - 1 - p
-        denom = _eval(deriv, log_x)
-        if denom == 0:
+        if not denominators[p]:
             raise RsDecodeError("degenerate error locator derivative")
-        num = _eval(omega, log_x)  # not 0: the locator is minimal, so no value is 0
-        word[p] ^= EXP[(log_x * (errors + 1 - PARITY_BYTES) + LOG[num] - LOG[denom]) % 255]
+        # omega(X^-1) is not 0: the locator is minimal, so no error value is 0
+        word[p] ^= EXP[(BLOCK_BYTES - 1 - p + LOG[numerators[p]] - LOG[denominators[p]]) % 255]
 
     if _packed_syndromes(word):
         raise RsDecodeError("residual syndromes after correction")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qrmirror import cli, codec, encoder, render
+from qrmirror import cli, codec, encoder, render, verify
 from qrmirror.cli import main
 from qrmirror.formatinfo import FormatWord, select_mirror_format
 from qrmirror.grid import overlap_partition
@@ -88,6 +88,20 @@ def test_mirror_all_zero_pair_names_the_forced_bytes(tmp_path, capsys, text_a, t
     assert err.startswith("error (system infeasible): the two sides fix different values")
     assert "at most 3 bytes per side" in err and "viable allocations" not in err
     assert not (tmp_path / "x.pbm").exists()
+
+
+def test_mirror_self_verify_decode_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def decode(grid, orientation):
+        raise verify.DecodeError("rs", "4 errors exceed the 3-byte budget")
+
+    monkeypatch.setattr(cli.mirror, "decode_grid", decode)
+    out, report = tmp_path / "hb.pbm", tmp_path / "hb.json"
+    code, stdout, err = run(capsys, "mirror", "HARRY", "BOVIK", "-o", str(out),
+                            "--report", str(report))
+    assert code == 1 and stdout == ""
+    assert err == ("error (decode mismatch): solved grid fails its straight read at "
+                   "rs: 4 errors exceed the 3-byte budget\n")
+    assert not out.exists() and not report.exists()
 
 
 def test_mirror_brute_budget_exhausted(tmp_path, capsys):

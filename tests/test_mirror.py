@@ -412,6 +412,23 @@ def test_brute_report_takes_its_allocation_from_the_decoders(monkeypatch):
     assert report.free_vars == 0 and report.trials == 1234
 
 
+@pytest.mark.parametrize("failing", ["straight", "transposed"])
+def test_a_self_verify_decode_failure_is_a_construction_error(monkeypatch, failing):
+    real_decode = mirror.decode_grid
+
+    def decode(grid, orientation):
+        if orientation == failing:
+            raise verify.DecodeError("rs", "residual syndromes after correction")
+        return real_decode(grid, orientation)
+
+    monkeypatch.setattr(mirror, "decode_grid", decode)
+    with pytest.raises(mirror.ConstructionError) as caught:
+        mirror.construct_double_sided("HARRY", "BOVIK")
+    assert caught.value.stage == "decode mismatch"
+    assert str(caught.value) == (f"decode mismatch: solved grid fails its {failing} read "
+                                 "at rs: residual syndromes after correction")
+
+
 @pytest.mark.parametrize("straight, mirrored", [(3, 3), (0, 7), (5, 6)])
 def test_brute_force_pins_the_mirrored_bits_through_both_masks(straight, mirrored):
     # under different masks a straight-free cell must hold the mirrored bit

@@ -391,3 +391,53 @@ def test_every_single_byte_error_decodes_like_the_reference():
                 yield bytes(word)
 
     assert _assert_decoders_agree(damaged()) == {"1 corrected": BLOCK_BYTES * 255}
+
+
+def test_omega_has_no_terms_from_the_locator_length_on():
+    # rs_decode keeps only omega's first L terms, L the Berlekamp-Massey
+    # length, so that omega fits _CHIEN's rows. That drops nothing: the
+    # locator generates every syndrome from index L on, so the full 7-term
+    # omega = S * locator mod x^7 is zero there. Checked on codewords with
+    # 1-4 corrupted bytes and on the random and single-byte-error words of
+    # the differential tests above.
+    def corrupted():
+        rng = random.Random(14)
+        for _ in range(5_000):
+            data = rng.randbytes(DATA_BYTES)
+            word = bytearray(data + rscode.rs_encode(data))
+            for p in rng.sample(range(BLOCK_BYTES), rng.randrange(1, 5)):
+                word[p] ^= rng.randrange(1, 256)
+            yield bytes(word)
+
+    def random_words():
+        rng = random.Random(12)
+        return (rng.randbytes(BLOCK_BYTES) for _ in range(5_000))
+
+    def single_byte_errors():
+        rng = random.Random(13)
+        data = rng.randbytes(DATA_BYTES)
+        codeword = data + rscode.rs_encode(data)
+        for p in range(BLOCK_BYTES):
+            for v in range(1, 256):
+                word = bytearray(codeword)
+                word[p] ^= v
+                yield bytes(word)
+
+    checked = {}
+    for name, words in (("corrupted", corrupted()), ("random", random_words()),
+                        ("single", single_byte_errors())):
+        checked[name] = 0
+        for word in words:
+            synd = rscode.syndromes(word)
+            if not any(synd):
+                continue
+            locator, length = rscode._berlekamp_massey(synd)
+            if length > rscode.ERROR_BUDGET:
+                continue
+            omega = [0] * PARITY_BYTES
+            for j, c in enumerate(locator):
+                for k in range(j, PARITY_BYTES):
+                    omega[k] ^= peasant_mul(c, synd[k - j])
+            assert not any(omega[length:]), (word.hex(), length, omega)
+            checked[name] += 1
+    assert checked == {"corrupted": 3785, "random": 19, "single": BLOCK_BYTES * 255}
