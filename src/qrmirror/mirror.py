@@ -1,8 +1,9 @@
 """Double-sided construction.
 
 The 208 data-region cells' physical values are the variables of a GF(2)
-system, built as Python ints (a row's lowest column at its highest bit),
-never as a dense matrix: LinearSystem.matrix is a view for counting.
+system, built as Python ints, never as a dense matrix: column c sits at
+bit _WIDTH - c in every system, the right-hand side at bit 0, and
+LinearSystem.matrix is a view for counting.
 Each side's declared bits are pins, one (columns, values) int pair; its
 rows are the parity checks H = [P | I] outside the error allocation,
 with the mask and the pins substituted at build time. An allocated
@@ -14,8 +15,9 @@ preference. Each message is parsed once, and both padded payloads are
 encoded in one codeword_bits call; the preference is the straight code,
 then each aux byte's padded bits. The baseline takes the codec's
 bit arrays as they are; the builder packs both payloads and both masks
-into ints at once, the mirrored payload placed through
-transpose_permutation(), and forms pins and rows from them with shifts.
+into ints at once, the mirrored side's placed through
+transpose_permutation(), and ors each aux byte into its fixed bits below
+the cells.
 
 The module caches no generator table: per code, the check ints H placed
 on each side's cells (_placed_checks) and each cell's reach (_reach),
@@ -60,12 +62,13 @@ import numpy as np
 from . import codec, encoder, rscode
 from .formatinfo import select_mirror_format
 from .grid import DATA_BITS, TOTAL_BITS, overlap_partition, transpose_permutation
-from .masks import data_mask, symmetric_masks
+from .masks import data_mask
 from .verify import DecodeError, decode_grid
 
 
 _BUDGET = rscode.ERROR_BUDGET  # the byte errors each side's decoder corrects
 _BYTE_INDICES = frozenset(range(rscode.BLOCK_BYTES))  # a word's byte positions
+_WIDTH = TOTAL_BITS + 2 * 8 * _BUDGET  # a system's columns: the cells, then up to 6 aux bytes
 
 
 class ConstructionError(RuntimeError):
@@ -93,9 +96,10 @@ class ErrorAllocation:
 @dataclass(frozen=True)
 class LinearSystem:
     """GF(2) constraints over the cells (plus any aux variables) as ints,
-    column c at bit cols - c, the right-hand side at bit 0: each side's
-    pins as a (columns, values) pair, then the kept parity checks with the
-    pins substituted. matrix is a dense view for counting: pins as unit rows."""
+    column c at bit _WIDTH - c whatever cols is, the right-hand side at
+    bit 0: each side's pins as a (columns, values) pair, then the kept
+    parity checks with the pins substituted. matrix is a dense view for
+    counting: pins as unit rows."""
 
     cols: int
     pins: tuple
@@ -103,9 +107,9 @@ class LinearSystem:
 
     @property
     def matrix(self):
-        pinned = np.flatnonzero(_unpack([columns for columns, _ in self.pins], self.cols)[:, :-1])
+        pinned = np.flatnonzero(_unpack([columns for columns, _ in self.pins], self.cols))
         return np.concatenate([np.eye(self.cols, dtype=np.uint8)[pinned % self.cols],
-                               _unpack(self.rows, self.cols)[:, :-1]])
+                               _unpack(self.rows, self.cols)])
 
 
 @dataclass(frozen=True)
@@ -130,10 +134,12 @@ def _ints(rows):
 
 
 def _unpack(rows, cols):
-    """Int rows (column c at bit cols - c, b at bit 0) as a 0/1 array [A | b]."""
-    width = cols // 8 + 1
+    """Int rows (column c at bit _WIDTH - c) as a 0/1 array of their first
+    cols columns."""
+    width = _WIDTH // 8 + 1
     packed = np.frombuffer(b"".join(row.to_bytes(width, "big") for row in rows), np.uint8)
-    return np.unpackbits(packed.reshape(-1, width), axis=1)[:, 8 * width - 1 - cols :]
+    first = 8 * width - 1 - _WIDTH
+    return np.unpackbits(packed.reshape(-1, width), axis=1)[:, first : first + cols]
 
 
 def _eliminate(pivots, rows):
@@ -164,19 +170,19 @@ def solve_gf2(system, free_values=None):
     (pins_a, values_a), (pins_b, values_b) = system.pins
     if pins_a & pins_b & (values_a ^ values_b):  # a cell pinned both ways
         return None
-    pivots = [0] * (system.cols + 2)
+    pivots = [0] * (_WIDTH + 2)
     _eliminate(pivots, system.rows)
     if pivots[1]:  # a row reduced to 0 = 1
         return None
     pivot_mask, xs = pins_a | pins_b, values_a | values_b | 1  # xs bit 0: the right-hand side
     if free_values is not None:
-        xs |= _ints(np.asarray(free_values)[None])[0] << 1 & ~pivot_mask
+        xs |= _ints(np.asarray(free_values)[None])[0] << 1 + _WIDTH - system.cols & ~pivot_mask
     for row in filter(None, pivots):  # highest column first: each row fixes its leading bit
         lead = 1 << row.bit_length() - 1
         pivot_mask |= lead
         if (row & xs).bit_count() & 1:
             xs ^= lead
-    assignment, free = _unpack([xs, pivot_mask ^ (2 << system.cols) - 1], system.cols)[:, :-1]
+    assignment, free = _unpack([xs, pivot_mask ^ (2 << _WIDTH) - 1], system.cols)
     return Solution(assignment, tuple(np.flatnonzero(free).tolist()))
 
 
@@ -191,12 +197,12 @@ def _aux_bytes(alloc):
 @lru_cache(maxsize=1)
 def _placed_checks():
     """Per side, its 56 parity checks H = [P | I], P = rscode.parity_matrix(),
-    placed on its cells, as ints with cell c at bit 208 - c: a straight
-    check's coefficients on data byte b are check >> 201 - 8b & 0xFF."""
+    placed on its cells, as ints with cell c at bit _WIDTH - c: a straight
+    check's coefficients on data byte b are check >> _WIDTH - 7 - 8b & 0xFF."""
     parity = rscode.parity_matrix()
-    checks = np.zeros((TOTAL_BITS - DATA_BITS, TOTAL_BITS + 1), np.uint8)  # bit 0 stays 0
+    checks = np.zeros((TOTAL_BITS - DATA_BITS, _WIDTH + 1), np.uint8)  # aux bits and bit 0 stay 0
     checks[:, :DATA_BITS], checks[:, DATA_BITS:TOTAL_BITS] = parity, np.eye(len(parity))
-    mirrored = np.append(transpose_permutation(), TOTAL_BITS)  # an involution: its own inverse
+    mirrored = np.append(transpose_permutation(), range(TOTAL_BITS, _WIDTH + 1))  # an involution
     return _ints(checks), _ints(checks[:, mirrored])
 
 
@@ -298,70 +304,59 @@ def build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=None):
     """Rows for both sides of the code under one error allocation.
 
     fmt is the straight side's format word; the mirrored side defaults to
-    the same word (a flip-graph self-loop) but may differ as long as both
-    masks are transposition-symmetric. Variables are physical cell values,
-    so mask inversions land on the right-hand side.
+    the same word (a flip-graph self-loop) but may be any word. Variables
+    are physical cell values, so mask inversions land on the right-hand
+    side.
     """
     mirrored_fmt = mirrored_fmt or fmt
-    sym = symmetric_masks()
-    for word in (fmt, mirrored_fmt):
-        if word.mask_id not in sym:
-            raise ValueError(f"mask {word.mask_id} is not symmetric under transposition")
     if max(bits_a.size, bits_b.size) > DATA_BITS:
         raise ValueError("payload exceeds the 152-bit data capacity")
 
     # each side's codeword bit k lives on a cell, k on the straight side and
-    # sigma[k] on the mirrored one, or for an allocated data byte on one of
-    # the 8 aux variables holding the intended byte the decoder will restore
-    # (mask 0: aux bits are logical). With cell c at bit 208 - c, a side's
-    # bits in its own order hold its declared prefix in their top bits, and
-    # a symmetric mask reads the same on cell sigma[k] as on cell k
+    # sigma[k] on the mirrored one, where its mask bit k goes too, or for an
+    # allocated data byte on one of the 8 aux variables holding the intended
+    # byte the decoder will restore (mask 0: aux bits are logical). With
+    # cell c at bit _WIDTH - c, a side's bits in its own order hold its
+    # declared prefix in their top bits
     la, lb = bits_a.size, bits_b.size
     sigma = transpose_permutation()
-    at = np.zeros((6, TOTAL_BITS + 1), np.uint8)
+    at = np.zeros((6, _WIDTH + 1), np.uint8)
     at[0, :la], at[1, :lb] = bits_a, bits_b
     at[2, sigma[:lb]], at[3, sigma[:lb]] = 1, bits_b  # the mirrored side's, placed
-    at[4, :-1], at[5, :-1] = data_mask(fmt.mask_id), data_mask(mirrored_fmt.mask_id)
+    at[4, :TOTAL_BITS], at[5, sigma] = data_mask(fmt.mask_id), data_mask(mirrored_fmt.mask_id)
     declared_a, declared_b, placed_pins_b, placed_b, mask_a, mask_b = _ints(at)
-    prefix_a, prefix_b = ((1 << n) - 1 << TOTAL_BITS + 1 - n for n in (la, lb))
+    prefix_a, prefix_b = ((1 << n) - 1 << _WIDTH + 1 - n for n in (la, lb))
     pins = [prefix_a, placed_pins_b]
     values = [(declared_a ^ mask_a) & prefix_a, (placed_b ^ mask_b) & placed_pins_b]
-    masks, placed = [mask_a, mask_b], _placed_checks()
+    placed = _placed_checks()
+    checks = list(placed)
 
+    # the cells an aux byte releases leave its side's pins and rows, and its
+    # declared bits and check coefficients go to its aux columns
     aux = _aux_bytes(alloc)
-    shift = 8 * len(aux)
-    checks = placed
-    if aux:
-        # the cells an aux byte releases leave its side's pins and rows, and
-        # its declared bits and check coefficients go to its aux columns
-        kept = [-1, -1]
-        for side, byte in aux:
-            cells = _sigma()[8 * byte : 8 * byte + 8] if side else range(8 * byte, 8 * byte + 8)
-            kept[side] &= ~sum(1 << TOTAL_BITS + shift - c for c in cells)
-        pins, values = ([x << shift & k for x, k in zip(ints, kept)] for ints in (pins, values))
-        masks = [mask << shift for mask in masks]
-        checks = [[check << shift & k for check in side_checks]
-                  for side_checks, k in zip(placed, kept)]
-        for low, (side, byte) in zip(range(shift - 7, 0, -8), aux):  # aux byte k: its lowest bit
-            first = TOTAL_BITS - 7 - 8 * byte  # the byte's lowest bit in its side's order
-            prefix, declared = ((prefix_a, declared_a), (prefix_b, declared_b))[side]
-            pins[side] |= (prefix >> first & 0xFF) << low
-            values[side] |= (declared >> first & 0xFF) << low
-            checks[side] = [check | (straight >> first & 0xFF) << low
-                            for check, straight in zip(checks[side], placed[0])]
+    lows = range(_WIDTH - TOTAL_BITS - 7, 0, -8)  # aux byte k: its lowest bit
+    for low, (side, byte) in zip(lows, aux):
+        cells = _sigma()[8 * byte : 8 * byte + 8] if side else range(8 * byte, 8 * byte + 8)
+        kept = ~sum(1 << _WIDTH - c for c in cells)
+        first = _WIDTH - 7 - 8 * byte  # the byte's lowest bit in its side's order
+        prefix, declared = ((prefix_a, declared_a), (prefix_b, declared_b))[side]
+        pins[side] = pins[side] & kept | (prefix >> first & 0xFF) << low
+        values[side] = values[side] & kept | (declared >> first & 0xFF) << low
+        checks[side] = [check & kept | (straight >> first & 0xFF) << low
+                        for check, straight in zip(checks[side], placed[0])]
 
     # the kept checks: the right-hand side is the row applied to the mask,
     # and the pins are substituted
     unpinned, value = ~(pins[0] | pins[1]), values[0] | values[1]
     rows = []
-    sides = zip(checks, (alloc.side_a_bytes, alloc.side_b_bytes), masks)
+    sides = zip(checks, (alloc.side_a_bytes, alloc.side_b_bytes), (mask_a, mask_b))
     for side_checks, alloc_bytes, mask in sides:
         if max(alloc_bytes, default=0) >= rscode.DATA_BYTES:  # allocated parity bytes' checks go
             side_checks = [check for p, check in enumerate(side_checks)
                            if rscode.DATA_BYTES + p // 8 not in alloc_bytes]
         substitute = mask ^ value
         rows += [row & unpinned | (row & substitute).bit_count() & 1 for row in side_checks]
-    return LinearSystem(TOTAL_BITS + shift, tuple(zip(pins, values)), tuple(rows))
+    return LinearSystem(TOTAL_BITS + 8 * len(aux), tuple(zip(pins, values)), tuple(rows))
 
 
 def enumerate_error_allocations(partition, conflicts=()):

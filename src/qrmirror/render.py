@@ -61,7 +61,7 @@ def parse_pbm(data):
     if not tokens or tokens[0] != "P1":
         raise RenderError("not a plain PBM (P1) stream")
     try:
-        width, height = int(tokens[1]), int(tokens[2])
+        width, height = _decimal(tokens[1]), _decimal(tokens[2])
     except (IndexError, ValueError):
         raise RenderError("malformed PBM header")
     if width != height:
@@ -75,7 +75,7 @@ def parse_pbm(data):
 
     if "scale" in meta and "quiet" in meta:
         try:
-            scale, quiet = int(meta["scale"]), int(meta["quiet"])
+            scale, quiet = _decimal(meta["scale"]), _decimal(meta["quiet"])
         except ValueError:
             raise RenderError("metadata scale or quiet is not an integer")
         if scale < 1 or quiet < 0 or (SIZE + 2 * quiet) * scale != width:
@@ -88,6 +88,14 @@ def parse_pbm(data):
     blocks = core.reshape(SIZE, scale, SIZE, scale).swapaxes(1, 2)
     counts = blocks.reshape(SIZE, SIZE, scale * scale).sum(axis=2)
     return ModuleGrid((counts * 2 > scale * scale).astype(np.uint8))
+
+
+def _decimal(token):
+    """A header or metadata number: decimal digits, perhaps after a '-', which
+    the range checks then refuse. int() alone also takes '+' and '_'."""
+    if not token.removeprefix("-").isdecimal():
+        raise ValueError(f"{token!r} is not a decimal number")
+    return int(token)
 
 
 def _infer_geometry(img):

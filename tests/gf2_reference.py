@@ -61,9 +61,9 @@ def reference_solve_gf2(matrix, rhs, free_values=None):
 
 
 def pinned_columns(bits, cols):
-    """The columns set in an int over a system's columns (column c at bit
-    cols - c)."""
-    return [c for c in range(cols) if bits >> cols - c & 1]
+    """The columns set in an int over a system's cols columns (column c at
+    bit mirror._WIDTH - c)."""
+    return [c for c in range(cols) if bits >> mirror._WIDTH - c & 1]
 
 
 def conflicting_pins(system):
@@ -76,18 +76,21 @@ def conflicting_pins(system):
 def dense_form(system):
     """(A, b) of a system in the int form: each side's pins as unit rows,
     lowest column first, then its rows."""
+    top = mirror._WIDTH
     rows = [1 << n | values >> n & 1 for columns, values in system.pins
-            for n in range(system.cols, 0, -1) if columns >> n & 1] + list(system.rows)
-    width = system.cols // 8 + 1
+            for n in range(top, top - system.cols, -1) if columns >> n & 1] + list(system.rows)
+    width = top // 8 + 1
     packed = np.frombuffer(b"".join(row.to_bytes(width, "big") for row in rows), np.uint8)
-    ab = np.unpackbits(packed.reshape(len(rows), width), axis=1)[:, -system.cols - 1 :]
-    return ab[:, :-1], ab[:, -1]
+    ab = np.unpackbits(packed.reshape(len(rows), width), axis=1)
+    first = 8 * width - 1 - top
+    return ab[:, first : first + system.cols], ab[:, -1]
 
 
 def int_system(matrix, rhs):
     """A dense system [A | b] in the solver's int form.
 
-    Row i becomes an int with column c at bit cols - c and b[i] at bit 0.
+    Row i becomes an int with column c at bit mirror._WIDTH - c and b[i]
+    at bit 0.
     A column's first unit row pins it on the straight side and its second
     on the mirrored side; every other row (a third unit row, a zero row,
     any heavier row) is kept, with the pins substituted as
@@ -98,7 +101,7 @@ def int_system(matrix, rhs):
     pins = [[0, 0], [0, 0]]  # per side: pinned columns, their values
     rows = []
     for row, b in zip(matrix.tolist(), rhs.tolist()):
-        bits = int("".join(map(str, row)), 2) << 1
+        bits = int("".join(map(str, row)), 2) << 1 + mirror._WIDTH - matrix.shape[1]
         open_sides = [side for side in pins if not side[0] & bits]
         if bits.bit_count() == 1 and open_sides:
             open_sides[0][0] |= bits

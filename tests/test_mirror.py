@@ -36,7 +36,8 @@ def payload(text, mode="alphanumeric"):
 
 def satisfies(solution, system):
     """Whether the assignment meets each side's pins and every kept check."""
-    x = int("".join(map(str, solution.assignment)), 2) << 1 | 1  # bit 0: the right-hand side
+    # column c at bit mirror._WIDTH - c, bit 0: the right-hand side
+    x = int("".join(map(str, solution.assignment)), 2) << 1 + mirror._WIDTH - system.cols | 1
     return (all(x & columns == values for columns, values in system.pins)
             and not any((row & x).bit_count() & 1 for row in system.rows))
 
@@ -89,12 +90,8 @@ def test_numeric_pair_solvable_without_any_allocation():
     assert satisfies(solution, system)
 
 
-def test_system_rejects_asymmetric_mask():
-    with pytest.raises(ValueError):
-        mirror.build_constraint_system(
-            payload("A"), payload("B"), FormatWord("L", 2), EMPTY_ALLOCATION
-        )
-    with pytest.raises(ValueError, match="152-bit"):  # and a payload past the data capacity
+def test_system_rejects_payload_past_the_data_capacity():
+    with pytest.raises(ValueError, match="152-bit"):
         mirror.build_constraint_system(
             np.zeros(DATA_BITS + 1, np.uint8), payload("B"), FMT, EMPTY_ALLOCATION
         )
@@ -503,7 +500,7 @@ def reference_build_constraint_system(payload_a, payload_b, fmt, alloc, mirrored
 
 def test_constraint_system_matches_per_row_reference():
     rng = random.Random(31)
-    symmetric = sorted(symmetric_masks())
+    symmetric = set(symmetric_masks())
     texts = [("", "alphanumeric"), ("HELLO", "alphanumeric"), ("0123456789", "numeric"),
              ("h i!", "byte"), ("ABCDEFGHIJKLM", "alphanumeric"), ("7", "numeric")]
     cases = []
@@ -513,9 +510,23 @@ def test_constraint_system_matches_per_row_reference():
         # data and parity bytes on both sides, 0 to 3 each
         alloc = mirror.ErrorAllocation(frozenset(rng.sample(range(26), rng.randint(0, 3))),
                                        frozenset(rng.sample(range(26), rng.randint(0, 3))))
-        fmt = FormatWord("L", rng.choice(symmetric))
-        kwargs = {"mirrored_fmt": FormatWord("L", rng.choice(symmetric))} if trial % 2 else {}
+        # both masks from all 8: the mirrored one reads its own bit k on cell sigma[k]
+        fmt = FormatWord("L", rng.randrange(8))
+        kwargs = {"mirrored_fmt": FormatWord("L", rng.randrange(8))} if trial % 2 else {}
         cases.append((pa, pb, fmt, alloc, kwargs))
+    # the widest allocation, 3 data bytes on each side, so every aux column
+    # in use: seeded short pairs under mask pairs from all 8, the mirrored
+    # side's bytes those of the forced cells, both filled up at random
+    data_bytes = range(rscode.DATA_BYTES)
+    for _ in range(6):
+        pair = seeded_short_pair(rng)
+        formats = FormatWord("L", rng.randrange(8)), FormatWord("L", rng.randrange(8))
+        forced = sorted({bb for _, _, bb in construction_inputs(*pair, formats=formats)[1]
+                         if bb < rscode.DATA_BYTES})[:3]
+        side_b = forced + rng.sample([b for b in data_bytes if b not in forced], 3 - len(forced))
+        alloc = mirror.ErrorAllocation(frozenset(rng.sample(data_bytes, 3)), frozenset(side_b))
+        cases.append((*construction_payloads(*pair), formats[0], alloc,
+                      {"mirrored_fmt": formats[1]}))
     # what construct_double_sided builds: terminated payloads of seeded short
     # and 9+12 pairs under their first covers, at the selected witness
     witness = select_mirror_format()
@@ -527,8 +538,8 @@ def test_constraint_system_matches_per_row_reference():
         for alloc in itertools.islice(covers, 5):
             cases.append((*construction_payloads(*pair), witness.straight, alloc,
                           {"mirrored_fmt": witness.mirrored}))
-    assert len(cases) == 60 + 5 * len(lengths)
-    conflicts = 0
+    assert len(cases) == 60 + 6 + 5 * len(lengths)
+    conflicts, widest, asymmetric = 0, {"built": 0, "solved": 0}, 0
     for pa, pb, fmt, alloc, kwargs in cases:
         got = mirror.build_constraint_system(pa, pb, fmt, alloc, **kwargs)
         matrix, rhs = reference_build_constraint_system(pa, pb, fmt, alloc, **kwargs)
@@ -537,10 +548,21 @@ def test_constraint_system_matches_per_row_reference():
         pins, rows = reference_int_form(matrix, rhs, pa.size, pb.size, alloc)
         assert got.cols == matrix.shape[1]
         assert got.pins == pins and got.rows == rows
+        asymmetric += not {fmt.mask_id, kwargs.get("mirrored_fmt", fmt).mask_id} <= symmetric
         if conflicting_pins(got):
             conflicts += 1
             assert mirror.solve_gf2(got) is None
+        if got.cols == mirror._WIDTH:
+            free = np.array([rng.randrange(2) for _ in range(got.cols)], np.uint8)
+            solution, want = mirror.solve_gf2(got, free), reference_solve_gf2(matrix, rhs, free)
+            assert (solution is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(solution.assignment, want.assignment)
+                assert solution.free_columns == want.free_columns
+            widest["built"] += 1
+            widest["solved"] += want is not None
     assert 0 < conflicts < len(cases)
+    assert asymmetric >= 20 and widest["built"] > widest["solved"] >= 6, widest
 
 
 def test_int_build_and_solve_match_the_dense_reference_on_every_cover():
@@ -590,8 +612,8 @@ def scaffold_build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=No
     var = np.array([np.arange(TOTAL_BITS), transpose_permutation()])
     mask = np.array([data_mask(fmt.mask_id), data_mask(mirrored_fmt.mask_id)])
     aux = mirror._aux_bytes(alloc)
-    cols, shift = TOTAL_BITS + 8 * len(aux), 8 * len(aux)
-    at = np.zeros((8, cols + 1), dtype=np.uint8)  # per side: released cells, pins, values, mask
+    cols = TOTAL_BITS + 8 * len(aux)
+    at = np.zeros((8, mirror._WIDTH + 1), dtype=np.uint8)  # per side: released, pins, values, mask
     for k, (side, byte) in enumerate(aux):
         at[4 * side][var[side, byte * 8 : byte * 8 + 8]] = 1
         var[side, byte * 8 : byte * 8 + 8] = np.arange(8) + TOTAL_BITS + 8 * k
@@ -602,10 +624,11 @@ def scaffold_build_constraint_system(bits_a, bits_b, fmt, alloc, mirrored_fmt=No
         at[4 * side + 3][var[side]] = mask[side]
     released_a, pins_a, values_a, mask_a, released_b, pins_b, values_b, mask_b = mirror._ints(at)
     placed = mirror._placed_checks()
-    checks = [[check << shift & kept for check in placed[side]]
+    checks = [[check & kept for check in placed[side]]
               for side, kept in enumerate((~released_a, ~released_b))]
-    for low, (side, byte) in zip(range(shift - 7, 0, -8), aux):  # aux byte k: its lowest bit
-        checks[side] = [check | (straight >> 201 - 8 * byte & 0xFF) << low
+    lows = range(mirror._WIDTH - TOTAL_BITS - 7, 0, -8)  # aux byte k: its lowest bit
+    for low, (side, byte) in zip(lows, aux):
+        checks[side] = [check | (straight >> mirror._WIDTH - 7 - 8 * byte & 0xFF) << low
                         for check, straight in zip(checks[side], placed[0])]
     unpinned, values = ~(pins_a | pins_b), values_a | values_b
     sides = zip(checks, (alloc.side_a_bytes, alloc.side_b_bytes),
@@ -654,10 +677,10 @@ def reference_int_form(matrix, rhs, la, lb, alloc):
     """The per-row reference's system in the int form: each side's
     declared-bit rows, unit rows, as its (columns, values) pins, and its
     check rows with the pins of both sides substituted (column c at bit
-    cols - c, the right-hand side at bit 0). A cell both sides pin is
-    substituted with the or of their values, as the build does; a
+    mirror._WIDTH - c, the right-hand side at bit 0). A cell both sides
+    pin is substituted with the or of their values, as the build does; a
     system with such a conflict has no solution either way."""
-    ints = [int("".join(map(str, row)), 2) << 1 | b
+    ints = [int("".join(map(str, row)), 2) << 1 + mirror._WIDTH - matrix.shape[1] | b
             for row, b in zip(matrix.tolist(), rhs.tolist())]
     split = la + 8 * (rscode.PARITY_BYTES - sum(b >= rscode.DATA_BYTES for b in alloc.side_a_bytes))
     assert len(ints) - split >= lb

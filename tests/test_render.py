@@ -95,6 +95,19 @@ def test_pbm_rejects_bad_inputs():
             render.parse_pbm(bad)
 
 
+def test_pbm_numbers_are_plain_decimals():
+    # int() alone would read a '+' sign and '_' separators
+    grid = encoder.encode_single("HELLO")
+    rows = render.to_pbm(grid).split(b"\n", 3)[3]
+    for header in (b"+21 +21", b"2_1 2_1"):
+        with pytest.raises(render.RenderError, match="malformed PBM header"):
+            render.parse_pbm(b"P1\n" + header + b"\n" + rows)
+    for meta in (b"scale=+1 quiet=0", b"scale=1 quiet=0_0"):
+        with pytest.raises(render.RenderError, match="scale or quiet is not an integer"):
+            render.parse_pbm(b"P1\n21 21\n# qrmirror " + meta + b"\n" + rows)
+    assert render.parse_pbm(b"P1\n21 21\n# qrmirror scale=1 quiet=0\n" + rows) == grid
+
+
 def test_pbm_scale_validation():
     with pytest.raises(ValueError):
         render.to_pbm(function_pattern_grid(), scale=0)

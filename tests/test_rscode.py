@@ -196,9 +196,11 @@ def _poly_mul(p, q):
 
 
 def _poly_eval(p, x):
-    r = 0
+    """p, highest degree first, at x != 0: Horner's rule with each product
+    a sum of logs, as gf_div and gf_inv take theirs."""
+    log_x, r = LOG[x], 0
     for c in p:
-        r = gf_mul(r, x) ^ c
+        r = (EXP[LOG[r] + log_x] if r else 0) ^ c
     return r
 
 
